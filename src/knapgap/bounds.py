@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import ValidationError
 from .group import frobenius
-from .rounding import DEFAULT_BITS, pow_bounds, root_lower
+from .rounding import DEFAULT_BITS, root_lower
 
 
 def schur_bound(inst: KnapsackInstance) -> int:

@@ -78,27 +78,24 @@ def _print_json(doc: dict) -> None:
 def _cmd_frobenius(args: argparse.Namespace) -> int:
     inst = _instance(args)
     config = [("a", ",".join(map(str, inst.a)))]
-    from .group import (
-        covering_radius_integral,
-        covering_radius_simplex,
-        frobenius,
-    )
+    from .group import frobenius
 
     g = frobenius(inst)
+    simplex, integral = g + sum(inst.a), g + inst.a[-1]
     if args.format == "json":
         _print_json(
             {
                 "config": {"a": list(inst.a)},
                 "g": g,
-                "covering_radius_simplex": g + sum(inst.a),
-                "covering_radius_integral": g + inst.a[-1],
+                "covering_radius_simplex": simplex,
+                "covering_radius_integral": integral,
             }
         )
     else:
         _echo(config, args.format)
         print(f"g = {g}")
-        print(f"covering_radius_simplex = {covering_radius_simplex(inst)}")
-        print(f"covering_radius_integral = {covering_radius_integral(inst)}")
+        print(f"covering_radius_simplex = {simplex}")
+        print(f"covering_radius_integral = {integral}")
     return 0
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+from bisect import bisect_right
 from csv import writer as csv_writer
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,20 +218,10 @@ def _survival(
     values: Sequence[Fraction], thresholds: Sequence[Fraction], count: int
 ) -> tuple[tuple[Fraction, Fraction], ...]:
     ordered = sorted(values)
-    out = []
-    for t in thresholds:
-        # Number of values strictly above t, via binary search on the sorted
-        # list (bisect cannot be used directly with exact > on Fractions
-        # without a key, so do it manually).
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ordered[mid] > t:
-                hi = mid
-            else:
-                lo = mid + 1
-        out.append((t, Fraction(count - lo, count)))
-    return tuple(out)
+    # bisect_right counts the values <= t, so the rest lie strictly above t.
+    return tuple(
+        (t, Fraction(count - bisect_right(ordered, t), count)) for t in thresholds
+    )
 
 
 def _fit_slope(

@@ -3,19 +3,30 @@
 The additive gap of one right hand side is
 IG_c(a, b) = IP_c(a, b) - LP_c(a, b), and the quantity of interest is its
 maximum over all representable b, written Gap_c(a).  On any solution of
-a.x = b the cost splits as c.x = slope * b + l.x' (basis_reduction), so
-IG never depends on b through the slope term: it equals the minimum of
-l.x' over solutions, which the residue table bounds from below.  Past the
-tightness threshold B* the table witness lifts to a genuine solution, so
+a.x = b the cost splits as c.x = slope * b + l.x' (basis_reduction), where
+x' drops the pivot coordinate tau and l >= 0.  So IG(b) is the minimum of
+l.x' over the x' whose load gen.x' is congruent to b modulo a_tau and at
+most b.  Raising b by a_tau keeps every such x' (one more unit of x_tau,
+at reduced cost zero), so
 
-    IG_c(a, b) = minima[b mod a_tau]        for every b >= B*,
+    IG_c(a, b + a_tau) <= IG_c(a, b)
 
-and Gap_c(a) is the larger of the table maximum and a finite scan of the
-representable b < B*.  Everything here is exact rational arithmetic.
+and IG never increases along a residue class.  Its maximum over a class
+sits at the class's smallest representable b_r, where x_tau = 0, and
+gap_exact reads every (b_r, IG(b_r)) from one residue table with
+lexicographic (load, cost) labels instead of sweeping right hand sides.
+Past the tightness threshold B* the class minimum is reached outright:
+
+    IG_c(a, b) = minima[b mod a_tau]        for every b >= B*.
+
+ip_value, integrality_gap and gap_bruteforce run direct dynamic programs
+over right hand sides; gap_bruteforce is the independent check value for
+gap_exact.  Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -115,60 +126,43 @@ def gap_exact(
 ) -> GapReport:
     """Exact Gap_c(a) = max over representable b of IG_c(a, b).
 
-    Builds the residue table for the reduced costs, reads off the tail
-    behavior, and sweeps the finitely many b below the tightness threshold
-    with one dynamic program in the reduced costs (the arc for the pivot
-    coordinate carries weight zero).  Ties between the pre-threshold scan
-    and the tail resolve toward the scan, so witness_b is the smallest
-    attaining b overall.
+    IG never increases along a residue class (module docstring), so the
+    gap is the largest IG(b_r) over the a_tau classes, where b_r is the
+    class's smallest representable b.  Every (b_r, IG(b_r)) comes from one
+    more group_minima run whose integer arc weights pack load and reduced
+    cost into a single key,
+
+        key_j = gen_j * K + D * l_j,    D = lcm of the denominators of l,
+
+    so a path's key is load * K + D * cost (D and K are scale and k below).
+    With K = m * max_j(D * l_j) + 1 the key order is the (load, cost)
+    lexicographic order and divmod(key, K) returns (b_r, D * IG(b_r)): a
+    load-minimal solution uses fewer than m generators (m of them would
+    contain a nonempty subsum divisible by m, whose removal lowers the load
+    and keeps the class), so its cost part stays below K.  The smallest b_r
+    attaining the maximum is the smallest attaining b overall, and scan_gap
+    keeps the classes with b_r < B*.  threshold and tail_gap come from the
+    reduced-cost table, which runs on the integer weights D * l_j: scaling
+    every weight by D keeps the same tight arcs and multiplies each minimum
+    by D.  Both tables have a_tau cells, which group_minima checks against
+    the guardrail; nothing else is allocated.
     """
     red = basis_reduction(inst, c)
-    table = group_minima(inst, red.tau, red.l, max_cells=max_cells)
-    m = table.modulus
+    scale = math.lcm(*(lw.denominator for lw in red.l))
+    cost = [int(lw * scale) for lw in red.l]
+    table = group_minima(inst, red.tau, cost, max_cells=max_cells)
     bstar = tightness_threshold(table)
-    tail = max(table.minima)
-
-    scan_best: Fraction | int = 0
-    scan_b: int | None = None
-    if bstar > 0:
-        check_cells(bstar, f"gap scan up to threshold {bstar}", max_cells)
-        weights = [Fraction(0)] * inst.n
-        for pos, lw in zip(red.positions, red.l):
-            weights[pos] = lw
-        a = inst.a
-        dist: list[Fraction | int | None] = [None] * bstar
-        dist[0] = 0
-        scan_b = 0
-        for t in range(1, bstar):
-            best = None
-            for ai, wi in zip(a, weights):
-                if ai <= t:
-                    prev = dist[t - ai]
-                    if prev is not None:
-                        cand = prev + wi
-                        if best is None or cand < best:
-                            best = cand
-            dist[t] = best
-            if best is not None and best > scan_best:
-                scan_best = best
-                scan_b = t
-
-    if scan_b is not None and scan_best >= tail:
-        gap = scan_best
-        witness = scan_b
-    else:
-        gap = tail
-        witness = min(
-            bstar + (r - bstar) % m
-            for r, value in enumerate(table.minima)
-            if value == tail
-        )
+    k = table.modulus * max(cost) + 1
+    keys = [g * k + w for g, w in zip(table.generators, cost)]
+    packed = group_minima(inst, red.tau, keys, max_cells=max_cells)
+    labels = [divmod(key, k) for key in packed.minima]
+    gap = max(ig for _, ig in labels)
     return GapReport(
-        gap=Fraction(gap),
-        witness_b=witness,
+        gap=Fraction(gap, scale),
+        witness_b=min(b for b, ig in labels if ig == gap),
         threshold=bstar,
-        tail_gap=Fraction(tail),
-        scan_gap=Fraction(scan_best),
+        tail_gap=Fraction(max(table.minima), scale),
+        scan_gap=Fraction(max([0] + [ig for b, ig in labels if b < bstar]), scale),
         tau=red.tau,
         generic=red.generic,
     )

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import knapgap.group
 from knapgap import KnapsackInstance, gap_exact
 from knapgap.cli import run
 
@@ -73,6 +74,20 @@ class TestTextOutput:
         assert "g = 43" in lines
         assert "covering_radius_simplex = 78" in lines
         assert "covering_radius_integral = 63" in lines
+
+    def test_frobenius_computes_g_once(self, capsys, monkeypatch):
+        calls = []
+        real = knapgap.group.frobenius
+
+        def counting(inst, **kwargs):
+            calls.append(inst)
+            return real(inst, **kwargs)
+
+        monkeypatch.setattr(knapgap.group, "frobenius", counting)
+        code, out, _ = _run(capsys, "frobenius", "--a", "6,9,20")
+        assert code == 0
+        assert "covering_radius_integral = 63" in out.splitlines()
+        assert len(calls) == 1
 
     def test_gap_report(self, capsys):
         _, out, _ = _run(capsys, "gap", "--a", "3,5", "--c", "3,0")

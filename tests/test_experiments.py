@@ -197,6 +197,25 @@ class TestSummaries:
         )
         summary = summarize(config, _fake_records(values))
         assert summary.survival_upper == ((Fraction(1), Fraction(0)),)
+        # thresholds equal to the smallest, a repeated and the largest value
+        values = [1, 2, 2, 3, 5, 5, 5, 8]
+        config = ExperimentConfig(
+            n=3, T=10, count=8, seed=0, epsilon="4/5", thresholds=(1, 2, 5, 8)
+        )
+        summary = summarize(config, _fake_records(values))
+        assert summary.survival_upper == (
+            (Fraction(1), Fraction(7, 8)),
+            (Fraction(2), Fraction(5, 8)),
+            (Fraction(5), Fraction(1, 8)),
+            (Fraction(8), Fraction(0)),
+        )
+        # ratio_lower halves each value, so t = 1 ties two lower samples
+        assert summary.survival_lower == (
+            (Fraction(1), Fraction(5, 8)),
+            (Fraction(2), Fraction(1, 2)),
+            (Fraction(5), Fraction(0)),
+            (Fraction(8), Fraction(0)),
+        )
 
     def test_flags(self):
         config = ExperimentConfig(n=3, T=1, count=4, seed=0, epsilon="1/2")

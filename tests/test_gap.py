@@ -1,13 +1,15 @@
 """Exact additive gaps: single right-hand sides and the global maximum."""
 
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from knapgap import (
+    BoundTooLarge,
     KnapsackInstance,
     NegativeRhs,
     basis_reduction,
@@ -20,6 +22,7 @@ from knapgap import (
     ip_value,
     lp_value,
     tightness_family,
+    tightness_threshold,
 )
 
 tiny_instances = (
@@ -33,6 +36,66 @@ def tiny_costs(n):
     num = st.integers(min_value=-4, max_value=4)
     den = st.integers(min_value=1, max_value=3)
     return st.lists(st.builds(Fraction, num, den), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def shaped_cases(draw):
+    """(instance, cost) pairs built around a chosen slope.
+
+    Each cost is slope * a plus reduced costs drawn from {0} and small
+    fractions, so ties in the slope, zero reduced weights and negative
+    costs all come up often.  Half the instances gain a multiple of one of
+    their coefficients, a generator divisible by a_tau when that
+    coefficient is the pivot.
+    """
+    a = draw(
+        st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=3)
+        .filter(lambda a: math.gcd(*a) == 1)
+    )
+    if draw(st.booleans()):
+        a.append(draw(st.sampled_from(a)) * draw(st.integers(min_value=1, max_value=3)))
+    slope = Fraction(
+        draw(st.integers(min_value=-3, max_value=3)),
+        draw(st.integers(min_value=1, max_value=3)),
+    )
+    reduced = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(
+            Fraction,
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=1, max_value=3),
+        ),
+    )
+    pivot = draw(st.integers(min_value=0, max_value=len(a) - 1))
+    cost = tuple(
+        slope * aj + (0 if j == pivot else draw(reduced)) for j, aj in enumerate(a)
+    )
+    return KnapsackInstance(tuple(a)), cost
+
+
+def swept_fields(inst, c, threshold):
+    """Every GapReport field from IG(b), b <= threshold + 2 a_tau, one by one.
+
+    The threshold under test only sizes the sweep; the sweep checks that IG
+    is defined and has period a_tau from there on.
+    """
+    ratios = [Fraction(ci) / ai for ci, ai in zip(c, inst.a)]
+    tau = ratios.index(min(ratios))
+    m = inst.a[tau]
+    ig = [integrality_gap(inst, c, b) for b in range(threshold + 2 * m + 1)]
+    window = ig[threshold : threshold + m]
+    assert None not in window
+    assert ig[threshold + m : threshold + 2 * m] == window
+    gap = max(x for x in ig if x is not None)
+    return {
+        "gap": gap,
+        "witness_b": ig.index(gap),
+        "threshold": threshold,
+        "tail_gap": max(window),
+        "scan_gap": max([0] + [x for x in ig[:threshold] if x is not None]),
+        "tau": tau,
+        "generic": ratios.count(min(ratios)) == 1,
+    }
 
 
 class TestIpValue:
@@ -106,6 +169,31 @@ class TestGapExact:
         for b in range(report.witness_b):
             ig = integrality_gap(inst, (3, 0), b)
             assert ig is None or ig < report.gap
+
+    @given(case=shaped_cases())
+    # a tied slope, a zero reduced weight, negative costs and 8 = 2 * a_tau
+    @example(case=(KnapsackInstance((4, 5, 8)), (-4, -4, -8)))
+    @settings(max_examples=60)
+    def test_every_field_matches_sweep(self, case):
+        inst, c = case
+        report = gap_exact(inst, c)
+        assert asdict(report) == swept_fields(inst, c, report.threshold)
+        red = basis_reduction(inst, c)
+        table = group_minima(inst, red.tau, red.l)
+        assert report.threshold == tightness_threshold(table)
+
+    @pytest.mark.parametrize(
+        "a, c", [((3, 5), (3, 0)), ((6, 9, 20), (6, 10, 21)), ((7, 11, 18), (1, 2, 3))]
+    )
+    def test_guardrail_counts_only_the_residue_table(self, a, c):
+        inst = KnapsackInstance(a)
+        m = inst.a[basis_reduction(inst, c).tau]
+        report = gap_exact(inst, c, max_cells=m)
+        assert report.threshold > m
+        b_max = report.threshold + 2 * m
+        assert report.gap == gap_bruteforce(inst, c, b_max)
+        with pytest.raises(BoundTooLarge):
+            gap_exact(inst, c, max_cells=m - 1)
 
     @given(inst=tiny_instances, data=st.data())
     @settings(max_examples=40)
