@@ -124,6 +124,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
     table = group_minima(inst, tau, weights)
     gap = lattice_gap(table)
     bstar = tightness_threshold(table)
+    witness = table.witness
     if args.format == "json":
         _print_json(
             {
@@ -132,7 +133,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
                 "lattice_gap": _frac_str(gap),
                 "threshold": bstar,
                 "minima": [_frac_str(v) for v in table.minima],
-                "witness": [list(x) for x in table.witness],
+                "witness": [list(x) for x in witness],
                 "load": list(table.load),
             }
         )
@@ -145,8 +146,8 @@ def _cmd_group(args: argparse.Namespace) -> int:
     shown = min(table.modulus, limit)
     print("r minima witness load")
     for r in range(shown):
-        witness = ",".join(map(str, table.witness[r]))
-        print(f"{r} {_frac_str(table.minima[r])} ({witness}) {table.load[r]}")
+        x = ",".join(map(str, witness[r]))
+        print(f"{r} {_frac_str(table.minima[r])} ({x}) {table.load[r]}")
     if table.modulus > limit:
         print(f"... {table.modulus - limit} more rows, use --format json for all")
     return 0
@@ -294,7 +295,6 @@ def _sampling_config(args: argparse.Namespace) -> list[tuple[str, str]]:
         ("T", args.t),
         ("count", str(args.count)),
         ("seed", str(args.seed)),
-        ("jobs", str(args.jobs)),
     ]
 
 
@@ -379,6 +379,7 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         raise ValidationError("tail takes a single --t value")
     config = _experiment_config(args, t_values[0])
     echo = _sampling_config(args) + [
+        ("jobs", str(args.jobs)),
         ("epsilon", str(config.epsilon)),
         ("thresholds", args.thresholds),
         ("bits", str(config.bits)),
@@ -403,6 +404,7 @@ def _cmd_mean(args: argparse.Namespace) -> int:
     t_values = _ints(args.t, "--t")
     configs = [_experiment_config(args, T) for T in t_values]
     echo = _sampling_config(args) + [
+        ("jobs", str(args.jobs)),
         ("epsilon", args.epsilon),
         ("thresholds", args.thresholds),
         ("bits", str(args.bits)),
@@ -489,7 +491,6 @@ def build_parser() -> _Parser:
         p.add_argument("--t", required=True, help="coefficient cap T")
         p.add_argument("--count", type=int, required=True)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("sample", help="draw uniform valid instances")
     add_sampling(p)
@@ -498,6 +499,7 @@ def build_parser() -> _Parser:
 
     def add_experiment(p: _Parser) -> None:
         add_sampling(p)
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--epsilon", required=True, help="exponent p/q in (0,1)")
         p.add_argument(
             "--thresholds",

@@ -10,8 +10,34 @@ where gen runs over the coefficients other than a_tau in their original
 order.  This is a single-source shortest path problem on the cyclic group
 Z_m: arcs go from r to (r + gen_j) mod m at cost w_j, the source is residue
 0, and coprimality of the instance guarantees every residue is reachable.
-Distances are exact (integer or Fraction), computed with a monotone priority
-queue.
+
+The table is filled by the round-robin algorithm of Boecker and Liptak ("A
+fast and simple algorithm for the money changing problem", Algorithmica
+2007), one generator at a time.  After generator j the table holds the
+optimum over the first j generators: a generator with step s = gen_j mod m
+and weight w (skipped when s = 0) splits Z_m into gcd(s, m) cycles p,
+p + s, p + 2s, ... of length L = m / gcd(s, m), and on a cycle with old
+labels v_0, ..., v_{L-1}
+
+    new_k = min_t v_{k-t} + t w = min(P_k, P_{L-1} + L w) + k w,
+    P_k   = min_{i <= k} (v_i - i w),
+
+since t = k - i for i <= k and t = k - i + L otherwise; more than one lap
+never helps because w >= 0.  Starting a cycle at its smallest label makes
+the wrap term lose, and the recurrence becomes the running minimum
+new_k = min(v_k, new_{k-1} + w).
+
+Rational weights are scaled by the lcm of their denominators, so all
+arithmetic is exact integer arithmetic, and the labels come back as
+Fractions.  Two executions of the one recurrence are chosen from the input.
+Tables of at least _NUMPY_MIN_MODULUS residues evaluate the prefix-minimum
+form for all cycles at once on numpy int64 arrays, provided m * (max w + 1)
+< 2**60: every label is at most (m - 1) max w, the unreached sentinel is
+m (max w + 1), and a lap adds at most m max w, so every intermediate stays
+below 2**62 and int64 cannot overflow.
+Smaller tables, and weights without that headroom, walk each cycle from its
+minimum with Python integers: a numpy pass costs about ten fixed calls per
+generator, which small tables never earn back.
 
 Taking the weights to be the coefficients themselves makes minima[r] the
 smallest integer congruent to r mod m that is representable without using
@@ -33,18 +59,28 @@ Both are exposed as trivial wrappers so callers do not re-derive them.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import product
 from typing import Sequence
+
+import numpy as np
 
 from .core import KnapsackInstance, RationalLike, as_fraction
 from .errors import NegativeWeight, NoPointInBox, ValidationError
 from .guardrail import check_cells
 
 Weight = Fraction | int
+
+# Smallest modulus that runs the recurrence on numpy int64 arrays.  Each
+# generator costs numpy about ten fixed calls, which only pay off against
+# the scalar loop from this many residues on (measured crossover).
+_NUMPY_MIN_MODULUS = 128
+
+# Bound on m * (max w + 1) for the int64 execution (module docstring).
+_INT64_HEADROOM = 1 << 60
 
 
 def _normalize_weights(
@@ -132,8 +168,10 @@ class GroupTable:
 
     @property
     def witness(self) -> list[tuple[int, ...]]:
-        pred_res, pred_gen, _, order = self._tight_tree()
+        """One optimal solution per residue, rebuilt on every access."""
         k = len(self.generators)
+        check_cells(self.modulus * k, f"witness table of {self.modulus} rows")
+        pred_res, pred_gen, _, order = self._tight_tree()
         out: list[tuple[int, ...] | None] = [None] * self.modulus
         out[0] = (0,) * k
         for r in order[1:]:
@@ -144,6 +182,54 @@ class GroupTable:
         return out  # type: ignore[return-value]
 
 
+def _round_robin(m: int, arcs: list[tuple[int, int]]) -> list[int]:
+    """Residue minima for integer arcs (step, w), 0 < step < m, w >= 0.
+
+    Processes one generator at a time (module docstring).  Residues nobody
+    reaches hold the sentinel m * (max w + 1), which exceeds every finite
+    label (m - 1) * max w; a cycle of sentinels maps to itself, so
+    sentinels never grow.
+    """
+    unreached = m * (max((w for _, w in arcs), default=0) + 1)
+    if m >= _NUMPY_MIN_MODULUS and unreached < _INT64_HEADROOM:
+        labels = np.full(m, unreached, dtype=np.int64)
+        labels[0] = 0
+        index = np.arange(m, dtype=np.int64)
+        for step, w in arcs:
+            length = m // math.gcd(step, m)
+            # Row p lists p, p + step, p + 2 step, ... since length * step
+            # is 0 mod m.  index * step < m**2 fits for any table in memory.
+            cycles = ((index // length + index * step) % m).reshape(-1, length)
+            offsets = np.arange(length, dtype=np.int64) * w
+            prefix = np.minimum.accumulate(labels[cycles] - offsets, axis=1)
+            wrap = prefix[:, -1:] + length * w
+            labels[cycles] = np.minimum(prefix, wrap) + offsets
+        minima = labels.tolist()
+    else:
+        minima = [unreached] * m
+        minima[0] = 0
+        for step, w in arcs:
+            spread = math.gcd(step, m)
+            for start in range(spread):
+                # The cycle through start is the class start mod spread.
+                members = minima[start::spread]
+                label = min(members)
+                r = start + members.index(label) * spread
+                for _ in range(m // spread - 1):
+                    r += step
+                    if r >= m:
+                        r -= m
+                    label += w
+                    old = minima[r]
+                    if old < label:
+                        label = old
+                    else:
+                        minima[r] = label
+    if unreached in minima:
+        raise AssertionError("residue graph not strongly reachable, gcd broken")
+    return minima
+
+
 def group_minima(
     inst: KnapsackInstance,
     tau: int,
@@ -151,10 +237,11 @@ def group_minima(
     *,
     max_cells: int | None = None,
 ) -> GroupTable:
-    """Exact residue-class minima modulo a_tau by Dijkstra's algorithm.
+    """Exact residue-class minima modulo a_tau by the round-robin algorithm.
 
     tau is a 0-based position into the instance; weights are nonnegative
-    rationals, one per remaining coefficient in original order.  The table
+    rationals, one per remaining coefficient in original order.  Minima are
+    ints when every weight is integral and Fractions otherwise.  The table
     has a_tau rows, which is checked against the cell guardrail before
     allocation.
     """
@@ -166,36 +253,20 @@ def group_minima(
     m = inst.a[tau]
     check_cells(m, f"residue table modulo {m}", max_cells)
 
-    zero: Weight = 0 if all(isinstance(x, int) for x in w) else Fraction(0)
-    dist: list[Weight | None] = [None] * m
-    dist[0] = zero
-    done = bytearray(m)
+    # Scale rational weights to integers; labels come back divided by scale.
+    scale = math.lcm(*(x.denominator for x in w))
     # Self-loop arcs (generator divisible by m) can never improve a label.
-    arcs = [(g % m, wj) for g, wj in zip(generators, w) if g % m != 0]
-    heap: list[tuple[Weight, int]] = [(zero, 0)]
-    while heap:
-        d, r = heappop(heap)
-        if done[r]:
-            continue
-        done[r] = 1
-        for step, wj in arcs:
-            nr = r + step
-            if nr >= m:
-                nr -= m
-            nd = d + wj
-            old = dist[nr]
-            if old is None or nd < old:
-                dist[nr] = nd
-                heappush(heap, (nd, nr))
-    if any(d is None for d in dist):
-        raise AssertionError("residue graph not strongly reachable, gcd broken")
+    arcs = [(g % m, int(wj * scale)) for g, wj in zip(generators, w) if g % m]
+    minima: list[Weight] = _round_robin(m, arcs)
+    if isinstance(w[0], Fraction):
+        minima = [Fraction(v, scale) for v in minima]
     return GroupTable(
         modulus=m,
         tau=tau,
         positions=positions,
         generators=generators,
         weights=w,
-        minima=dist,  # type: ignore[arg-type]
+        minima=minima,
     )
 
 

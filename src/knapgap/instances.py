@@ -211,14 +211,20 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     )
 
 
-def delta_max(matrix: Sequence[Sequence[int]]) -> int:
+def delta_max(
+    matrix: Sequence[Sequence[int]], *, max_cells: int | None = None
+) -> int:
     """Largest absolute subdeterminant over all square submatrices.
 
     Exponential enumeration with exact integer determinants; intended for
-    small verification sizes only.
+    small verification sizes only.  The sum over k of C(rows, k) * C(cols, k)
+    square submatrices is C(rows + cols, rows) - 1 (Vandermonde), and that
+    count is checked against the cell guardrail first.
     """
     m = len(matrix)
     cols = len(matrix[0])
+    count = math.comb(m + cols, m) - 1
+    check_cells(count, f"enumeration of {count} square submatrices", max_cells)
     best = 0
     for k in range(1, min(m, cols) + 1):
         for rows_idx in combinations(range(m), k):

@@ -58,6 +58,20 @@ class TestExitCodes:
     def test_no_subcommand_is_64(self, capsys):
         assert run([]) == 64
 
+    def test_group_witness_guardrail_is_3(self, capsys, monkeypatch):
+        # the 6-row table fits under the cap, its 12 witness cells do not
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "10")
+        code, out, err = _run(capsys, "group", "--a", "6,9,20")
+        assert code == 3
+        assert out == ""
+        assert "witness table" in err
+
+    def test_sample_has_no_jobs_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sample", "--n", "2", "--t", "3", "--count", "2", "--seed", "1",
+                 "--jobs", "2"])
+        assert exc.value.code == 64
+
     def test_bad_epsilon_is_2(self, capsys):
         code, _, err = _run(
             capsys, "tail", "--n", "3", "--t", "100", "--count", "200",
@@ -122,6 +136,29 @@ class TestTextOutput:
         _, out, _ = _run(capsys, "group", "--a", "3,5")
         assert "tau = 1" in out
         assert "lattice_gap = 10" in out
+
+    def test_group_builds_witnesses_once(self, capsys, monkeypatch):
+        builds = []
+        real = knapgap.group.GroupTable.witness
+
+        def counting(table):
+            builds.append(table.modulus)
+            return real.fget(table)
+
+        monkeypatch.setattr(knapgap.group.GroupTable, "witness", property(counting))
+        code, out, _ = _run(capsys, "group", "--a", "61,97,131")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[lines.index("r minima witness load") + 1] == "0 0 (0,0) 0"
+        assert lines[-1] == "... 11 more rows, use --format json for all"
+        assert builds == [61]
+
+    def test_sample_echo(self, capsys):
+        _, out, _ = _run(capsys, "sample", "--n", "2", "--t", "3", "--count", "2",
+                         "--seed", "1")
+        assert out.splitlines() == [
+            "n = 2", "T = 3", "count = 2", "seed = 1", "0: 1,2", "1: 3,1",
+        ]
 
     def test_lovasz(self, capsys):
         _, out, _ = _run(capsys, "lovasz", "--n", "5", "--delta", "3", "--beta", "1/2")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import knapgap.group
 from knapgap import (
     BoundTooLarge,
     KnapsackInstance,
@@ -22,6 +23,7 @@ from knapgap import (
     lattice_gap,
     tightness_threshold,
 )
+from knapgap.group import _round_robin
 
 small_instances = (
     st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=4)
@@ -198,3 +200,134 @@ class TestCoveringRadii:
         # as weights equals g(a) + a_n
         table = group_minima(inst, inst.n - 1, inst.a[:-1])
         assert lattice_gap(table) == frobenius(inst) + inst.a[-1]
+
+
+# Tables on both sides of the numpy cutoff, with the arcs each execution of
+# the round-robin recurrence must handle: a generator divisible by m (a
+# self-loop), generators sharing a factor with m (several cycles), zero,
+# rational and huge weights (no int64 headroom, so Python ints).
+@st.composite
+def kernel_cases(draw, max_modulus=300, max_generators=3):
+    m = draw(st.integers(min_value=2, max_value=max_modulus))
+    gens = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=600),
+            min_size=1,
+            max_size=max_generators,
+        )
+    )
+    if draw(st.booleans()):
+        gens.append(m * draw(st.integers(min_value=1, max_value=2)))
+    if draw(st.booleans()):
+        factor = next(p for p in range(2, m + 1) if m % p == 0)
+        gens.append(factor * draw(st.integers(min_value=1, max_value=600 // factor)))
+    assume(math.gcd(m, *gens) == 1)
+    tau = draw(st.integers(min_value=0, max_value=len(gens)))
+    inst = KnapsackInstance(tuple(gens[:tau]) + (m,) + tuple(gens[tau:]))
+    count = len(gens)
+    kind = draw(
+        st.sampled_from(["coefficients", "ints", "rational", "zeros", "huge"])
+    )
+    if kind == "coefficients":
+        weights = list(gens)
+    elif kind == "ints":
+        weights = draw(
+            st.lists(st.integers(0, 10**4), min_size=count, max_size=count)
+        )
+    elif kind == "rational":
+        weights = draw(
+            st.lists(
+                st.builds(Fraction, st.integers(0, 50), st.integers(1, 12)),
+                min_size=count,
+                max_size=count,
+            )
+        )
+    elif kind == "zeros":
+        weights = draw(
+            st.lists(st.sampled_from([0, 0, 1, 7]), min_size=count, max_size=count)
+        )
+    else:
+        weights = draw(
+            st.lists(st.integers(2**60 // m, 2**70), min_size=count, max_size=count)
+        )
+    return inst, tau, weights
+
+
+def _both_executions(inst, tau, weights):
+    """Minima with the numpy cutoff at 1 and out of reach."""
+    out = []
+    for cutoff in (1, 1 << 62):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
+            out.append(group_minima(inst, tau, weights).minima)
+    return out
+
+
+class TestRoundRobinKernel:
+    @given(case=kernel_cases())
+    def test_optimality_certificate(self, case):
+        # minima[0] = 0 and no arc improves a label give minima <= optimum;
+        # tight arcs reaching every residue give minima >= optimum
+        inst, tau, weights = case
+        table = group_minima(inst, tau, weights)
+        m = table.modulus
+        assert table.minima[0] == 0
+        for r in range(m):
+            for g, w in zip(table.generators, table.weights):
+                assert table.minima[(r + g) % m] <= table.minima[r] + w
+        witness = table.witness
+        for r in range(m):
+            x = witness[r]
+            assert table.load[r] % m == r
+            assert sum(g * xi for g, xi in zip(table.generators, x)) == table.load[r]
+            assert sum(w * xi for w, xi in zip(table.weights, x)) == table.minima[r]
+
+    @given(case=kernel_cases())
+    def test_executions_agree(self, case):
+        fast, scalar = _both_executions(*case)
+        assert fast == scalar
+        assert [type(v) for v in fast] == [type(v) for v in scalar]
+
+    @given(case=kernel_cases())
+    def test_frobenius_against_sieve(self, case):
+        inst = case[0]
+        assert frobenius(inst) == frobenius_sieve_oracle(inst)
+
+    @given(case=kernel_cases(max_modulus=12, max_generators=1), data=st.data())
+    @settings(max_examples=30)
+    def test_small_tables_against_bruteforce(self, case, data):
+        inst, tau, weights = case
+        m = inst.a[tau]
+        r = data.draw(st.integers(min_value=0, max_value=m - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1)
+            fast = group_minima(inst, tau, weights).minima[r]
+        assert fast == group_min_bruteforce(inst, tau, weights, r, radius=m)
+
+    def test_int64_headroom_edge(self):
+        # largest weights the numpy execution accepts, and one more
+        m = 200
+        inst = KnapsackInstance((m, 3 * m + 1, 7 * m + 3))
+        top = (1 << 60) // m - 1
+        assert m * (top + 1) < 1 << 60 <= m * (top + 2)
+        for w in ([top, top - 5], [top + 1, top]):
+            fast, scalar = _both_executions(inst, 0, w)
+            assert fast == scalar
+            assert max(fast) > 1 << 55
+
+    @pytest.mark.parametrize("cutoff", [1, 1 << 62])
+    def test_unreachable_residue_detected(self, cutoff, monkeypatch):
+        monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
+        with pytest.raises(AssertionError, match="not strongly reachable"):
+            _round_robin(6, [(2, 1), (4, 3)])
+        assert _round_robin(6, [(2, 1), (3, 5)]) == [0, 7, 1, 5, 2, 6]
+
+
+class TestGuardrails:
+    def test_witness_table_is_capped(self, monkeypatch):
+        table = group_minima(KnapsackInstance((6, 9, 20)), 0, (9, 20))
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "11")
+        with pytest.raises(BoundTooLarge, match="witness"):
+            table.witness
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "12")
+        assert table.witness[1] == (1, 2)
