@@ -211,9 +211,7 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     )
 
 
-def delta_max(
-    matrix: Sequence[Sequence[int]], *, max_cells: int | None = None
-) -> int:
+def delta_max(matrix: Sequence[Sequence[int]]) -> int:
     """Largest absolute subdeterminant over all square submatrices.
 
     Exponential enumeration with exact integer determinants; intended for
@@ -224,7 +222,7 @@ def delta_max(
     m = len(matrix)
     cols = len(matrix[0])
     count = math.comb(m + cols, m) - 1
-    check_cells(count, f"enumeration of {count} square submatrices", max_cells)
+    check_cells(count, f"enumeration of {count} square submatrices")
     best = 0
     for k in range(1, min(m, cols) + 1):
         for rows_idx in combinations(range(m), k):

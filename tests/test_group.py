@@ -315,6 +315,18 @@ class TestRoundRobinKernel:
             assert fast == scalar
             assert max(fast) > 1 << 55
 
+    def test_index_headroom_edge(self, monkeypatch):
+        # cycle indices reach m**2, so a table with small weights but m * m
+        # beyond the headroom must walk with Python ints
+        inst = KnapsackInstance((200, 601, 1403))
+        expected = group_minima(inst, 0, [1, 2]).minima
+        monkeypatch.setattr(knapgap.group, "np", None)
+        monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", 200 * 200 + 1)
+        with pytest.raises(AttributeError):
+            group_minima(inst, 0, [1, 2])
+        monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", 200 * 200)
+        assert group_minima(inst, 0, [1, 2]).minima == expected
+
     @pytest.mark.parametrize("cutoff", [1, 1 << 62])
     def test_unreachable_residue_detected(self, cutoff, monkeypatch):
         monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)

@@ -186,9 +186,8 @@ class TestLovaszExample:
         # a 3 x 4 matrix has C(7, 3) - 1 = 34 square submatrices
         matrix = lovasz_example(3, 2, "1/2").matrix
         wide = [list(row) + [1] for row in matrix]
-        assert delta_max(wide, max_cells=34) == delta_max(wide)
-        with pytest.raises(BoundTooLarge, match="34 square submatrices"):
-            delta_max(wide, max_cells=33)
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "34")
+        assert delta_max(wide) == 5
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "33")
-        with pytest.raises(BoundTooLarge):
+        with pytest.raises(BoundTooLarge, match="34 square submatrices"):
             delta_max(wide)
