@@ -58,10 +58,6 @@ def _instance(args: argparse.Namespace) -> KnapsackInstance:
     return validate_instance(_ints(args.a, "--a"))
 
 
-def _frac_str(x: Fraction | int) -> str:
-    return str(Fraction(x))
-
-
 def _echo(pairs: list[tuple[str, str]], fmt: str) -> None:
     stream = sys.stdout if fmt == "text" else sys.stderr
     for key, value in pairs:
@@ -130,9 +126,9 @@ def _cmd_group(args: argparse.Namespace) -> int:
             {
                 "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text.split(",")},
                 "modulus": table.modulus,
-                "lattice_gap": _frac_str(gap),
+                "lattice_gap": str(gap),
                 "threshold": bstar,
-                "minima": [_frac_str(v) for v in table.minima],
+                "minima": [str(v) for v in table.minima],
                 "witness": [list(x) for x in witness],
                 "load": list(table.load),
             }
@@ -140,14 +136,14 @@ def _cmd_group(args: argparse.Namespace) -> int:
         return 0
     _echo(config, args.format)
     print(f"modulus = {table.modulus}")
-    print(f"lattice_gap = {_frac_str(gap)}")
+    print(f"lattice_gap = {gap}")
     print(f"threshold = {bstar}")
     limit = 50
     shown = min(table.modulus, limit)
     print("r minima witness load")
     for r in range(shown):
         x = ",".join(map(str, witness[r]))
-        print(f"{r} {_frac_str(table.minima[r])} ({x}) {table.load[r]}")
+        print(f"{r} {table.minima[r]} ({x}) {table.load[r]}")
     if table.modulus > limit:
         print(f"... {table.modulus - limit} more rows, use --format json for all")
     return 0
@@ -173,9 +169,9 @@ def _cmd_gap(args: argparse.Namespace) -> int:
                 {
                     "config": {"a": list(inst.a), "c": args.c.split(","), "b": args.b},
                     "feasible": ip is not None,
-                    "ip": None if ip is None else _frac_str(ip),
-                    "lp": _frac_str(lp),
-                    "gap": None if ig is None else _frac_str(ig),
+                    "ip": None if ip is None else str(ip),
+                    "lp": str(lp),
+                    "gap": None if ig is None else str(ig),
                 }
             )
             return 0
@@ -183,31 +179,31 @@ def _cmd_gap(args: argparse.Namespace) -> int:
         if ip is None:
             print("infeasible")
         else:
-            print(f"ip = {_frac_str(ip)}")
-            print(f"lp = {_frac_str(lp)}")
-            print(f"gap = {_frac_str(ig)}")
+            print(f"ip = {ip}")
+            print(f"lp = {lp}")
+            print(f"gap = {ig}")
         return 0
     report = gap_exact(inst, costs)
     if args.format == "json":
         _print_json(
             {
                 "config": {"a": list(inst.a), "c": args.c.split(",")},
-                "gap": _frac_str(report.gap),
+                "gap": str(report.gap),
                 "witness_b": report.witness_b,
                 "threshold": report.threshold,
-                "tail_gap": _frac_str(report.tail_gap),
-                "scan_gap": _frac_str(report.scan_gap),
+                "tail_gap": str(report.tail_gap),
+                "scan_gap": str(report.scan_gap),
                 "tau": report.tau + 1,
                 "generic": report.generic,
             }
         )
         return 0
     _echo(config, args.format)
-    print(f"gap = {_frac_str(report.gap)}")
+    print(f"gap = {report.gap}")
     print(f"witness_b = {report.witness_b}")
     print(f"threshold = {report.threshold}")
-    print(f"tail_gap = {_frac_str(report.tail_gap)}")
-    print(f"scan_gap = {_frac_str(report.scan_gap)}")
+    print(f"tail_gap = {report.tail_gap}")
+    print(f"scan_gap = {report.scan_gap}")
     print(f"tau = {report.tau + 1}")
     print(f"generic = {str(report.generic).lower()}")
     return 0
@@ -223,30 +219,30 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     report = gap_exact(inst, costs)
     bounds = check_bounds(inst, costs, report.gap)
     lower = (
-        None if bounds.lower_covering is None else _frac_str(bounds.lower_covering)
+        None if bounds.lower_covering is None else str(bounds.lower_covering)
     )
     if args.format == "json":
         _print_json(
             {
                 "config": {"a": list(inst.a), "c": args.c.split(",")},
-                "gap": _frac_str(report.gap),
+                "gap": str(report.gap),
                 "schur": bounds.schur,
-                "cook": _frac_str(bounds.cook),
-                "upper_l1": _frac_str(bounds.upper_l1),
-                "upper_linf": _frac_str(bounds.upper_linf),
-                "upper_frobenius": _frac_str(bounds.upper_frobenius),
+                "cook": str(bounds.cook),
+                "upper_l1": str(bounds.upper_l1),
+                "upper_linf": str(bounds.upper_linf),
+                "upper_frobenius": str(bounds.upper_frobenius),
                 "lower_covering": lower,
                 "all_satisfied": bounds.all_satisfied,
             }
         )
         return 0
     _echo(config, args.format)
-    print(f"gap = {_frac_str(report.gap)}")
+    print(f"gap = {report.gap}")
     print(f"schur = {bounds.schur}")
-    print(f"cook = {_frac_str(bounds.cook)}")
-    print(f"upper_l1 = {_frac_str(bounds.upper_l1)}")
-    print(f"upper_linf = {_frac_str(bounds.upper_linf)}")
-    print(f"upper_frobenius = {_frac_str(bounds.upper_frobenius)}")
+    print(f"cook = {bounds.cook}")
+    print(f"upper_l1 = {bounds.upper_l1}")
+    print(f"upper_linf = {bounds.upper_linf}")
+    print(f"upper_frobenius = {bounds.upper_frobenius}")
     print(f"lower_covering = {'n/a' if lower is None else lower}")
     print(f"all_satisfied = {str(bounds.all_satisfied).lower()}")
     return 0

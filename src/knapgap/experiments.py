@@ -15,9 +15,15 @@ The harness reports these brackets, never the unknown max itself.  The only
 irrational ingredient, ||a||_inf^epsilon, is directionally rounded (up in
 the lower bracket's denominator, down in the upper's), and each reported
 ratio is then rounded outward to a dyadic rational with denominator
-2**bits.  Every record therefore keeps its bracket side exactly, and exact
-means over thousands of records stay cheap because all denominators share
-the same power of two.
+2**bits.  Every record therefore keeps its bracket side exactly.
+
+Records carry each bracket as its integer numerator over 2**bits.  Sorting,
+survival counts, sums and the `above` check work on those ints; a survival
+threshold t becomes the integer cut floor(t * 2**bits), since an integer N
+satisfies N / 2**bits > t exactly when N exceeds that cut.  Fractions are
+built only at the output boundary: the `ratio_lower` / `ratio_upper`
+properties, the exact means and survival fractions of a summary, and the
+exact CSV columns.
 
 The theoretical backdrop: for n >= 3 the sampled fraction of instances with
 ratio above t decays at least like t^(-alpha) with
@@ -48,7 +54,7 @@ from .errors import (
 )
 from .group import frobenius
 from .instances import draw_instance
-from .rounding import DEFAULT_BITS, dyadic_ceil, dyadic_floor, pow_bounds
+from .rounding import DEFAULT_BITS, pow_bounds
 
 MIN_TAIL_SAMPLES = 100
 
@@ -103,19 +109,51 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SampleRecord:
-    """One sampled instance with its bracket values."""
+    """One sampled instance with its bracket values.
+
+    `lower` and `upper` are the integer numerators of the brackets over
+    2**bits; `ratio_lower` and `ratio_upper` give them as Fractions.
+    """
 
     index: int
     instance: KnapsackInstance
     g: int
     f: int
-    ratio_lower: Fraction
-    ratio_upper: Fraction
+    lower: int
+    upper: int
+    bits: int
+
+    @property
+    def ratio_lower(self) -> Fraction:
+        return Fraction(self.lower, 1 << self.bits)
+
+    @property
+    def ratio_upper(self) -> Fraction:
+        return Fraction(self.upper, 1 << self.bits)
 
 
 @lru_cache(maxsize=4096)
-def _norm_power(norm: int, eps: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    return pow_bounds(norm, eps, bits)
+def _norm_power(norm: int, eps: Fraction, bits: int) -> tuple[int, int]:
+    """Numerators over 2**bits of pow_bounds(norm, eps, bits)."""
+    lo, hi = pow_bounds(norm, eps, bits)
+    return int(lo * (1 << bits)), int(hi * (1 << bits))
+
+
+def _bracket_numerators(
+    inst: KnapsackInstance, epsilon: Fraction, bits: int, g: int
+) -> tuple[int, int]:
+    """Numerators over 2**bits of the outward-rounded bracket.
+
+    With ||a||_inf^epsilon in [P_lo, P_hi] / 2**bits, the lower bracket is
+    floor((g + a_n) * 4**bits / (P_hi * head)) and the upper one
+    ceil(f * 4**bits / (min(a) * P_lo)), both over 2**bits.
+    """
+    total = sum(inst.a)
+    p_lo, p_hi = _norm_power(inst.norm_inf, epsilon, bits)
+    head = total - inst.a[-1]
+    lower = ((g + inst.a[-1]) << 2 * bits) // (p_hi * head)
+    upper = -((-(g + total) << 2 * bits) // (inst.min_entry * p_lo))
+    return lower, upper
 
 
 def bracket_ratios(
@@ -134,26 +172,23 @@ def bracket_ratios(
     """
     if g is None:
         g = frobenius(inst)
-    total = sum(inst.a)
-    power_lo, power_hi = _norm_power(inst.norm_inf, epsilon, bits)
-    head = total - inst.a[-1]
-    lower = dyadic_floor(Fraction(g + inst.a[-1]) / (power_hi * head), bits)
-    upper = dyadic_ceil(Fraction(g + total) / (inst.min_entry * power_lo), bits)
-    return lower, upper
+    lower, upper = _bracket_numerators(inst, epsilon, bits, g)
+    return Fraction(lower, 1 << bits), Fraction(upper, 1 << bits)
 
 
 def compute_record(config: ExperimentConfig, index: int) -> SampleRecord:
     """Deterministically compute the record owned by (config.seed, index)."""
     inst, _ = draw_instance(config.seed, index, config.n, config.T)
     g = frobenius(inst)
-    lower, upper = bracket_ratios(inst, config.epsilon, config.bits, g=g)
+    lower, upper = _bracket_numerators(inst, config.epsilon, config.bits, g)
     return SampleRecord(
         index=index,
         instance=inst,
         g=g,
         f=g + sum(inst.a),
-        ratio_lower=lower,
-        ratio_upper=upper,
+        lower=lower,
+        upper=upper,
+        bits=config.bits,
     )
 
 
@@ -214,13 +249,19 @@ class ExperimentSummary:
     flags: tuple[str, ...]
 
 
+def _cut(t: Fraction, bits: int) -> int:
+    """floor(t * 2**bits): an integer N has N / 2**bits > t iff N > this."""
+    return (t.numerator << bits) // t.denominator
+
+
 def _survival(
-    values: Sequence[Fraction], thresholds: Sequence[Fraction], count: int
+    values: Sequence[int], thresholds: Sequence[Fraction], count: int, bits: int
 ) -> tuple[tuple[Fraction, Fraction], ...]:
     ordered = sorted(values)
-    # bisect_right counts the values <= t, so the rest lie strictly above t.
+    # bisect_right counts the values <= the cut, so the rest lie strictly above t.
     return tuple(
-        (t, Fraction(count - bisect_right(ordered, t), count)) for t in thresholds
+        (t, Fraction(count - bisect_right(ordered, _cut(t, bits)), count))
+        for t in thresholds
     )
 
 
@@ -248,12 +289,18 @@ def _fit_slope(
 def summarize(
     config: ExperimentConfig, records: Sequence[SampleRecord]
 ) -> ExperimentSummary:
-    """Aggregate records into survival fractions, a tail fit and exact means."""
+    """Aggregate records into survival fractions, a tail fit and exact means.
+
+    Every record must carry config.bits.
+    """
+    bits = config.bits
+    if any(r.bits != bits for r in records):
+        raise ValidationError(f"records must all carry bits = {bits}")
     count = len(records)
-    uppers = [r.ratio_upper for r in records]
-    lowers = [r.ratio_lower for r in records]
-    survival_upper = _survival(uppers, config.thresholds, count)
-    survival_lower = _survival(lowers, config.thresholds, count)
+    uppers = [r.upper for r in records]
+    lowers = [r.lower for r in records]
+    survival_upper = _survival(uppers, config.thresholds, count, bits)
+    survival_lower = _survival(lowers, config.thresholds, count, bits)
     flags = []
     if config.epsilon * config.n <= 2:
         flags.append("epsilon_at_or_below_2_over_n")
@@ -270,8 +317,8 @@ def summarize(
         survival_upper=survival_upper,
         survival_lower=survival_lower,
         fitted_slope=_fit_slope(survival_upper, count),
-        mean_upper=sum(uppers, Fraction(0)) / count,
-        mean_lower=sum(lowers, Fraction(0)) / count,
+        mean_upper=Fraction(sum(uppers), count << bits),
+        mean_lower=Fraction(sum(lowers), count << bits),
         alpha_theoretical=tail_exponent(config.epsilon, config.n),
         flags=tuple(flags),
     )
@@ -292,7 +339,8 @@ def tail_experiment(
         raise ValidationError("tail experiment needs at least one threshold")
     records = sample_records(config, jobs)
     smallest = min(config.thresholds)
-    above = sum(1 for r in records if r.ratio_upper > smallest)
+    cut = _cut(smallest, config.bits)
+    above = sum(1 for r in records if r.upper > cut)
     if above < MIN_TAIL_SAMPLES:
         raise InsufficientSamples(
             f"only {above} of {config.count} samples above t = {smallest}, "
@@ -332,7 +380,9 @@ def mean_experiment(
 # ---------------------------------------------------------------------------
 # Serialization.  CSV rows carry both display decimals (12 significant
 # digits) and exact p/q columns; JSON mirrors the summary with every exact
-# value as a p/q string.  Output is byte-stable for fixed inputs.
+# value as a p/q string.  Output is byte-stable for fixed inputs.  A record's
+# decimal columns divide its numerator by 2**bits as ints: CPython rounds
+# int / int correctly, so this equals float() of the Fraction.
 
 
 def csv_header(n: int) -> list[str]:
@@ -365,15 +415,16 @@ def write_records_csv(
     out.writerow(csv_header(n))
     for config, records in runs:
         for r in records:
+            scale = 1 << r.bits
             row = [config.n, config.T, config.seed, r.index]
             row += list(r.instance.a)
             row += [
                 r.g,
                 r.f,
-                _decimal12(r.ratio_lower),
-                _decimal12(r.ratio_upper),
-                str(r.ratio_lower),
-                str(r.ratio_upper),
+                format(r.lower / scale, ".12g"),
+                format(r.upper / scale, ".12g"),
+                str(Fraction(r.lower, scale)),
+                str(Fraction(r.upper, scale)),
             ]
             out.writerow(row)
 

@@ -91,7 +91,11 @@ def _normalize_weights(
     weights: Sequence[RationalLike], count: int
 ) -> tuple[Weight, ...]:
     """Coerce weights to Fractions, or plain ints when all are integral."""
-    values = [as_fraction(w, f"w[{i + 1}]") for i, w in enumerate(weights)]
+    values: list[Weight] = list(weights)
+    # Plain ints need no coercion; bools and everything else go through
+    # as_fraction, which refuses what is not an exact rational.
+    if not all(type(w) is int for w in values):
+        values = [as_fraction(w, f"w[{i + 1}]") for i, w in enumerate(values)]
     if len(values) != count:
         raise ValidationError(
             f"expected {count} weights (one per coefficient other than tau), "

@@ -39,7 +39,7 @@ class _RawStream:
 
     def next_raw(self) -> int:
         if not self._buf:
-            self._buf = [int(v) for v in self._gen.random_raw(_RAW_BATCH)]
+            self._buf = self._gen.random_raw(_RAW_BATCH).tolist()
             self._buf.reverse()
         return self._buf.pop()
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from knapgap import (
 )
 from knapgap.experiments import MIN_TAIL_SAMPLES, compute_record, csv_header
 from knapgap.instances import draw_instance
+from knapgap.rounding import DEFAULT_BITS, dyadic_ceil, dyadic_floor, pow_bounds
 
 
 class TestTailExponent:
@@ -102,6 +104,37 @@ class TestBracketRatios:
         assert (up * inst.min_entry) ** q * M**p >= Fraction(f) ** q
         assert lo <= up
 
+    @given(
+        n=st.integers(min_value=2, max_value=6),
+        T=st.integers(min_value=1, max_value=3000),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        den=st.sampled_from([2, 3, 5, 7, 10, 12, 16, 31, 64]),
+        bits=st.integers(min_value=8, max_value=80),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_numerators_match_fraction_reference(self, n, T, seed, den, bits, data):
+        # the record path keeps ints; the reference rounds exact Fractions
+        eps = Fraction(data.draw(st.integers(min_value=1, max_value=den - 1)), den)
+        config = ExperimentConfig(n=n, T=T, count=1, seed=seed, epsilon=eps, bits=bits)
+        rec = compute_record(config, 0)
+        inst = rec.instance
+        power_lo, power_hi = pow_bounds(inst.norm_inf, eps, bits)
+        head = sum(inst.a) - inst.a[-1]
+        want_lower = dyadic_floor(
+            Fraction(rec.g + inst.a[-1]) / (power_hi * head), bits
+        )
+        want_upper = dyadic_ceil(
+            Fraction(rec.g + sum(inst.a)) / (inst.min_entry * power_lo), bits
+        )
+        assert rec.bits == bits
+        assert rec.lower == want_lower * (1 << bits)
+        assert rec.upper == want_upper * (1 << bits)
+        assert (rec.ratio_lower, rec.ratio_upper) == (want_lower, want_upper)
+        got = bracket_ratios(inst, eps, bits, g=rec.g)
+        assert got == (want_lower, want_upper)
+        assert all(type(v) is Fraction for v in got)
+
 
 class TestConfig:
     def test_validation(self):
@@ -149,14 +182,22 @@ class TestRecords:
         assert [r.index for r in records] == list(range(30))
 
 
-def _fake_records(values):
+def _fake_records(values, bits=DEFAULT_BITS):
+    # ratio_upper = v and ratio_lower = v / 2, as numerators over 2**bits
     inst = KnapsackInstance((2, 3, 5))
     recs = []
     for i, v in enumerate(values):
-        v = Fraction(v)
+        upper = Fraction(v) * (1 << bits)
+        assert upper.denominator == 1 and upper.numerator % 2 == 0
         recs.append(
             SampleRecord(
-                index=i, instance=inst, g=4, f=14, ratio_lower=v / 2, ratio_upper=v
+                index=i,
+                instance=inst,
+                g=4,
+                f=14,
+                lower=upper.numerator // 2,
+                upper=upper.numerator,
+                bits=bits,
             )
         )
     return recs
@@ -269,6 +310,70 @@ class TestDrivers:
         assert [len(b) for b in batches] == [50, 50]
         for s in summaries:
             assert s.mean_lower <= s.mean_upper
+
+
+def _reference_survival(values, thresholds):
+    count = len(values)
+    return tuple(
+        (t, Fraction(sum(1 for v in values if v > t), count)) for t in thresholds
+    )
+
+
+class TestIntegerCuts:
+    """Integer numerators over 2**bits against a Fraction reference."""
+
+    @pytest.mark.parametrize("bits", [8, 60])
+    def test_summarize_and_tail_match_reference(self, bits):
+        base = ExperimentConfig(
+            n=3, T=200, count=1500, seed=12, epsilon="4/5", bits=bits
+        )
+        records = sample_records(base)
+        uppers = sorted(r.ratio_upper for r in records)
+        lowers = sorted(r.ratio_lower for r in records)
+        if bits == 8:
+            assert len(set(uppers)) < len(uppers) // 2  # ties are common
+        # thresholds equal to record values, plus two non-dyadic ones
+        thresholds = tuple(
+            sorted(
+                {Fraction(1, 3), Fraction(7, 5)}
+                | {uppers[k] for k in (0, 500, 1000, 1300)}
+                | {lowers[k] for k in (700, 1400)}
+            )
+        )
+        config = replace(base, thresholds=thresholds)
+        summary = summarize(config, records)
+        assert summary.survival_upper == _reference_survival(uppers, thresholds)
+        assert summary.survival_lower == _reference_survival(lowers, thresholds)
+        assert summary.mean_upper == sum(uppers, Fraction(0)) / len(uppers)
+        assert summary.mean_lower == sum(lowers, Fraction(0)) / len(lowers)
+        assert tail_experiment(config) == (summary, records)
+
+        # the `above` check counts values strictly above the smallest t
+        values = sorted(set(uppers))
+        above = [sum(1 for v in uppers if v > t) for t in values]
+        k = next(i for i, c in enumerate(above) if c < MIN_TAIL_SAMPLES)
+        with pytest.raises(InsufficientSamples, match=f"only {above[k]} of 1500"):
+            tail_experiment(replace(base, thresholds=(values[k],)))
+        # passes the `above` check and fails only at the slope fit
+        with pytest.raises(InsufficientSamples, match="fewer than two thresholds"):
+            tail_experiment(replace(base, thresholds=(values[k - 1],)))
+
+    def test_summarize_rejects_mixed_bits(self):
+        config = ExperimentConfig(n=3, T=10, count=2, seed=0, epsilon="4/5")
+        records = _fake_records([2]) + _fake_records([2], bits=8)
+        with pytest.raises(ValidationError, match="bits"):
+            summarize(config, records)
+
+    def test_csv_decimals_match_float_of_fraction(self):
+        config = ExperimentConfig(n=4, T=3000, count=40, seed=9, epsilon="2/3", bits=80)
+        records = sample_records(config)
+        buf = io.StringIO()
+        write_records_csv(buf, [(config, records)])
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        for row, rec in zip(rows, records):
+            assert row["ratio_lower"] == format(float(rec.ratio_lower), ".12g")
+            assert row["ratio_upper"] == format(float(rec.ratio_upper), ".12g")
+            assert row["ratio_upper_exact"] == str(rec.ratio_upper)
 
 
 class TestCsv:

@@ -79,6 +79,46 @@ class TestGroupTable:
         with pytest.raises(ValidationError):
             group_minima(KnapsackInstance((3, 5)), 1, (1, 2))
 
+    @given(inst=small_instances, data=st.data())
+    @settings(max_examples=40)
+    def test_weight_spellings_agree(self, inst, data):
+        # plain ints skip the Fraction round trip; the result must not show it
+        tau = data.draw(st.integers(min_value=0, max_value=inst.n - 1))
+        ints = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=50),
+                min_size=inst.n - 1,
+                max_size=inst.n - 1,
+            )
+        )
+        tables = [
+            group_minima(inst, tau, spelled)
+            for spelled in (
+                ints,
+                [Fraction(w) for w in ints],
+                [f"{2 * w}/2" for w in ints],
+            )
+        ]
+        for table in tables:
+            assert table.weights == tuple(ints)
+            assert table.minima == tables[0].minima
+            assert all(type(v) is int for v in table.weights + tuple(table.minima))
+
+    @pytest.mark.parametrize(
+        "weights, error",
+        [
+            ((True,), ValidationError),
+            ((1, False), ValidationError),
+            ((-1, 2), NegativeWeight),
+            ((Fraction(-1, 2), 2), NegativeWeight),
+            ((1,), ValidationError),
+            ((1, 2, 3), ValidationError),
+        ],
+    )
+    def test_weight_validation(self, weights, error):
+        with pytest.raises(error):
+            group_minima(KnapsackInstance((3, 5, 7)), 0, weights)
+
     def test_guardrail(self, monkeypatch):
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "10")
         with pytest.raises(BoundTooLarge, match="KNAPGAP_GUARDRAIL_CELLS"):
