@@ -1,11 +1,12 @@
 """Command line front end.
 
 Subcommands expose the library one computation each: frobenius, group, gap,
-bounds, lovasz, sample, tail, mean.  Exit codes: 0 success, 2 validation
-error, 3 guardrail refusal, 64 usage error.  Every run prints its resolved
-configuration (seed included, where one exists) before any result: on
-stdout for text output, inside the document for json, on stderr for csv so
-the stream itself stays machine readable.
+bounds, lovasz, sample, tail, mean.  Exit codes: 0 success, 1 I/O failure,
+2 validation error, 3 guardrail refusal, 64 usage error, 70 internal error,
+130 interrupted; a failure prints one line on stderr, never a traceback.
+Every run prints its resolved configuration (seed included, where one
+exists) before any result: on stdout for text output, inside the document
+for json, on stderr for csv so the stream itself stays machine readable.
 
 Rational values are written p/q or as plain integers; decimal notation is
 rejected.  Positions (tau and friends) are 1-based on this surface, matching
@@ -29,6 +30,8 @@ from .group import group_minima, lattice_gap, tightness_threshold
 from .instances import SamplerConfig, draw_instance, lovasz_example
 
 USAGE_EXIT = 64
+INTERNAL_EXIT = 70  # EX_SOFTWARE: an exception the package does not expect
+INTERRUPTED_EXIT = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 DEFAULT_THRESHOLDS = "1,3/2,2,3,4,6,8"
 
@@ -537,6 +540,12 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPTED_EXIT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 def main() -> None:

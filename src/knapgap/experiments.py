@@ -22,8 +22,9 @@ survival counts, sums and the `above` check work on those ints; a survival
 threshold t becomes the integer cut floor(t * 2**bits), since an integer N
 satisfies N / 2**bits > t exactly when N exceeds that cut.  Fractions are
 built only at the output boundary: the `ratio_lower` / `ratio_upper`
-properties, the exact means and survival fractions of a summary, and the
-exact CSV columns.
+properties and the exact means and survival fractions of a summary.  The
+exact CSV columns print N / 2**bits in lowest terms by shifting the common
+power of two out of N, which gives the same string as the Fraction.
 
 The theoretical backdrop: for n >= 3 the sampled fraction of instances with
 ratio above t decays at least like t^(-alpha) with
@@ -397,6 +398,17 @@ def _decimal12(x: Fraction) -> str:
     return format(float(x), ".12g")
 
 
+def _dyadic_str(numerator: int, bits: int) -> str:
+    """str(Fraction(numerator, 2**bits)) without a gcd: the gcd is the
+    power of two that divides numerator, capped at 2**bits."""
+    shift = min(bits, (numerator & -numerator).bit_length() - 1)
+    if shift < 0:  # numerator == 0
+        return "0"
+    if shift == bits:
+        return str(numerator >> bits)
+    return f"{numerator >> shift}/{1 << (bits - shift)}"
+
+
 def write_records_csv(
     handle: IO[str],
     runs: Iterable[tuple[ExperimentConfig, Sequence[SampleRecord]]],
@@ -423,8 +435,8 @@ def write_records_csv(
                 r.f,
                 format(r.lower / scale, ".12g"),
                 format(r.upper / scale, ".12g"),
-                str(Fraction(r.lower, scale)),
-                str(Fraction(r.upper, scale)),
+                _dyadic_str(r.lower, r.bits),
+                _dyadic_str(r.upper, r.bits),
             ]
             out.writerow(row)
 

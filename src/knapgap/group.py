@@ -51,6 +51,20 @@ Frobenius number
 with the convention g = -1 when some coefficient equals 1 (every b >= 0 is
 then representable, and the formula above lands on -1 by itself).
 
+For three coefficients frobenius builds no table.  Johnson's reduction
+(Canad. J. Math. 12, 1960) divides out a common factor d of a pair,
+
+    g(a_1, a_2, a_3) = d g(a_1 / d, a_2 / d, a_3) + (d - 1) a_3,
+
+until the triple is pairwise coprime, and Roedseth's formula (J. reine
+angew. Math. 301, 1978) then gives g from a continued fraction with ceiling
+quotients in O(log min a) integer steps (_frobenius3 states it).  This is
+the route Beihoffer, Hendry, Nijenhuis and Wagon ("Faster algorithms for
+Frobenius numbers", Electron. J. Combin. 12, 2005) take for n = 3, keeping
+table methods for n >= 4.  The guardrail checks the a_tau cells the table
+would take all the same, so a cap refuses the same inputs for every n; the
+tests check the n = 3 result against the table and the sieve.
+
 Two identities connect g(a) to lattice covering radii of the simplex
 conv{0, a_1 e_1, ..., a_n e_n} scaled by the corresponding lattice: the
 radius against the full null lattice is g(a) + a_1 + ... + a_n, and against
@@ -293,13 +307,58 @@ def tightness_threshold(table: GroupTable) -> int:
     return max(table.load)
 
 
+def _frobenius3(a: tuple[int, int, int]) -> int:
+    """Frobenius number of a coprime triple (module docstring).
+
+    After the Johnson reduction, with a_1 < a_2 < a_3 pairwise coprime, let
+    s_0 = a_3 a_2^-1 mod a_1 and expand a_1 / s_0 with ceiling quotients:
+    s_-1 = a_1, p_-1 = 0, p_0 = 1, q = ceil(s_{i-1} / s_i),
+    s_{i+1} = q s_i - s_{i-1}, p_{i+1} = q p_i - p_{i-1}.  For the first
+    v >= -1 with a_2 s_{v+1} <= a_3 p_{v+1},
+
+        g = -a_1 + a_2 (s_v - 1) + a_3 (p_{v+1} - 1)
+            - min(a_2 s_{v+1}, a_3 p_v).
+
+    v = -1 is the case a_3 = a_2 s_0 + k a_1 with k >= 0: a_3 is redundant
+    and g = a_1 a_2 - a_1 - a_2.
+    """
+    # g(a) = scale * g(reduced) + shift.  Dividing a pair by its gcd leaves
+    # it coprime and only lowers the other gcds, so one pass suffices.
+    values = list(a)
+    scale, shift = 1, 0
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+        d = math.gcd(values[i], values[j])
+        if d > 1:
+            shift += scale * (d - 1) * values[k]
+            scale *= d
+            values[i] //= d
+            values[j] //= d
+    a1, a2, a3 = sorted(values)
+    if a1 == 1:
+        return shift - scale
+    s_prev, s = a1, a3 * pow(a2, -1, a1) % a1
+    p_prev, p = 0, 1
+    while a2 * s > a3 * p:
+        q = -(-s_prev // s)
+        s_prev, s = s, q * s - s_prev
+        p_prev, p = p, q * p - p_prev
+    g = -a1 + a2 * (s_prev - 1) + a3 * (p - 1) - min(a2 * s, a3 * p_prev)
+    return scale * g + shift
+
+
 def frobenius(inst: KnapsackInstance, *, max_cells: int | None = None) -> int:
     """Frobenius number: the largest integer not representable as a.x.
 
     Returns -1 when some coefficient equals 1 and every b >= 0 is
-    representable.  Runs group_minima with the coefficients as their own
-    weights, modulo a minimal coefficient.
+    representable.  Three coefficients take Roedseth's formula after
+    Johnson's reduction; any other n runs group_minima with the
+    coefficients as their own weights, modulo a minimal coefficient.  Both
+    routes check the a_tau cells of that table against the guardrail.
     """
+    if inst.n == 3:
+        m = inst.min_entry
+        check_cells(m, f"residue table modulo {m}", max_cells)
+        return _frobenius3(inst.a)
     tau = inst.a.index(inst.min_entry)
     positions = (j for j in range(inst.n) if j != tau)
     weights = tuple(inst.a[j] for j in positions)

@@ -79,6 +79,26 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "raised,code,message",
+        [
+            (AssertionError("table broken"), 70,
+             "error: internal error: AssertionError: table broken\n"),
+            (KeyboardInterrupt(), 130, "error: interrupted\n"),
+        ],
+    )
+    def test_unexpected_exception_exit_code(
+        self, capsys, monkeypatch, raised, code, message
+    ):
+        def failing(inst, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(knapgap.group, "frobenius", failing)
+        got, out, err = _run(capsys, "frobenius", "--a", "6,9,20")
+        assert got == code
+        assert out == ""
+        assert err == message
+
 
 class TestTextOutput:
     def test_frobenius_echoes_config_first(self, capsys):

@@ -31,7 +31,12 @@ from knapgap import (
     tail_exponent,
     write_records_csv,
 )
-from knapgap.experiments import MIN_TAIL_SAMPLES, compute_record, csv_header
+from knapgap.experiments import (
+    MIN_TAIL_SAMPLES,
+    _dyadic_str,
+    compute_record,
+    csv_header,
+)
 from knapgap.instances import draw_instance
 from knapgap.rounding import DEFAULT_BITS, dyadic_ceil, dyadic_floor, pow_bounds
 
@@ -377,6 +382,17 @@ class TestIntegerCuts:
 
 
 class TestCsv:
+    @given(
+        numerator=st.one_of(
+            st.just(0),
+            st.integers(0, 2**90),
+            st.builds(lambda v, k: v << k, st.integers(0, 2**20), st.integers(0, 90)),
+        ),
+        bits=st.integers(0, 80),
+    )
+    def test_exact_column_is_str_of_fraction(self, numerator, bits):
+        assert _dyadic_str(numerator, bits) == str(Fraction(numerator, 1 << bits))
+
     def test_header(self):
         assert csv_header(3) == [
             "n", "T", "seed", "index", "a_1", "a_2", "a_3",

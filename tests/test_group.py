@@ -1,5 +1,6 @@
 """Residue-class minima, witnesses, Frobenius numbers, covering radii."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -217,6 +218,56 @@ class TestFrobenius:
 
         assert not representable(g)
         assert all(representable(b) for b in range(g + 1, g + 1 + max(inst.a)))
+
+
+# Triples for the n = 3 route: random ones, a pair sharing a factor (Johnson
+# reduction), a third coefficient representable by the other two (the v = -1
+# case of Roedseth's formula), a coefficient 1 and duplicates, each in a
+# random order.
+@st.composite
+def triples(draw):
+    entry = st.integers(min_value=1, max_value=80)
+    kind = draw(st.sampled_from(["random", "shared", "redundant", "one", "duplicate"]))
+    if kind == "random":
+        a = [draw(entry) for _ in range(3)]
+    elif kind == "shared":
+        d = draw(st.integers(min_value=2, max_value=12))
+        a = [d * draw(st.integers(1, 15)), d * draw(st.integers(1, 15)), draw(entry)]
+    elif kind == "redundant":
+        p, q = draw(entry), draw(entry)
+        a = [p, q, p * draw(st.integers(0, 5)) + q * draw(st.integers(1, 5))]
+    elif kind == "one":
+        a = [1, draw(entry), draw(entry)]
+    else:
+        v = draw(entry)
+        a = [v, v, draw(entry)]
+    assume(math.gcd(*a) == 1)
+    return KnapsackInstance(tuple(draw(st.permutations(a))))
+
+
+class TestThreeCoefficients:
+    @given(inst=triples())
+    @settings(max_examples=400)
+    def test_against_sieve_and_table(self, inst):
+        g = frobenius(inst)
+        assert g == frobenius_sieve_oracle(inst)
+        tau = inst.a.index(inst.min_entry)
+        weights = [v for j, v in enumerate(inst.a) if j != tau]
+        assert max(group_minima(inst, tau, weights).minima) - inst.a[tau] == g
+
+    @pytest.mark.parametrize(
+        "a", [(2, 5, 9), (6, 10, 15), (6, 9, 20), (4, 4, 5), (1, 7, 9), (12, 18, 35)]
+    )
+    def test_every_order(self, a):
+        expected = frobenius_sieve_oracle(KnapsackInstance(a))
+        for order in itertools.permutations(a):
+            assert frobenius(KnapsackInstance(order)) == expected
+
+    def test_guardrail_still_counts_the_table(self):
+        inst = KnapsackInstance((20, 9, 6))
+        with pytest.raises(BoundTooLarge, match="residue table modulo 6"):
+            frobenius(inst, max_cells=5)
+        assert frobenius(inst, max_cells=6) == 43
 
 
 class TestCoveringRadii:

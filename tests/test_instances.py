@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
 
 from knapgap import (
     BetaOutOfRange,
@@ -22,6 +23,7 @@ from knapgap import (
     sample_instances,
     tightness_family,
 )
+from knapgap.instances import _RawStream
 
 
 class TestFamilies:
@@ -84,6 +86,22 @@ class TestSampler:
         draws = 20_000
         attempts = sum(draw_instance(123, i, 2, 10_000)[1] for i in range(draws))
         assert abs(draws / attempts - 6 / math.pi**2) < 0.01
+
+    def test_reused_generator_matches_fresh_philox(self):
+        # each stream resets its thread's generator, so a stream opened after
+        # a half-used one, or after a switch of seed, still reads its own block
+        def fresh(seed, index, count):
+            return Philox(key=seed, counter=index << 128).random_raw(count).tolist()
+
+        half = _RawStream(1, 3)
+        [half.next_raw() for _ in range(5)]
+        for seed, index in [(1, 0), (1, 1), (2**64 - 1, 7), (1, 12345), (0, 2**100)]:
+            stream = _RawStream(seed, index)
+            assert [stream.next_raw() for _ in range(40)] == fresh(seed, index, 40)
+        with pytest.raises(ValueError):
+            _RawStream(1, -1)
+        with pytest.raises(ValueError):
+            _RawStream(1, 1 << 128)
 
     def test_sample_instances_matches_indexed_draws(self):
         config = SamplerConfig(n=3, T=40, count=25, seed=5)
