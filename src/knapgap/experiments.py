@@ -54,6 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .group import frobenius
+from .guardrail import cell_cap
 from .instances import draw_instance
 from .rounding import DEFAULT_BITS, pow_bounds
 
@@ -134,9 +135,12 @@ class SampleRecord:
 
 
 @lru_cache(maxsize=4096)
-def _norm_power(norm: int, eps: Fraction, bits: int) -> tuple[int, int]:
-    """Numerators over 2**bits of pow_bounds(norm, eps, bits)."""
-    lo, hi = pow_bounds(norm, eps, bits)
+def _norm_power(norm: int, p: int, q: int, bits: int) -> tuple[int, int]:
+    """Numerators over 2**bits of pow_bounds(norm, p / q, bits).
+
+    Keyed on ints, which hash far faster than the Fraction p / q.
+    """
+    lo, hi = pow_bounds(norm, Fraction(p, q), bits)
     return int(lo * (1 << bits)), int(hi * (1 << bits))
 
 
@@ -150,7 +154,9 @@ def _bracket_numerators(
     ceil(f * 4**bits / (min(a) * P_lo)), both over 2**bits.
     """
     total = sum(inst.a)
-    p_lo, p_hi = _norm_power(inst.norm_inf, epsilon, bits)
+    p_lo, p_hi = _norm_power(
+        inst.norm_inf, epsilon.numerator, epsilon.denominator, bits
+    )
     head = total - inst.a[-1]
     lower = ((g + inst.a[-1]) << 2 * bits) // (p_hi * head)
     upper = -((-(g + total) << 2 * bits) // (inst.min_entry * p_lo))
@@ -177,10 +183,10 @@ def bracket_ratios(
     return Fraction(lower, 1 << bits), Fraction(upper, 1 << bits)
 
 
-def compute_record(config: ExperimentConfig, index: int) -> SampleRecord:
-    """Deterministically compute the record owned by (config.seed, index)."""
+def _record(config: ExperimentConfig, index: int, max_cells: int) -> SampleRecord:
+    """compute_record with the guardrail cap already resolved."""
     inst, _ = draw_instance(config.seed, index, config.n, config.T)
-    g = frobenius(inst)
+    g = frobenius(inst, max_cells=max_cells)
     lower, upper = _bracket_numerators(inst, config.epsilon, config.bits, g)
     return SampleRecord(
         index=index,
@@ -193,9 +199,48 @@ def compute_record(config: ExperimentConfig, index: int) -> SampleRecord:
     )
 
 
+def compute_record(config: ExperimentConfig, index: int) -> SampleRecord:
+    """Deterministically compute the record owned by (config.seed, index)."""
+    return _record(config, index, cell_cap())
+
+
 def _record_batch(args: tuple[ExperimentConfig, int, int]) -> list[SampleRecord]:
+    # One guardrail lookup per batch: reading the environment costs more
+    # than checking a record's table against the cap.
     config, start, stop = args
-    return [compute_record(config, i) for i in range(start, stop)]
+    cap = cell_cap()
+    return [_record(config, i, cap) for i in range(start, stop)]
+
+
+def _sample(
+    configs: Sequence[ExperimentConfig], jobs: int
+) -> list[list[SampleRecord]]:
+    """Every config's records in index order, from at most one pool.
+
+    A config splits into up to jobs index ranges when it has at least
+    2 * jobs records.  When any config splits, one pool runs the ranges of
+    all configs in order and each config's records are reassembled from its
+    own ranges; otherwise everything runs in this process.  Ranges come
+    back in order, so a failing record raises the same error as at jobs 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs = {jobs} must be >= 1")
+    chunks = []
+    owners = []
+    for k, config in enumerate(configs):
+        parts = jobs if config.count >= 2 * jobs else 1
+        step = -(-config.count // parts)
+        for start in range(0, config.count, step):
+            chunks.append((config, start, min(start + step, config.count)))
+            owners.append(k)
+    if len(chunks) == len(configs):
+        return [_record_batch(chunk) for chunk in chunks]
+    batches: list[list[SampleRecord]] = [[] for _ in configs]
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with multiprocessing.get_context(method).Pool(jobs) as pool:
+        for k, part in zip(owners, pool.imap(_record_batch, chunks)):
+            batches[k].extend(part)
+    return batches
 
 
 def sample_records(config: ExperimentConfig, jobs: int = 1) -> list[SampleRecord]:
@@ -203,24 +248,10 @@ def sample_records(config: ExperimentConfig, jobs: int = 1) -> list[SampleRecord
 
     Record i depends only on (seed, i), so any partition of the index range
     across workers reassembles to the same list; jobs changes wall time,
-    never output.
+    never output.  This is the one-config case of the sampler that
+    mean_experiment runs on its whole ladder.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs = {jobs} must be >= 1")
-    if jobs == 1 or config.count < 2 * jobs:
-        return _record_batch((config, 0, config.count))
-    step = -(-config.count // jobs)
-    chunks = [
-        (config, start, min(start + step, config.count))
-        for start in range(0, config.count, step)
-    ]
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(jobs) as pool:
-        parts = pool.map(_record_batch, chunks)
-    out: list[SampleRecord] = []
-    for part in parts:
-        out.extend(part)
-    return out
+    return _sample([config], jobs)[0]
 
 
 @dataclass(frozen=True)
@@ -361,20 +392,19 @@ def mean_experiment(
     """Exact bracket means along a ladder of sampling boxes.
 
     Intended for a fixed (n, epsilon, count, seed) with increasing T; each
-    config is summarized independently.  Configs with epsilon <= 2/n are
-    processed but flagged, since only larger epsilon guarantees a bounded
-    mean in the limit.
+    config is summarized independently.  All configs are sampled together,
+    through one worker pool when jobs > 1 (the pool's start-up would
+    otherwise be paid once per T), and the output is the same for every
+    jobs.  Configs with epsilon <= 2/n are processed but flagged, since only
+    larger epsilon guarantees a bounded mean in the limit.
     """
     if not configs:
         raise ValidationError("mean experiment needs at least one config")
-    summaries = []
-    batches = []
     for config in configs:
         if config.n < 3:
             raise DimensionTooSmall(f"n = {config.n} < 3, mean law needs n >= 3")
-        records = sample_records(config, jobs)
-        summaries.append(summarize(config, records))
-        batches.append(records)
+    batches = _sample(configs, jobs)
+    summaries = [summarize(c, records) for c, records in zip(configs, batches)]
     return summaries, batches
 
 

@@ -13,11 +13,17 @@ Z_m: arcs go from r to (r + gen_j) mod m at cost w_j, the source is residue
 
 The table is filled by the round-robin algorithm of Boecker and Liptak ("A
 fast and simple algorithm for the money changing problem", Algorithmica
-2007), one generator at a time.  After generator j the table holds the
-optimum over the first j generators: a generator with step s = gen_j mod m
-and weight w (skipped when s = 0) splits Z_m into gcd(s, m) cycles p,
-p + s, p + 2s, ... of length L = m / gcd(s, m), and on a cycle with old
-labels v_0, ..., v_{L-1}
+2007), one generator at a time.  After a pass the table holds the optimum
+over the generators taken so far, and the final table does not depend on the
+order of the passes, so they run in ascending weight.  A pass is skipped
+when its step s = gen_j mod m is 0, or when the table already reaches s at
+a cost minima[s] <= w_j: every step r -> r + s of a path can be replaced
+by the path to s found so far, translated to start at r, at no extra cost,
+so the pass would change nothing.  For frobenius, where the weights are the
+coefficients, this drops every coefficient the smaller ones represent.  A
+pass with weight w splits Z_m into gcd(s, m) cycles p, p + s, p + 2s, ...
+of length L = m / gcd(s, m), and on a cycle with old labels
+v_0, ..., v_{L-1}
 
     new_k = min_t v_{k-t} + t w = min(P_k, P_{L-1} + L w) + k w,
     P_k   = min_{i <= k} (v_i - i w),
@@ -49,7 +55,9 @@ Frobenius number
     g(a) = max_r minima[r] - a_tau
 
 with the convention g = -1 when some coefficient equals 1 (every b >= 0 is
-then representable, and the formula above lands on -1 by itself).
+then representable, and the formula above lands on -1 by itself).  The
+coefficients are validated integers already, so frobenius hands the arcs
+(gen_j mod m, gen_j) to the kernel directly and builds no GroupTable.
 
 For three coefficients frobenius builds no table.  Johnson's reduction
 (Canad. J. Math. 12, 1960) divides out a common factor d of a pair,
@@ -79,6 +87,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -207,17 +216,21 @@ class GroupTable:
 def _round_robin(m: int, arcs: list[tuple[int, int]]) -> list[int]:
     """Residue minima for integer arcs (step, w), 0 < step < m, w >= 0.
 
-    Processes one generator at a time (module docstring).  Residues nobody
-    reaches hold the sentinel m * (max w + 1), which exceeds every finite
-    label (m - 1) * max w; a cycle of sentinels maps to itself, so
-    sentinels never grow.
+    Processes one generator at a time in ascending weight and skips a pass
+    whose step the table already reaches at cost <= w (module docstring).
+    Residues nobody reaches hold the sentinel m * (max w + 1), which exceeds
+    every finite label (m - 1) * max w, so no pass is skipped against it; a
+    cycle of sentinels maps to itself, so sentinels never grow.
     """
-    unreached = m * (max((w for _, w in arcs), default=0) + 1)
+    arcs = sorted(arcs, key=itemgetter(1))
+    unreached = m * (arcs[-1][1] + 1 if arcs else 1)
     if m >= _NUMPY_MIN_MODULUS and max(unreached, m * m) < _INT64_HEADROOM:
         labels = np.full(m, unreached, dtype=np.int64)
         labels[0] = 0
         index = np.arange(m, dtype=np.int64)
         for step, w in arcs:
+            if labels[step] <= w:
+                continue
             length = m // math.gcd(step, m)
             # Row p lists p, p + step, p + 2 step, ... since length * step
             # is 0 mod m.  index * step < m**2 fits by the guard above.
@@ -231,6 +244,8 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]) -> list[int]:
         minima = [unreached] * m
         minima[0] = 0
         for step, w in arcs:
+            if minima[step] <= w:
+                continue
             spread = math.gcd(step, m)
             for start in range(spread):
                 # The cycle through start is the class start mod spread.
@@ -298,11 +313,13 @@ def lattice_gap(table: GroupTable) -> Weight:
 
 
 def tightness_threshold(table: GroupTable) -> int:
-    """Smallest B such that every b >= B inherits its class minimum.
+    """A B such that every b >= B inherits its class minimum.
 
     Lifting the witness of class b mod m by x_tau = (b - load) / a_tau gives
     a genuine solution as soon as b is at least the largest witness load, so
-    past this threshold the per-b optimum and the residue table agree.
+    past this threshold the per-b optimum and the residue table agree.  The
+    threshold is valid but not always the smallest one: other optimal
+    solutions may have smaller loads than the breadth-first witnesses.
     """
     return max(table.load)
 
@@ -350,20 +367,18 @@ def frobenius(inst: KnapsackInstance, *, max_cells: int | None = None) -> int:
     """Frobenius number: the largest integer not representable as a.x.
 
     Returns -1 when some coefficient equals 1 and every b >= 0 is
-    representable.  Three coefficients take Roedseth's formula after
-    Johnson's reduction; any other n runs group_minima with the
-    coefficients as their own weights, modulo a minimal coefficient.  Both
-    routes check the a_tau cells of that table against the guardrail.
+    representable.  Both routes first check the m = min(a) cells of the
+    residue table modulo m against the guardrail.  Three coefficients then
+    take Roedseth's formula after Johnson's reduction.  Any other n runs
+    _round_robin on the arcs (a_j mod m, a_j), the coefficients being their
+    own weights; its passes go in ascending coefficient and skip every
+    coefficient that smaller ones already represent (module docstring).
     """
+    m = inst.min_entry
+    check_cells(m, f"residue table modulo {m}", max_cells)
     if inst.n == 3:
-        m = inst.min_entry
-        check_cells(m, f"residue table modulo {m}", max_cells)
         return _frobenius3(inst.a)
-    tau = inst.a.index(inst.min_entry)
-    positions = (j for j in range(inst.n) if j != tau)
-    weights = tuple(inst.a[j] for j in positions)
-    table = group_minima(inst, tau, weights, max_cells=max_cells)
-    return max(table.minima) - inst.a[tau]
+    return max(_round_robin(m, [(g % m, g) for g in inst.a if g % m])) - m
 
 
 def frobenius_sieve_oracle(

@@ -58,9 +58,13 @@ class _RawStream:
         self._gen = _philox.gen
         self._buf: list[int] = []
 
+    def batch(self) -> list[int]:
+        """The next _RAW_BATCH raw words, past any that next_raw buffered."""
+        return self._gen.random_raw(_RAW_BATCH).tolist()
+
     def next_raw(self) -> int:
         if not self._buf:
-            self._buf = self._gen.random_raw(_RAW_BATCH).tolist()
+            self._buf = self.batch()
             self._buf.reverse()
         return self._buf.pop()
 
@@ -98,14 +102,25 @@ def draw_instance(
     seed: int, index: int, n: int, T: int
 ) -> tuple[KnapsackInstance, int]:
     """Draw the instance owned by (seed, index); also report the number of
-    tuples tried before one passed the gcd filter."""
+    tuples tried before one passed the gcd filter.
+
+    Reads the same words in the same order as n calls of stream.uniform(T)
+    per tuple, in one local loop over whole batches.
+    """
     stream = _RawStream(seed, index)
+    mask = (1 << (T - 1).bit_length()) - 1
     attempts = 0
+    values: list[int] = []
     while True:
-        attempts += 1
-        values = tuple(stream.uniform(T) for _ in range(n))
-        if math.gcd(*values) == 1:
-            return KnapsackInstance(values), attempts
+        for word in stream.batch():
+            word &= mask
+            if word < T:
+                values.append(word + 1)
+                if len(values) == n:
+                    attempts += 1
+                    if math.gcd(*values) == 1:
+                        return KnapsackInstance(tuple(values)), attempts
+                    values = []
 
 
 def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:

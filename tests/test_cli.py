@@ -66,6 +66,30 @@ class TestExitCodes:
         assert out == ""
         assert "witness table" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("tail", "--n", "3", "--t", "40", "--count", "200", "--seed", "8",
+             "--epsilon", "4/5", "--thresholds", "1/4,1/2"),
+            # T = 5 never needs more than 4 cells, so the refusal comes from
+            # a record of the second rung
+            ("mean", "--n", "3", "--t", "5,40", "--count", "40", "--seed", "8",
+             "--epsilon", "4/5"),
+        ],
+    )
+    def test_sampling_guardrail_is_3_at_every_jobs(self, capsys, monkeypatch, argv):
+        # the cap is read once per batch of records, in the pool workers too
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "4")
+        errs = []
+        for jobs in ("1", "2"):
+            code, out, err = _run(capsys, *argv, "--jobs", jobs)
+            assert code == 3
+            assert out == ""
+            assert "residue table modulo" in err
+            errs.append(err)
+        # ranges come back in index order, so the first failing record wins
+        assert errs[0] == errs[1]
+
     def test_sample_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["sample", "--n", "2", "--t", "3", "--count", "2", "--seed", "1",

@@ -223,6 +223,16 @@ class TestGapExact:
         b = report.threshold + k
         assert integrality_gap(inst, c, b) == table.minima[b % table.modulus]
 
+    def test_threshold_is_valid_not_smallest(self):
+        # IG(b) equals its class minimum from b = 8 on (7 = g(3, 5) is not
+        # representable), yet the breadth-first witnesses give B* = 12
+        inst, c = KnapsackInstance((3, 5)), (3, 0)
+        table = group_minima(inst, 1, (3,))
+        assert tightness_threshold(table) == gap_exact(inst, c).threshold == 12
+        assert integrality_gap(inst, c, 7) is None
+        for b in range(8, 40):
+            assert integrality_gap(inst, c, b) == table.minima[b % 5]
+
     @given(
         inst=tiny_instances,
         data=st.data(),

@@ -296,9 +296,13 @@ class TestCoveringRadii:
 # Tables on both sides of the numpy cutoff, with the arcs each execution of
 # the round-robin recurrence must handle: a generator divisible by m (a
 # self-loop), generators sharing a factor with m (several cycles), zero,
-# rational and huge weights (no int64 headroom, so Python ints).
+# rational and huge weights (no int64 headroom, so Python ints).  Up to
+# max_dominated more generators are a sum or multiple of earlier ones, or
+# take an earlier one's step with a larger coefficient, and weigh the sum of
+# their parts' weights plus an extra of -1 to 2: from 0 on their pass is
+# skipped, at -1 it must run and may make a parent's pass skippable.
 @st.composite
-def kernel_cases(draw, max_modulus=300, max_generators=3):
+def kernel_cases(draw, max_modulus=300, max_generators=3, max_dominated=2):
     m = draw(st.integers(min_value=2, max_value=max_modulus))
     gens = draw(
         st.lists(
@@ -313,9 +317,25 @@ def kernel_cases(draw, max_modulus=300, max_generators=3):
         factor = next(p for p in range(2, m + 1) if m % p == 0)
         gens.append(factor * draw(st.integers(min_value=1, max_value=600 // factor)))
     assume(math.gcd(m, *gens) == 1)
+    # (generator, positions of the parts its weight adds up, extra weight)
+    dominated = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_dominated))):
+        i = draw(st.integers(min_value=0, max_value=len(gens) - 1))
+        j = draw(st.integers(min_value=0, max_value=len(gens) - 1))
+        k = draw(st.integers(min_value=2, max_value=3))
+        shape = draw(st.sampled_from(["sum", "multiple", "step"]))
+        if shape == "sum":
+            parts = (i, j)
+        elif shape == "multiple":
+            parts = (i,) * k
+        else:
+            parts = (i,)
+        gen = sum(gens[p] for p in parts) + (m * (k - 1) if shape == "step" else 0)
+        dominated.append((gen, parts, draw(st.integers(min_value=-1, max_value=2))))
+    count = len(gens)  # weights drawn below; the dominated ones are derived
+    gens += [gen for gen, _, _ in dominated]
     tau = draw(st.integers(min_value=0, max_value=len(gens)))
     inst = KnapsackInstance(tuple(gens[:tau]) + (m,) + tuple(gens[tau:]))
-    count = len(gens)
     kind = draw(
         st.sampled_from(["coefficients", "ints", "rational", "zeros", "huge"])
     )
@@ -341,6 +361,9 @@ def kernel_cases(draw, max_modulus=300, max_generators=3):
         weights = draw(
             st.lists(st.integers(2**60 // m, 2**70), min_size=count, max_size=count)
         )
+    if kind != "coefficients":
+        for _, parts, extra in dominated:
+            weights.append(max(0, sum(weights[p] for p in parts) + extra))
     return inst, tau, weights
 
 
@@ -384,7 +407,10 @@ class TestRoundRobinKernel:
         inst = case[0]
         assert frobenius(inst) == frobenius_sieve_oracle(inst)
 
-    @given(case=kernel_cases(max_modulus=12, max_generators=1), data=st.data())
+    @given(
+        case=kernel_cases(max_modulus=12, max_generators=1, max_dominated=1),
+        data=st.data(),
+    )
     @settings(max_examples=30)
     def test_small_tables_against_bruteforce(self, case, data):
         inst, tau, weights = case
@@ -417,6 +443,24 @@ class TestRoundRobinKernel:
             group_minima(inst, 0, [1, 2])
         monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", 200 * 200)
         assert group_minima(inst, 0, [1, 2]).minima == expected
+
+    @pytest.mark.parametrize("cutoff", [1, 1 << 62])
+    @pytest.mark.parametrize("w", [9, 10, 11])
+    def test_skip_only_dominated_passes(self, cutoff, w, monkeypatch):
+        # after the step-3 pass residue 6 costs 10, so a step-6 pass of
+        # weight 9 must run and one of weight 10 or 11 changes nothing
+        monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
+        m, arcs = 200, [(6, w), (3, 5)]
+        expected = [0] + [float("inf")] * (m - 1)
+        changed = True
+        while changed:
+            changed = False
+            for r in range(m):
+                for step, weight in arcs:
+                    if expected[r] + weight < expected[(r + step) % m]:
+                        expected[(r + step) % m] = expected[r] + weight
+                        changed = True
+        assert _round_robin(m, arcs) == expected
 
     @pytest.mark.parametrize("cutoff", [1, 1 << 62])
     def test_unreachable_residue_detected(self, cutoff, monkeypatch):

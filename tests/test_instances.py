@@ -103,6 +103,35 @@ class TestSampler:
         with pytest.raises(ValueError):
             _RawStream(1, 1 << 128)
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        index=st.one_of(
+            st.integers(min_value=0, max_value=10**4),
+            st.integers(min_value=0, max_value=2**128 - 1),
+        ),
+        n=st.integers(min_value=2, max_value=6),
+        T=st.one_of(
+            st.integers(min_value=0, max_value=11).map(lambda k: 2**k),
+            st.integers(min_value=0, max_value=11).map(lambda k: 2**k + 1),
+            st.just(2000),
+        ),
+    )
+    @settings(max_examples=200)
+    def test_draw_matches_word_by_word_reference(self, seed, index, n, T):
+        assert draw_instance(seed, index, n, T) == _reference_draw(seed, index, n, T)
+
+    def test_gcd_retries_keep_reading_the_stream(self):
+        # T = 2 and 4 reject many tuples, and six coordinates at T = 1025
+        # often read past one batch of raw words; each retry and each new
+        # batch must continue from the next word
+        retried = 0
+        for i in range(300):
+            for n, T in ((2, 2), (2, 4), (3, 4), (6, 1025)):
+                got = draw_instance(11, i, n, T)
+                assert got == _reference_draw(11, i, n, T)
+                retried += got[1] > 1
+        assert retried > 100
+
     def test_sample_instances_matches_indexed_draws(self):
         config = SamplerConfig(n=3, T=40, count=25, seed=5)
         via_iter = [inst.a for inst in sample_instances(config)]
@@ -120,6 +149,23 @@ class TestSampler:
             SamplerConfig(n=2, T=5, count=1, seed=-1)
         with pytest.raises(ValidationError):
             SamplerConfig(n=2, T=5, count=1, seed=2**64)
+
+
+def _reference_draw(seed, index, n, T):
+    # one raw word at a time from a fresh generator at the index's block,
+    # each coordinate by mask rejection, tuples until the gcd is 1
+    gen = Philox(key=seed, counter=index << 128)
+    mask = (1 << (T - 1).bit_length()) - 1
+    attempts = 0
+    while True:
+        attempts += 1
+        values = []
+        while len(values) < n:
+            word = int(gen.random_raw()) & mask
+            if word < T:
+                values.append(word + 1)
+        if math.gcd(*values) == 1:
+            return KnapsackInstance(tuple(values)), attempts
 
 
 class TestCountInstances:
