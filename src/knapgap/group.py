@@ -44,7 +44,9 @@ cycle indices j // L + j s stay below m + m**2, so every intermediate stays
 below 2**62 and int64 cannot overflow.
 Smaller tables, and weights without that headroom, walk each cycle from its
 minimum with Python integers: a numpy pass costs about ten fixed calls per
-generator, which small tables never earn back.
+generator, which small tables never earn back.  numpy is imported by the
+first table that takes the int64 execution, so a process that builds none
+never loads it.
 
 Taking the weights to be the coefficients themselves makes minima[r] the
 smallest integer congruent to r mod m that is representable without using
@@ -90,8 +92,6 @@ from itertools import product
 from operator import itemgetter
 from typing import Sequence
 
-import numpy as np
-
 from .core import KnapsackInstance, RationalLike, as_fraction
 from .errors import NegativeWeight, NoPointInBox, ValidationError
 from .guardrail import check_cells
@@ -100,10 +100,13 @@ Weight = Fraction | int
 
 # Smallest modulus that runs the recurrence on numpy int64 arrays.  Each
 # generator costs numpy about ten fixed calls, which only pay off against
-# the scalar loop from about this many residues on: per frobenius call at
-# n = 3 and 5 the two break even between m = 128 and 192, the scalar loop
-# is up to 1.9x faster at m = 16 and numpy 2.5x faster at m = 2000.
-_NUMPY_MIN_MODULUS = 128
+# the scalar loop from about this many residues on: per table at n = 3 and
+# 5 the two break even between m = 128 and 192, the scalar loop is up to
+# 1.9x faster at m = 16 and numpy 2.5x faster at m = 2000.  numpy is
+# imported on the first such table, about 0.1 s once per process (and once
+# per pool worker), so the cutoff sits at the top of the break-even range
+# and sampling runs with small coefficients never load it.
+_NUMPY_MIN_MODULUS = 192
 
 # Bound on m * (max w + 1) and on m * m for the int64 execution (module
 # docstring).
@@ -225,6 +228,8 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]) -> list[int]:
     arcs = sorted(arcs, key=itemgetter(1))
     unreached = m * (arcs[-1][1] + 1 if arcs else 1)
     if m >= _NUMPY_MIN_MODULUS and max(unreached, m * m) < _INT64_HEADROOM:
+        import numpy as np
+
         labels = np.full(m, unreached, dtype=np.int64)
         labels[0] = 0
         index = np.arange(m, dtype=np.int64)

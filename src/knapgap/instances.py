@@ -8,59 +8,83 @@ pairs).
 
 Reproducibility contract: the tuple produced for (seed, index) is a pure
 function of those two integers.  Each index owns a disjoint counter block of
-a Philox counter-based generator (counter = index << 128), and bounded
-integers are produced by mask rejection on the raw 64-bit stream, so results
-are bit-identical no matter how draws are partitioned across workers.
+the Philox4x64-10 counter-based generator (Salmon, Moraes, Dror and Shaw,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011) keyed by the seed,
+starting at counter index << 128, and bounded integers are produced by mask
+rejection on the raw 64-bit stream, so results are bit-identical no matter
+how draws are partitioned across workers.  The stream is computed here in
+Python, word for word the one numpy.random.Philox(key=seed,
+counter=index << 128).random_raw() gives: like numpy, it increments the
+256-bit counter before each 4-word block, so block k of an index is the
+Philox of counter (index << 128) + k + 1.  The tests keep numpy's Philox as
+the reference.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Sequence
-
-from numpy.random import Philox
 
 from .core import KnapsackInstance, RationalLike, as_fraction
 from .errors import BetaOutOfRange, ValidationError
 from .guardrail import check_cells
 
-_RAW_BATCH = 16
+_MASK64 = (1 << 64) - 1
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al.).
+_PHILOX_M0 = 0xD2E7470EE14C6C93
+_PHILOX_M1 = 0xCA5A826395121157
+_PHILOX_W0 = 0x9E3779B97F4A7C15
+_PHILOX_W1 = 0xBB67AE8584CAA73B
 
-# Each thread's Philox for the last seed it drew from, with a state dict
-# to reset it from.  Building a Philox costs about 18 us, resetting one 4 us.
-_philox = threading.local()
+
+@lru_cache(maxsize=16)
+def _round_keys(seed: int) -> tuple[tuple[int, int], ...]:
+    """The ten Philox4x64-10 round keys of a 128-bit key, as word pairs."""
+    k0, k1 = seed & _MASK64, seed >> 64
+    return tuple(
+        ((k0 + i * _PHILOX_W0) & _MASK64, (k1 + i * _PHILOX_W1) & _MASK64)
+        for i in range(10)
+    )
 
 
 class _RawStream:
-    """Buffered view of one Philox counter block's raw 64-bit output.
-
-    Streams share their thread's generator: a new stream moves the counter
-    to its own block and empties the output buffer, so a stream is valid
-    only until the next one is made in the same thread.
-    """
+    """Buffered view of one Philox counter block's raw 64-bit output."""
 
     def __init__(self, seed: int, index: int) -> None:
+        if not 0 <= seed < 1 << 128:
+            raise ValueError(f"seed = {seed} must lie in [0, 2**128)")
         if not 0 <= index < 1 << 128:
             raise ValueError(f"index = {index} must lie in [0, 2**128)")
-        if getattr(_philox, "seed", None) != seed:
-            _philox.gen = Philox(key=seed)
-            _philox.state = _philox.gen.state
-            _philox.seed = seed
-        # counter = index << 128 as four little-endian 64-bit words
-        words = _philox.state["state"]["counter"]
-        words[2] = index & 0xFFFFFFFFFFFFFFFF
-        words[3] = index >> 64
-        _philox.gen.state = _philox.state
-        self._gen = _philox.gen
+        self._keys = _round_keys(seed)
+        self._index = (index & _MASK64, index >> 64)
+        self._blocks = 0
         self._buf: list[int] = []
 
     def batch(self) -> list[int]:
-        """The next _RAW_BATCH raw words, past any that next_raw buffered."""
-        return self._gen.random_raw(_RAW_BATCH).tolist()
+        """The next 4-word block, past any words that next_raw buffered.
+
+        Block k (from 0) is the Philox of counter (index << 128) + k + 1,
+        whose little-endian words are k + 1, 0 and the index's two words:
+        no stream comes near 2**64 blocks, so the increment never carries.
+        Each of the ten rounds mixes two 64 x 64 -> 128-bit products with
+        that round's key.
+        """
+        self._blocks += 1
+        c0, c1 = self._blocks, 0
+        c2, c3 = self._index
+        mask, m0, m1 = _MASK64, _PHILOX_M0, _PHILOX_M1
+        for k0, k1 in self._keys:
+            p0 = m0 * c0
+            p1 = m1 * c2
+            c0 = (p1 >> 64) ^ c1 ^ k0
+            c1 = p1 & mask
+            c2 = (p0 >> 64) ^ c3 ^ k1
+            c3 = p0 & mask
+        return [c0, c1, c2, c3]
 
     def next_raw(self) -> int:
         if not self._buf:

@@ -69,6 +69,18 @@ def root_upper(q: Fraction, r: int, bits: int = DEFAULT_BITS) -> Fraction:
     return Fraction(x, 1 << bits)
 
 
+def pow_numerators(base: int, p: int, q: int, bits: int) -> tuple[int, int]:
+    """floor and ceil of base**(p / q) * 2**bits, for integers base, p >= 0
+    and q >= 1.
+
+    lo is the q-th integer root of base**p * 2**(q * bits), and hi is lo
+    plus one unless that radicand is an exact q-th power.
+    """
+    radicand = base**p << q * bits
+    lo = iroot(radicand, q)
+    return lo, lo + (lo**q != radicand)
+
+
 def pow_bounds(
     base: int | Fraction, exponent: Fraction, bits: int = DEFAULT_BITS
 ) -> tuple[Fraction, Fraction]:
@@ -77,13 +89,15 @@ def pow_bounds(
     Requires base >= 0 and exponent >= 0.  Exact (lo == hi) when the exponent
     is an integer.
     """
-    base = Fraction(base)
     exponent = Fraction(exponent)
     if base < 0:
         raise ValueError("power of a negative base")
     if exponent < 0:
         raise ValueError("negative exponents are not supported")
-    powered = base**exponent.numerator
+    if type(base) is int:
+        lo, hi = pow_numerators(base, exponent.numerator, exponent.denominator, bits)
+        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+    powered = Fraction(base) ** exponent.numerator
     if exponent.denominator == 1:
         return powered, powered
     lo = root_lower(powered, exponent.denominator, bits)

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import knapgap
 import knapgap.group
-from knapgap import KnapsackInstance, gap_exact
+from knapgap import KnapsackInstance, frobenius_sieve_oracle, gap_exact
 from knapgap.cli import run
 
 
@@ -327,3 +332,53 @@ class TestExperimentCommands:
         _, out1, _ = _run(capsys, *base, "--jobs", "1")
         _, out2, _ = _run(capsys, *base, "--jobs", "3")
         assert out1 == out2
+
+
+# Run in a fresh interpreter: prints the CLI's exit code and stdout, then
+# whether numpy got loaded.
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import knapgap.cli
+loaded_at_import = "numpy" in sys.modules
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = knapgap.cli.run(sys.argv[1:])
+print(json.dumps([code, buf.getvalue(), loaded_at_import, "numpy" in sys.modules]))
+"""
+
+
+def _fresh_run(*argv):
+    src = str(Path(knapgap.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+class TestNumpyFreeStartup:
+    def test_import_and_sampling_load_no_numpy(self):
+        code, out, at_import, after = _fresh_run(
+            "tail", "--n", "3", "--t", "2000", "--count", "300", "--seed", "1",
+            "--epsilon", "4/5", "--thresholds", "1/4,1/2,1",
+        )
+        assert (code, at_import, after) == (0, False, False)
+        assert "fitted_slope" in out
+        # tables below the numpy cutoff stay on Python ints
+        code, out, _, after = _fresh_run(
+            "mean", "--n", "5", "--t", "25,50", "--count", "100", "--seed", "1",
+            "--epsilon", "1/2",
+        )
+        assert (code, after) == (0, False)
+
+    def test_large_table_loads_numpy(self):
+        a = (192, 251, 317, 400)
+        assert min(a) >= knapgap.group._NUMPY_MIN_MODULUS
+        code, out, at_import, after = _fresh_run(
+            "frobenius", "--a", ",".join(map(str, a))
+        )
+        assert (code, at_import, after) == (0, False, True)
+        g = frobenius_sieve_oracle(KnapsackInstance(a))
+        assert f"g = {g}" in out.splitlines()

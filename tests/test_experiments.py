@@ -393,6 +393,54 @@ class TestCsv:
     def test_exact_column_is_str_of_fraction(self, numerator, bits):
         assert _dyadic_str(numerator, bits) == str(Fraction(numerator, 1 << bits))
 
+    @given(
+        n=st.integers(2, 6),
+        bits=st.sampled_from([8, 60]),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=40)
+    def test_rows_match_csv_writer(self, n, bits, seed, data):
+        numerators = st.one_of(
+            st.just(0),
+            st.integers(0, 2**70).map(lambda v: 2 * v + 1),
+            st.integers(1, 2**70).map(lambda v: 2 * v),
+        )
+        config = ExperimentConfig(
+            n=n, T=2000, count=3, seed=seed, epsilon="1/2", bits=bits
+        )
+        records = []
+        for index in range(3):
+            inst = draw_instance(seed, index, n, 2000)[0]
+            g = data.draw(st.integers(-1, 10**9))
+            records.append(
+                SampleRecord(
+                    index=index,
+                    instance=inst,
+                    g=g,
+                    f=g + sum(inst.a),
+                    lower=data.draw(numerators),
+                    upper=data.draw(numerators),
+                    bits=bits,
+                )
+            )
+        runs = [(config, records), (replace(config, T=7), records[:1])]
+        buf = io.StringIO()
+        write_records_csv(buf, runs)
+        # reference: the csv module on a row list, exact columns from Fraction
+        expected = io.StringIO()
+        out = csv.writer(expected, lineterminator="\n")
+        out.writerow(csv_header(n))
+        for cfg, recs in runs:
+            for r in recs:
+                out.writerow(
+                    [cfg.n, cfg.T, cfg.seed, r.index, *r.instance.a, r.g, r.f]
+                    + [format(float(r.ratio_lower), ".12g")]
+                    + [format(float(r.ratio_upper), ".12g")]
+                    + [str(r.ratio_lower), str(r.ratio_upper)]
+                )
+        assert buf.getvalue() == expected.getvalue()
+
     def test_header(self):
         assert csv_header(3) == [
             "n", "T", "seed", "index", "a_1", "a_2", "a_3",

@@ -88,8 +88,8 @@ class TestSampler:
         assert abs(draws / attempts - 6 / math.pi**2) < 0.01
 
     def test_reused_generator_matches_fresh_philox(self):
-        # each stream resets its thread's generator, so a stream opened after
-        # a half-used one, or after a switch of seed, still reads its own block
+        # a stream opened after a half-used one, or after a switch of seed,
+        # still reads its own block
         def fresh(seed, index, count):
             return Philox(key=seed, counter=index << 128).random_raw(count).tolist()
 
@@ -102,6 +102,31 @@ class TestSampler:
             _RawStream(1, -1)
         with pytest.raises(ValueError):
             _RawStream(1, 1 << 128)
+
+    @given(
+        seed=st.one_of(
+            st.integers(min_value=0, max_value=2**128 - 1), st.just(2**128 - 1)
+        ),
+        index=st.one_of(
+            st.integers(min_value=0, max_value=2**128 - 1), st.just(2**128 - 1)
+        ),
+    )
+    @settings(max_examples=100)
+    def test_stream_is_numpy_philox(self, seed, index):
+        # the Python Philox4x64-10 against numpy's, over ten 4-word blocks
+        stream = _RawStream(seed, index)
+        expected = Philox(key=seed, counter=index << 128).random_raw(40).tolist()
+        assert [stream.next_raw() for _ in range(40)] == expected
+
+    @pytest.mark.parametrize(
+        "seed, index", [(-1, 0), (1 << 128, 0), (0, -1), (0, 1 << 128)]
+    )
+    def test_stream_rejects_out_of_range(self, seed, index):
+        with pytest.raises(ValueError, match="must lie in"):
+            _RawStream(seed, index)
+        # numpy refuses the same keys and counters
+        with pytest.raises(ValueError):
+            Philox(key=seed, counter=index << 128)
 
     @given(
         seed=st.integers(min_value=0, max_value=2**64 - 1),

@@ -11,6 +11,7 @@ from knapgap.rounding import (
     dyadic_floor,
     iroot,
     pow_bounds,
+    pow_numerators,
     root_lower,
     root_upper,
 )
@@ -77,6 +78,27 @@ class TestPowBounds:
         lo, hi = pow_bounds(20, Fraction(4, 5))
         assert abs(float(lo) - 10.985605) < 1e-5  # 20**0.8
         assert abs(float(hi) - 10.985605) < 1e-5
+
+
+class TestPowNumerators:
+    @given(
+        base=st.integers(min_value=0, max_value=10**6),
+        p=st.integers(min_value=0, max_value=12),
+        q=st.integers(min_value=1, max_value=12),
+        bits=st.sampled_from([0, 1, 8, 60]),
+    )
+    def test_against_root_bounds(self, base, p, q, bits):
+        lo, hi = pow_numerators(base, p, q, bits)
+        # root certificate: lo is the floor root of N and hi its ceiling root
+        radicand = base**p << q * bits
+        assert lo**q <= radicand < (lo + 1) ** q
+        assert (hi - 1) ** q < radicand <= hi**q or hi == lo == 0
+        # the Fraction route agrees, and so does pow_bounds on this int base
+        powered = Fraction(base**p)
+        assert Fraction(lo, 1 << bits) == root_lower(powered, q, bits)
+        assert Fraction(hi, 1 << bits) == root_upper(powered, q, bits)
+        expected = (Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+        assert pow_bounds(base, Fraction(p, q), bits) == expected
 
 
 class TestDyadic:
