@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,8 +70,62 @@ def _echo(pairs: list[tuple[str, str]], fmt: str) -> None:
         print(f"{key} = {value}", file=stream)
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder when built
+
+
+def _json_scalar(value) -> str:
+    """A leaf exactly as json.dumps writes it."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # NaN and the infinities have their own names
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte.
+
+    With an indent the json module runs its pure-Python encoder; this writes
+    the same layout directly and encodes each leaf on the C path.  pad is
+    the newline plus indentation that closes the value.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (
+            f"{_encode_str(k if isinstance(k, str) else _json_scalar(k))}: "
+            f"{_json_text(v, inner)}"
+            for k, v in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        # Long lists of one leaf type (residue minima, loads, witness rows)
+        # map the encoder over the list without a Python call per item.
+        types = set(map(type, value))
+        if types == {int}:
+            items = map(int.__repr__, value)
+        elif types == {str}:
+            items = map(_encode_str, value)
+        else:
+            items = (_json_text(v, inner) for v in value)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return _json_scalar(value)
+
+
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
 
 
 # --------------------------------------------------------------- frobenius
@@ -372,6 +429,23 @@ def _summary_text(summary: xp.ExperimentSummary) -> None:
         print(f"flags = {','.join(summary.flags)}")
 
 
+@contextmanager
+def _records_csv(path: str | None):
+    """A text handle for the record CSV, or None without --out.
+
+    The rows are spooled to a temporary file and copied to path only when
+    the run succeeds, so a refused run leaves path untouched.
+    """
+    if not path:
+        yield None
+        return
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            shutil.copyfileobj(spool, handle)
+
+
 def _cmd_tail(args: argparse.Namespace) -> int:
     t_values = _ints(args.t, "--t")
     if len(t_values) != 1:
@@ -383,9 +457,8 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         ("thresholds", args.thresholds),
         ("bits", str(config.bits)),
     ]
-    summary, records = xp.tail_experiment(config, jobs=args.jobs)
-    if args.out:
-        xp.export_records_csv(args.out, [(config, records)])
+    with _records_csv(args.out) as out:
+        summary = xp.tail_experiment(config, jobs=args.jobs, out=out)
     if args.format == "json":
         doc = xp.summary_json_dict(summary)
         if args.out:
@@ -408,9 +481,8 @@ def _cmd_mean(args: argparse.Namespace) -> int:
         ("thresholds", args.thresholds),
         ("bits", str(args.bits)),
     ]
-    summaries, batches = xp.mean_experiment(configs, jobs=args.jobs)
-    if args.out:
-        xp.export_records_csv(args.out, list(zip(configs, batches)))
+    with _records_csv(args.out) as out:
+        summaries = xp.mean_experiment(configs, jobs=args.jobs, out=out)
     if args.format == "json":
         doc = {
             "config": {

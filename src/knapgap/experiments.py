@@ -26,6 +26,16 @@ properties and the exact means and survival fractions of a summary.  The
 exact CSV columns print N / 2**bits in lowest terms by shifting the common
 power of two out of N, which gives the same string as the Fraction.
 
+tail_experiment and mean_experiment stream.  Each config's index range is
+cut into ranges of at most _CHUNK indices, which run in index order, in
+this process at jobs 1 and through one pool otherwise.  A range's worker
+sends back plain data: its lower and upper numerators as two int lists
+and, when a CSV is wanted, its rows as one string.  Each config keeps only
+running counts (the count, both numerator sums and the number of values
+above each threshold's cut), and the rows go to the output handle as each
+range arrives, so memory stays flat in the sample count.  summarize builds
+a summary from a record list through the same counts.
+
 The theoretical backdrop: for n >= 3 the sampled fraction of instances with
 ratio above t decays at least like t^(-alpha) with
 alpha = (n - 2) / ((1 - epsilon) n), so means are bounded once
@@ -38,10 +48,10 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .core import KnapsackInstance, RationalLike, as_fraction
@@ -181,66 +191,95 @@ def bracket_ratios(
     return Fraction(lower, 1 << bits), Fraction(upper, 1 << bits)
 
 
-def _record(config: ExperimentConfig, index: int, max_cells: int) -> SampleRecord:
-    """compute_record with the guardrail cap already resolved."""
-    inst, _ = draw_instance(config.seed, index, config.n, config.T)
-    g = frobenius(inst, max_cells=max_cells)
-    lower, upper = _bracket_numerators(inst, config.epsilon, config.bits, g)
-    return SampleRecord(
-        index=index,
-        instance=inst,
-        g=g,
-        f=g + sum(inst.a),
-        lower=lower,
-        upper=upper,
-        bits=config.bits,
-    )
+def _sampled(config: ExperimentConfig, start: int, stop: int):
+    """(index, instance, g, lower, upper) for each index in [start, stop).
+
+    The guardrail cap is read once per range: reading the environment costs
+    more than checking a record's table against the cap.
+    """
+    cap = cell_cap()
+    for index in range(start, stop):
+        inst, _ = draw_instance(config.seed, index, config.n, config.T)
+        g = frobenius(inst, max_cells=cap)
+        lower, upper = _bracket_numerators(inst, config.epsilon, config.bits, g)
+        yield index, inst, g, lower, upper
+
+
+def _record_chunk(task: tuple[ExperimentConfig, int, int]) -> list[SampleRecord]:
+    config, start, stop = task
+    return [
+        SampleRecord(index, inst, g, g + sum(inst.a), lower, upper, config.bits)
+        for index, inst, g, lower, upper in _sampled(config, start, stop)
+    ]
 
 
 def compute_record(config: ExperimentConfig, index: int) -> SampleRecord:
     """Deterministically compute the record owned by (config.seed, index)."""
-    return _record(config, index, cell_cap())
+    return _record_chunk((config, index, index + 1))[0]
 
 
-def _record_batch(args: tuple[ExperimentConfig, int, int]) -> list[SampleRecord]:
-    # One guardrail lookup per batch: reading the environment costs more
-    # than checking a record's table against the cap.
-    config, start, stop = args
-    cap = cell_cap()
-    return [_record(config, i, cap) for i in range(start, stop)]
+def _stream_chunk(
+    task: tuple[ExperimentConfig, int, int, bool]
+) -> tuple[list[int], list[int], str | None]:
+    """A range's lower and upper numerators, in index order, and its CSV
+    rows as one string when wanted.  Plain ints and one str are far cheaper
+    to send back from a pool worker than a record object per index."""
+    config, start, stop, want_csv = task
+    lowers: list[int] = []
+    uppers: list[int] = []
+    rows: list[str] = []
+    head = f"{config.n},{config.T},{config.seed}"
+    for index, inst, g, lower, upper in _sampled(config, start, stop):
+        lowers.append(lower)
+        uppers.append(upper)
+        if want_csv:
+            f = g + sum(inst.a)
+            rows.append(_csv_row(head, index, inst.a, g, f, lower, upper, config.bits))
+    return lowers, uppers, "".join(rows) if want_csv else None
 
 
-def _sample(
+# Most indices one range covers.  It bounds what a range holds in flight:
+# about 0.2 MB at 1000 indices (its CSV text and two numerator lists).
+# Wall and CPU time did not move beyond noise for caps from 250 to 5000 on
+# the mean ladder at jobs 2 and the tail run at jobs 1 (CHANGES.md).
+_CHUNK = 1000
+
+
+def _ranges(
     configs: Sequence[ExperimentConfig], jobs: int
-) -> list[list[SampleRecord]]:
-    """Every config's records in index order, from at most one pool.
+) -> list[tuple[int, int, int]]:
+    """(config position, start, stop) of every range, in order.
 
-    A config splits into up to jobs index ranges when it has at least
-    2 * jobs records.  When any config splits, one pool runs the ranges of
-    all configs in order and each config's records are reassembled from its
-    own ranges; otherwise everything runs in this process.  Ranges come
-    back in order, so a failing record raises the same error as at jobs 1.
+    A config splits into up to jobs ranges when it has at least 2 * jobs
+    records, and no range spans more than _CHUNK indices.
     """
     if jobs < 1:
         raise ValueError(f"jobs = {jobs} must be >= 1")
-    chunks = []
-    owners = []
+    ranges = []
     for k, config in enumerate(configs):
         parts = jobs if config.count >= 2 * jobs else 1
-        step = -(-config.count // parts)
+        step = min(-(-config.count // parts), _CHUNK)
         for start in range(0, config.count, step):
-            chunks.append((config, start, min(start + step, config.count)))
-            owners.append(k)
-    if len(chunks) == len(configs):
-        return [_record_batch(chunk) for chunk in chunks]
+            ranges.append((k, start, min(start + step, config.count)))
+    return ranges
+
+
+def _ordered(worker, tasks: list, jobs: int):
+    """worker(task) for every task, yielded in task order.
+
+    At jobs 1, or for a single task, the tasks run lazily in this process;
+    otherwise one pool of jobs workers runs them.  imap hands the results
+    back in task order, so a failing task raises the same error as at
+    jobs 1.  Close the generator to stop the pool early.
+    """
+    if jobs == 1 or len(tasks) < 2:
+        yield from map(worker, tasks)
+        return
     import multiprocessing  # about 10 ms, paid only when a pool is made
 
-    batches: list[list[SampleRecord]] = [[] for _ in configs]
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     with multiprocessing.get_context(method).Pool(jobs) as pool:
-        for k, part in zip(owners, pool.imap(_record_batch, chunks)):
-            batches[k].extend(part)
-    return batches
+        yield from pool.imap(worker, tasks)
 
 
 def sample_records(config: ExperimentConfig, jobs: int = 1) -> list[SampleRecord]:
@@ -248,10 +287,11 @@ def sample_records(config: ExperimentConfig, jobs: int = 1) -> list[SampleRecord
 
     Record i depends only on (seed, i), so any partition of the index range
     across workers reassembles to the same list; jobs changes wall time,
-    never output.  This is the one-config case of the sampler that
-    mean_experiment runs on its whole ladder.
+    never output.
     """
-    return _sample([config], jobs)[0]
+    tasks = [(config, start, stop) for _, start, stop in _ranges([config], jobs)]
+    with closing(_ordered(_record_chunk, tasks, jobs)) as chunks:
+        return [record for chunk in chunks for record in chunk]
 
 
 @dataclass(frozen=True)
@@ -286,17 +326,6 @@ def _cut(t: Fraction, bits: int) -> int:
     return (t.numerator << bits) // t.denominator
 
 
-def _survival(
-    values: Sequence[int], thresholds: Sequence[Fraction], count: int, bits: int
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    ordered = sorted(values)
-    # bisect_right counts the values <= the cut, so the rest lie strictly above t.
-    return tuple(
-        (t, Fraction(count - bisect_right(ordered, _cut(t, bits)), count))
-        for t in thresholds
-    )
-
-
 def _fit_slope(
     survival: Sequence[tuple[Fraction, Fraction]], count: int
 ) -> float | None:
@@ -318,6 +347,65 @@ def _fit_slope(
     return sxy / sxx
 
 
+class _Tally:
+    """Running digest of one config's bracket numerators.
+
+    It keeps the count, both numerator sums and, per threshold, how many
+    values of each bracket lie above the threshold's cut; that is all the
+    survival fractions, the exact means, the slope fit and tail's `above`
+    check need, so no record is held.
+    """
+
+    def __init__(self, config: ExperimentConfig) -> None:
+        self.config = config
+        self.cuts = [_cut(t, config.bits) for t in config.thresholds]
+        self.count = 0
+        self.sum_lower = 0
+        self.sum_upper = 0
+        self.above_lower = [0] * len(self.cuts)
+        self.above_upper = [0] * len(self.cuts)
+
+    def add(self, lowers: Sequence[int], uppers: Sequence[int]) -> None:
+        self.count += len(lowers)
+        self.sum_lower += sum(lowers)
+        self.sum_upper += sum(uppers)
+        for above, values in ((self.above_lower, lowers), (self.above_upper, uppers)):
+            ordered = sorted(values)
+            # bisect_right counts the values <= the cut, so the rest lie above t.
+            for j, cut in enumerate(self.cuts):
+                above[j] += len(ordered) - bisect_right(ordered, cut)
+
+    def summary(self) -> ExperimentSummary:
+        config, count = self.config, self.count
+        survival_upper = tuple(
+            (t, Fraction(k, count)) for t, k in zip(config.thresholds, self.above_upper)
+        )
+        survival_lower = tuple(
+            (t, Fraction(k, count)) for t, k in zip(config.thresholds, self.above_lower)
+        )
+        flags = []
+        if config.epsilon * config.n <= 2:
+            flags.append("epsilon_at_or_below_2_over_n")
+        if config.T == 1:
+            flags.append("degenerate_T1")
+        return ExperimentSummary(
+            n=config.n,
+            T=config.T,
+            count=count,
+            seed=config.seed,
+            epsilon=config.epsilon,
+            thresholds=config.thresholds,
+            bits=config.bits,
+            survival_upper=survival_upper,
+            survival_lower=survival_lower,
+            fitted_slope=_fit_slope(survival_upper, count),
+            mean_upper=Fraction(self.sum_upper, count << config.bits),
+            mean_lower=Fraction(self.sum_lower, count << config.bits),
+            alpha_theoretical=tail_exponent(config.epsilon, config.n),
+            flags=tuple(flags),
+        )
+
+
 def summarize(
     config: ExperimentConfig, records: Sequence[SampleRecord]
 ) -> ExperimentSummary:
@@ -325,87 +413,88 @@ def summarize(
 
     Every record must carry config.bits.
     """
-    bits = config.bits
-    if any(r.bits != bits for r in records):
-        raise ValidationError(f"records must all carry bits = {bits}")
-    count = len(records)
-    uppers = [r.upper for r in records]
-    lowers = [r.lower for r in records]
-    survival_upper = _survival(uppers, config.thresholds, count, bits)
-    survival_lower = _survival(lowers, config.thresholds, count, bits)
-    flags = []
-    if config.epsilon * config.n <= 2:
-        flags.append("epsilon_at_or_below_2_over_n")
-    if config.T == 1:
-        flags.append("degenerate_T1")
-    return ExperimentSummary(
-        n=config.n,
-        T=config.T,
-        count=count,
-        seed=config.seed,
-        epsilon=config.epsilon,
-        thresholds=config.thresholds,
-        bits=config.bits,
-        survival_upper=survival_upper,
-        survival_lower=survival_lower,
-        fitted_slope=_fit_slope(survival_upper, count),
-        mean_upper=Fraction(sum(uppers), count << bits),
-        mean_lower=Fraction(sum(lowers), count << bits),
-        alpha_theoretical=tail_exponent(config.epsilon, config.n),
-        flags=tuple(flags),
-    )
+    if any(r.bits != config.bits for r in records):
+        raise ValidationError(f"records must all carry bits = {config.bits}")
+    tally = _Tally(config)
+    tally.add([r.lower for r in records], [r.upper for r in records])
+    return tally.summary()
+
+
+def _stream(
+    configs: Sequence[ExperimentConfig], jobs: int, out: IO[str] | None
+) -> list[_Tally]:
+    """Sample every config range by range into running tallies.
+
+    With out, the CSV header and then each range's rows are written in
+    index order, the configs one after the other.
+    """
+    if out is not None:
+        _write_header(out, configs)
+    ranges = _ranges(configs, jobs)
+    tasks = [(configs[k], start, stop, out is not None) for k, start, stop in ranges]
+    tallies = [_Tally(config) for config in configs]
+    with closing(_ordered(_stream_chunk, tasks, jobs)) as chunks:
+        for (k, _, _), (lowers, uppers, rows) in zip(ranges, chunks):
+            tallies[k].add(lowers, uppers)
+            if out is not None:
+                out.write(rows)
+    return tallies
 
 
 def tail_experiment(
-    config: ExperimentConfig, jobs: int = 1
-) -> tuple[ExperimentSummary, list[SampleRecord]]:
+    config: ExperimentConfig, jobs: int = 1, *, out: IO[str] | None = None
+) -> ExperimentSummary:
     """Sample and fit the upper bracket's survival tail.
 
     Requires n >= 3 and at least one threshold; raises InsufficientSamples
     when fewer than MIN_TAIL_SAMPLES records exceed the smallest threshold
-    or when fewer than two thresholds qualify for the fit.
+    or when fewer than two thresholds qualify for the fit.  With out, the
+    record CSV is written there as the records are computed, so a run that
+    raises may leave part of it behind.
     """
     if config.n < 3:
         raise DimensionTooSmall(f"n = {config.n} < 3, tail law needs n >= 3")
     if not config.thresholds:
         raise ValidationError("tail experiment needs at least one threshold")
-    records = sample_records(config, jobs)
+    (tally,) = _stream([config], jobs, out)
     smallest = min(config.thresholds)
-    cut = _cut(smallest, config.bits)
-    above = sum(1 for r in records if r.upper > cut)
+    above = tally.above_upper[config.thresholds.index(smallest)]
     if above < MIN_TAIL_SAMPLES:
         raise InsufficientSamples(
             f"only {above} of {config.count} samples above t = {smallest}, "
             f"need {MIN_TAIL_SAMPLES}"
         )
-    summary = summarize(config, records)
+    summary = tally.summary()
     if summary.fitted_slope is None:
         raise InsufficientSamples(
             "fewer than two thresholds kept enough samples to fit a slope"
         )
-    return summary, records
+    return summary
 
 
 def mean_experiment(
-    configs: Sequence[ExperimentConfig], jobs: int = 1
-) -> tuple[list[ExperimentSummary], list[list[SampleRecord]]]:
+    configs: Sequence[ExperimentConfig],
+    jobs: int = 1,
+    *,
+    out: IO[str] | None = None,
+) -> list[ExperimentSummary]:
     """Exact bracket means along a ladder of sampling boxes.
 
     Intended for a fixed (n, epsilon, count, seed) with increasing T; each
     config is summarized independently.  All configs are sampled together,
     through one worker pool when jobs > 1 (the pool's start-up would
     otherwise be paid once per T), and the output is the same for every
-    jobs.  Configs with epsilon <= 2/n are processed but flagged, since only
-    larger epsilon guarantees a bounded mean in the limit.
+    jobs.  With out, one CSV of every config's records is written there as
+    they are computed.  Configs with epsilon <= 2/n are processed but
+    flagged, since only larger epsilon guarantees a bounded mean in the
+    limit.
     """
     if not configs:
         raise ValidationError("mean experiment needs at least one config")
     for config in configs:
         if config.n < 3:
             raise DimensionTooSmall(f"n = {config.n} < 3, mean law needs n >= 3")
-    batches = _sample(configs, jobs)
-    summaries = [summarize(c, records) for c, records in zip(configs, batches)]
-    return summaries, batches
+    return [tally.summary() for tally in _stream(configs, jobs, out)]
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +528,27 @@ def _dyadic_str(numerator: int, bits: int) -> str:
     return f"{numerator >> shift}/{1 << (bits - shift)}"
 
 
+def _csv_row(
+    head: str, index: int, a: Sequence[int], g: int, f: int,
+    lower: int, upper: int, bits: int,
+) -> str:
+    """One record's CSV line; head is its "n,T,seed" prefix.  No field ever
+    needs quoting, so a row is one formatted line."""
+    scale = 1 << bits
+    return (
+        f"{head},{index},{','.join(map(str, a))},{g},{f},"
+        f"{lower / scale:.12g},{upper / scale:.12g},"
+        f"{_dyadic_str(lower, bits)},{_dyadic_str(upper, bits)}\n"
+    )
+
+
+def _write_header(handle: IO[str], configs: Sequence[ExperimentConfig]) -> None:
+    n = configs[0].n
+    if any(config.n != n for config in configs):
+        raise ValidationError("cannot mix dimensions in one CSV file")
+    handle.write(",".join(csv_header(n)) + "\n")
+
+
 def write_records_csv(
     handle: IO[str],
     runs: Iterable[tuple[ExperimentConfig, Sequence[SampleRecord]]],
@@ -450,27 +560,13 @@ def write_records_csv(
     runs = list(runs)
     if not runs:
         raise ValidationError("nothing to export")
-    n = runs[0][0].n
-    if any(cfg.n != n for cfg, _ in runs):
-        raise ValidationError("cannot mix dimensions in one CSV file")
-    # No field ever needs quoting, so each row is one formatted line.
-    handle.write(",".join(csv_header(n)) + "\n")
+    _write_header(handle, [config for config, _ in runs])
     for config, records in runs:
         head = f"{config.n},{config.T},{config.seed}"
         handle.writelines(
-            f"{head},{r.index},{','.join(map(str, r.instance.a))},{r.g},{r.f},"
-            f"{r.lower / (1 << r.bits):.12g},{r.upper / (1 << r.bits):.12g},"
-            f"{_dyadic_str(r.lower, r.bits)},{_dyadic_str(r.upper, r.bits)}\n"
+            _csv_row(head, r.index, r.instance.a, r.g, r.f, r.lower, r.upper, r.bits)
             for r in records
         )
-
-
-def export_records_csv(
-    path: str | Path,
-    runs: Iterable[tuple[ExperimentConfig, Sequence[SampleRecord]]],
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_records_csv(handle, runs)
 
 
 def summary_json_dict(summary: ExperimentSummary) -> dict:

@@ -10,11 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import knapgap
 import knapgap.group
 from knapgap import KnapsackInstance, frobenius_sieve_oracle, gap_exact
-from knapgap.cli import run
+from knapgap.cli import _json_text, run
 
 
 def _run(capsys, *argv):
@@ -82,15 +84,21 @@ class TestExitCodes:
              "--epsilon", "4/5"),
         ],
     )
-    def test_sampling_guardrail_is_3_at_every_jobs(self, capsys, monkeypatch, argv):
-        # the cap is read once per batch of records, in the pool workers too
+    def test_sampling_guardrail_is_3_at_every_jobs(
+        self, capsys, monkeypatch, tmp_path, argv
+    ):
+        # the cap is read once per range of records, in the pool workers too
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "4")
+        target = tmp_path / "records.csv"
+        target.write_bytes(b"kept\n")
         errs = []
         for jobs in ("1", "2"):
-            code, out, err = _run(capsys, *argv, "--jobs", jobs)
+            code, out, err = _run(capsys, *argv, "--jobs", jobs, "--out", str(target))
             assert code == 3
             assert out == ""
             assert "residue table modulo" in err
+            # rows of the ranges before the refusal never reach --out
+            assert target.read_bytes() == b"kept\n"
             errs.append(err)
         # ranges come back in index order, so the first failing record wins
         assert errs[0] == errs[1]
@@ -259,6 +267,35 @@ class TestJsonOutput:
         )
 
 
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.lists(children, max_size=6)
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(st.text(), max_size=6)
+    | st.dictionaries(
+        st.text(max_size=6) | st.integers() | st.floats() | st.booleans() | st.none(),
+        children,
+        max_size=6,
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @given(doc=_JSON_DOCS)
+    @settings(max_examples=150)
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_escapes_and_empty_containers(self):
+        doc = {"q\"\\\n\t\x00é☃𝄞": ["", "\u2028", {}, [], [[]], 1.5, -0.0],
+               "n": [float("nan"), float("inf"), -float("inf")], "": None}
+        assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
 class TestStreamDiscipline:
     def test_sample_csv_stdout_is_pure(self, capsys):
         code, out, err = _run(
@@ -297,13 +334,19 @@ class TestExperimentCommands:
         assert rows[0]["T"] == "50"
         assert "fitted_slope" in out
 
-    def test_tail_insufficient_samples_is_2(self, capsys):
-        code, _, err = _run(
-            capsys, "tail", "--n", "3", "--t", "100", "--count", "30",
-            "--seed", "31", "--epsilon", "4/5", "--thresholds", "1/4,1",
-        )
-        assert code == 2
-        assert "samples" in err
+    def test_tail_insufficient_samples_is_2(self, capsys, tmp_path):
+        target = tmp_path / "records.csv"
+        target.write_bytes(b"kept\n")
+        for jobs in ("1", "2"):
+            code, _, err = _run(
+                capsys, "tail", "--n", "3", "--t", "100", "--count", "30",
+                "--seed", "31", "--epsilon", "4/5", "--thresholds", "1/4,1",
+                "--jobs", jobs, "--out", str(target),
+            )
+            assert code == 2
+            assert "samples" in err
+            # every record was written before the check refused the run
+            assert target.read_bytes() == b"kept\n"
 
     def test_mean_ladder(self, capsys, tmp_path):
         target = tmp_path / "ladder.csv"
@@ -326,12 +369,20 @@ class TestExperimentCommands:
         doc = json.loads(out)
         assert [entry["config"]["T"] for entry in doc["summaries"]] == [10, 20]
 
-    def test_jobs_flag_keeps_output_identical(self, capsys):
-        base = ("tail", "--n", "3", "--t", "40", "--count", "240", "--seed", "5",
-                "--epsilon", "4/5", "--thresholds", "1/4,1/2", "--format", "json")
-        _, out1, _ = _run(capsys, *base, "--jobs", "1")
-        _, out2, _ = _run(capsys, *base, "--jobs", "3")
-        assert out1 == out2
+    def test_jobs_flag_keeps_output_identical(self, capsys, tmp_path):
+        target = tmp_path / "records.csv"
+        for base in [
+            ("tail", "--n", "3", "--t", "40", "--count", "240", "--seed", "5",
+             "--epsilon", "4/5", "--thresholds", "1/4,1/2", "--format", "json"),
+            ("mean", "--n", "4", "--t", "30,60", "--count", "150", "--seed", "5",
+             "--epsilon", "1/2", "--format", "json"),
+        ]:
+            results = []
+            for jobs in ("1", "2", "3"):
+                code, out, _ = _run(capsys, *base, "--jobs", jobs, "--out", str(target))
+                assert code == 0
+                results.append((out, target.read_bytes()))
+            assert results[0] == results[1] == results[2]
 
 
 # Run in a fresh interpreter: prints the CLI's exit code and stdout, then

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from knapgap import (
 )
 from knapgap.experiments import (
     MIN_TAIL_SAMPLES,
+    _CHUNK,
     _dyadic_str,
     compute_record,
     csv_header,
@@ -288,10 +290,11 @@ class TestDrivers:
             epsilon="4/5",
             thresholds=("1/4", "1/2", "1"),
         )
-        summary, records = tail_experiment(config)
-        assert len(records) == 600
+        summary = tail_experiment(config)
+        assert summary.count == 600
         assert summary.fitted_slope is not None
         assert summary.fitted_slope < 0
+        assert summary == summarize(config, sample_records(config))
 
     def test_tail_experiment_needs_samples(self):
         config = ExperimentConfig(
@@ -310,11 +313,53 @@ class TestDrivers:
             ExperimentConfig(n=3, T=T, count=50, seed=8, epsilon="4/5")
             for T in (10, 20)
         ]
-        summaries, batches = mean_experiment(configs)
+        summaries = mean_experiment(configs)
         assert [s.T for s in summaries] == [10, 20]
-        assert [len(b) for b in batches] == [50, 50]
+        assert [s.count for s in summaries] == [50, 50]
         for s in summaries:
             assert s.mean_lower <= s.mean_upper
+        runs = [(c, sample_records(c)) for c in configs]
+        assert summaries == [summarize(c, records) for c, records in runs]
+        # the streamed CSV is write_records_csv over the records, at any jobs
+        expected = io.StringIO()
+        write_records_csv(expected, runs)
+        for jobs in (1, 2):
+            streamed = io.StringIO()
+            assert mean_experiment(configs, jobs, out=streamed) == summaries
+            assert streamed.getvalue() == expected.getvalue()
+
+    def test_streaming_crosses_range_boundaries(self):
+        # more records than one range holds, at jobs 1 and across a pool
+        config = ExperimentConfig(
+            n=3, T=60, count=2 * _CHUNK + 7, seed=4, epsilon="4/5",
+            thresholds=("1/4", "1/2", "1"),
+        )
+        records = sample_records(config)
+        assert [r.index for r in records] == list(range(config.count))
+        assert records == sample_records(config, 2)
+        expected = io.StringIO()
+        write_records_csv(expected, [(config, records)])
+        for jobs in (1, 2):
+            streamed = io.StringIO()
+            summary = tail_experiment(config, jobs, out=streamed)
+            assert summary == summarize(config, records)
+            assert streamed.getvalue() == expected.getvalue()
+
+    def test_tail_memory_flat_in_count(self):
+        # no record list is held: the peak does not grow with the count
+        peaks = []
+        for count in (2000, 20000):
+            config = ExperimentConfig(
+                n=3, T=2000, count=count, seed=1, epsilon="4/5",
+                thresholds=("1/4", "1/2", "1"),
+            )
+            tracemalloc.start()
+            try:
+                tail_experiment(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1 << 20
 
 
 def _reference_survival(values, thresholds):
@@ -351,7 +396,11 @@ class TestIntegerCuts:
         assert summary.survival_lower == _reference_survival(lowers, thresholds)
         assert summary.mean_upper == sum(uppers, Fraction(0)) / len(uppers)
         assert summary.mean_lower == sum(lowers, Fraction(0)) / len(lowers)
-        assert tail_experiment(config) == (summary, records)
+        streamed = io.StringIO()
+        assert tail_experiment(config, out=streamed) == summary
+        expected = io.StringIO()
+        write_records_csv(expected, [(config, records)])
+        assert streamed.getvalue() == expected.getvalue()
 
         # the `above` check counts values strictly above the smallest t
         values = sorted(set(uppers))
