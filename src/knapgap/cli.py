@@ -30,7 +30,7 @@ from .core import KnapsackInstance, as_fraction, lp_value, validate_instance
 from .errors import GuardrailExceeded, ValidationError
 from .gap import gap_exact, integrality_gap, ip_value
 from .group import group_minima, lattice_gap, tightness_threshold
-from .instances import SamplerConfig, draw_instance, lovasz_example
+from .instances import SamplerConfig, lovasz_example, sample_instances
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70  # EX_SOFTWARE: an exception the package does not expect
@@ -359,9 +359,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if len(t_values) != 1:
         raise ValidationError("sample takes a single --t value")
     cfg = SamplerConfig(n=args.n, T=t_values[0], count=args.count, seed=args.seed)
-    rows = [
-        draw_instance(cfg.seed, index, cfg.n, cfg.T)[0] for index in range(cfg.count)
-    ]
+    rows = list(sample_instances(cfg))
     config = _sampling_config(args)
     if args.format == "json":
         _print_json(

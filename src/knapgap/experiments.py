@@ -63,11 +63,13 @@ from .errors import (
 )
 from .group import frobenius
 from .guardrail import cell_cap
-from .instances import draw_instance
+from .instances import draw_range
 from .rounding import DEFAULT_BITS, pow_numerators
 
-# Not called here since _norm_power works on ints; perfbench's traced runs
-# still wrap this name where it used to be looked up, so it stays importable.
+# Not called here: _norm_power works on ints and _sampled draws whole
+# ranges.  perfbench's traced runs still wrap these names where they used
+# to be looked up, so they stay importable.
+from .instances import draw_instance  # noqa: F401
 from .rounding import pow_bounds  # noqa: F401
 
 MIN_TAIL_SAMPLES = 100
@@ -194,12 +196,13 @@ def bracket_ratios(
 def _sampled(config: ExperimentConfig, start: int, stop: int):
     """(index, instance, g, lower, upper) for each index in [start, stop).
 
-    The guardrail cap is read once per range: reading the environment costs
-    more than checking a record's table against the cap.
+    The range's instances come from one draw_range call.  The guardrail cap
+    is read once per range: reading the environment costs more than
+    checking a record's table against the cap.
     """
     cap = cell_cap()
-    for index in range(start, stop):
-        inst, _ = draw_instance(config.seed, index, config.n, config.T)
+    draws = draw_range(config.seed, start, stop, config.n, config.T)
+    for index, (inst, _) in zip(range(start, stop), draws):
         g = frobenius(inst, max_cells=cap)
         lower, upper = _bracket_numerators(inst, config.epsilon, config.bits, g)
         yield index, inst, g, lower, upper

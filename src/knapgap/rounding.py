@@ -21,6 +21,14 @@ def iroot(m: int, r: int) -> int:
 
     Requires m >= 0 and r >= 1.  Newton iteration on integers, seeded above
     the root, with a final clamp so the result is exact for all inputs.
+    The seed is a float estimate 2**e of the root, e = log2(m) / r, with
+    about 53 significant bits.  Raising e by a relative 2**-40 clears the
+    float's rounding error (about e * 2**-51) and stepping up until the
+    seed's r-th power exceeds m guarantees a start above the root, so
+    Newton starts a relative e * 2**-41 or so above it and needs a few
+    steps.  A seed up to twice the root would cost about r steps, since
+    each then shrinks the error only by a factor (r - 1) / r.  The float
+    only picks where Newton starts; the result is exact either way.
     """
     if m < 0:
         raise ValueError("iroot of a negative number")
@@ -32,7 +40,11 @@ def iroot(m: int, r: int) -> int:
         return math.isqrt(m)
     if m.bit_length() <= r:
         return 1
-    x = 1 << ((m.bit_length() - 1) // r + 1)
+    e = math.log2(m) / r * (1 + 2.0**-40)
+    shift = max(int(e) - 52, 0)
+    x = (int(2.0 ** (e - shift)) + 1) << shift
+    while x**r <= m:
+        x += (x >> 32) + 1
     while True:
         y = ((r - 1) * x + m // x ** (r - 1)) // r
         if y >= x:

@@ -12,6 +12,7 @@ from numpy.random import Philox
 from knapgap import (
     BetaOutOfRange,
     BoundTooLarge,
+    DimensionTooSmall,
     KnapsackInstance,
     SamplerConfig,
     ValidationError,
@@ -23,7 +24,7 @@ from knapgap import (
     sample_instances,
     tightness_family,
 )
-from knapgap.instances import _RawStream
+from knapgap.instances import _RawStream, draw_range
 
 
 class TestFamilies:
@@ -176,21 +177,115 @@ class TestSampler:
             SamplerConfig(n=2, T=5, count=1, seed=2**64)
 
 
-def _reference_draw(seed, index, n, T):
+class TestDrawRange:
+    """The range drawer against numpy's Philox read one word at a time."""
+
+    @given(
+        seed=st.one_of(
+            st.sampled_from([0, 2**64 - 1]), st.integers(min_value=0, max_value=2**64 - 1)
+        ),
+        n=st.sampled_from([2, 3, 5]),
+        T=st.sampled_from([1, 2, 3, 17, 33, 2000]),
+        span=st.one_of(
+            # empty, a single index, or a full range of 1000 indices
+            st.tuples(
+                st.one_of(
+                    st.integers(min_value=0, max_value=10**6),
+                    st.integers(min_value=0, max_value=2**128 - 1000),
+                ),
+                st.sampled_from([0, 1, 1000]),
+            ),
+            # ranges that cross 2**64
+            st.tuples(
+                st.integers(min_value=1, max_value=999).map(lambda k: 2**64 - k),
+                st.sampled_from([1000, 1001]),
+            ),
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_word_by_word_reference(self, seed, n, T, span):
+        start, length = span
+        got = list(draw_range(seed, start, start + length, n, T))
+        assert got == [
+            _reference_draw(seed, index, n, T) for index in range(start, start + length)
+        ]
+
+    def test_waves_reach_many_blocks(self):
+        # five coordinates at T = 33 keep about half the words, so most
+        # indices read three blocks and some far more; the later waves run
+        # on few lanes, and the range crosses 2**64
+        start = 2**64 - 600
+        got = list(draw_range(2**64 - 1, start, start + 1000, 5, 33))
+        blocks = []
+        for index, drawn in zip(range(start, start + 1000), got):
+            inst, attempts, words = _reference_stream(2**64 - 1, index, 5, 33)
+            assert drawn == (inst, attempts)
+            blocks.append(-(-words // 4))
+        assert Counter(b >= 3 for b in blocks)[True] > 500
+        assert max(blocks) >= 6
+
+    def test_is_draw_instance_at_each_index(self):
+        got = list(draw_range(9, 40, 60, 4, 10))
+        assert got == [draw_instance(9, index, 4, 10) for index in range(40, 60)]
+        assert list(draw_range(9, 60, 40, 4, 10)) == []
+
+    @pytest.mark.parametrize(
+        "seed, start, stop, message",
+        [
+            (-1, 0, 1, "seed = -1 must lie in [0, 2**128)"),
+            (2**128, 0, 1, f"seed = {2**128} must lie in [0, 2**128)"),
+            (-1, 5, 5, "seed = -1 must lie in [0, 2**128)"),
+            (0, -1, 3, "index = -1 must lie in [0, 2**128)"),
+            (0, 2**128 - 1, 2**128 + 1, f"index = {2**128} must lie in [0, 2**128)"),
+            (0, 2**128, 2**128 + 5, f"index = {2**128} must lie in [0, 2**128)"),
+        ],
+    )
+    def test_out_of_range_raises_at_call(self, seed, start, stop, message):
+        with pytest.raises(ValueError) as info:
+            draw_range(seed, start, stop, 3, 10)  # not iterated
+        assert str(info.value) == message
+        # a one-index draw and the raw stream refuse the same index
+        bad = start if seed in (-1, 2**128) or start < 0 else 2**128
+        with pytest.raises(ValueError) as single:
+            draw_instance(seed, bad, 3, 10)
+        assert str(single.value) == message
+        with pytest.raises(ValueError) as stream:
+            _RawStream(seed, bad)
+        assert str(stream.value) == message
+
+    def test_empty_range_checks_no_index(self):
+        assert list(draw_range(0, 2**128, 2**128, 3, 10)) == []
+        assert list(draw_range(0, -5, -5, 3, 10)) == []
+
+    def test_rejects_degenerate_boxes(self):
+        # T < 1 would reject every word forever
+        with pytest.raises(ValidationError, match="T = 0 < 1"):
+            draw_range(0, 0, 1, 3, 0)
+        with pytest.raises(DimensionTooSmall, match="n = 1 < 2"):
+            draw_range(0, 0, 1, 1, 5)
+
+
+def _reference_stream(seed, index, n, T):
     # one raw word at a time from a fresh generator at the index's block,
-    # each coordinate by mask rejection, tuples until the gcd is 1
+    # each coordinate by mask rejection, tuples until the gcd is 1; also
+    # returns the number of words read
     gen = Philox(key=seed, counter=index << 128)
     mask = (1 << (T - 1).bit_length()) - 1
-    attempts = 0
+    attempts = words = 0
     while True:
         attempts += 1
         values = []
         while len(values) < n:
             word = int(gen.random_raw()) & mask
+            words += 1
             if word < T:
                 values.append(word + 1)
         if math.gcd(*values) == 1:
-            return KnapsackInstance(tuple(values)), attempts
+            return KnapsackInstance(tuple(values)), attempts, words
+
+
+def _reference_draw(seed, index, n, T):
+    return _reference_stream(seed, index, n, T)[:2]
 
 
 class TestCountInstances:

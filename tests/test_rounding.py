@@ -1,8 +1,9 @@
 """Directed rounding primitives: every result must bracket the true value."""
 
+import time
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knapgap.rounding import (
@@ -35,6 +36,39 @@ class TestIroot:
         assert iroot(10**18, 2) == 10**9
         assert iroot(0, 5) == 0
         assert iroot(1, 7) == 1
+
+    @given(
+        data=st.data(),
+        r=st.one_of(
+            st.integers(min_value=3, max_value=12),
+            st.integers(min_value=3, max_value=4000),
+        ),
+    )
+    @settings(max_examples=300)
+    def test_floor_root_large(self, data, r):
+        # operands of up to 20000 bits and roots up to 4000, including exact
+        # powers and their neighbours, where a seed just below or just above
+        # the root matters most
+        x0 = data.draw(st.integers(min_value=1, max_value=2**max(1, 20000 // r)))
+        m = data.draw(
+            st.one_of(
+                st.integers(min_value=0, max_value=2**20000),
+                st.sampled_from([x0**r - 1, x0**r, x0**r + 1, (x0 + 1) ** r - 1]),
+            )
+        )
+        x = iroot(m, r)
+        assert x**r <= m < (x + 1) ** r
+
+    def test_large_root_index_is_fast(self):
+        # the norm power of a tail run at epsilon = 3/3001: the radicand has
+        # about 180000 bits and the root index is 3001
+        start = time.perf_counter()
+        lo, hi = pow_bounds(1999, Fraction(3, 3001))
+        assert time.perf_counter() - start < 1.0
+        assert hi - lo == Fraction(1, 2**DEFAULT_BITS)
+        num = lo * 2**DEFAULT_BITS
+        assert num.denominator == 1
+        assert num.numerator**3001 <= 1999**3 << 3001 * DEFAULT_BITS < (num.numerator + 1) ** 3001
 
 
 class TestRootBounds:
