@@ -9,7 +9,6 @@ globally through the KNAPGAP_GUARDRAIL_CELLS environment variable.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
 
 from .errors import BoundTooLarge
 
@@ -22,28 +21,22 @@ def cell_cap(explicit: int | None = None) -> int:
     """Resolve the active cell budget.
 
     An explicit argument wins, then the environment variable, then the
-    default.  The variable is read on every call, so a change at run time
-    is seen; its parsed value is cached by the raw string.
+    default.
     """
     if explicit is not None:
         if explicit < 1:
             raise ValueError("cell cap must be a positive integer")
         return explicit
     raw = os.environ.get(ENV_VAR)
-    return _env_cap(raw) if raw else DEFAULT_MAX_CELLS
-
-
-@lru_cache(maxsize=8)
-def _env_cap(raw: str) -> int:
-    """The cap a raw KNAPGAP_GUARDRAIL_CELLS value sets.  An invalid value
-    raises on every call: lru_cache keeps no exceptions."""
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{ENV_VAR} must be positive, got {value}")
-    return value
+    if raw:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+        if value < 1:
+            raise ValueError(f"{ENV_VAR} must be positive, got {value}")
+        return value
+    return DEFAULT_MAX_CELLS
 
 
 def check_cells(needed: int, what: str, explicit: int | None = None) -> None:

@@ -70,7 +70,8 @@ _ONE_LANE = (1).to_bytes(16, "little")
 # Most lanes one wave computes.  Larger ranges are drawn this many indices
 # at a time, which bounds the big ints and the cached keys.  The cost per
 # block is about 0.8-0.9 us from 100 to 1000 lanes, 1.1 us at 3000 and
-# 11 us for a single lane (2-core x86-64 host, CPython 3.11).
+# 7 us for a single lane, which skips the packing (2-core x86-64 host,
+# CPython 3.11).
 _LANES = 1000
 
 
@@ -127,9 +128,13 @@ def _philox_lanes(
     their product's high word until the XOR that uses them is masked.
     """
     lanes = len(offsets)
-    rep = _replicate(lanes)
+    if lanes == 1:
+        # a lone lane is a plain int: no packing on the way in or out
+        rep, index = 1, base + offsets[0]
+    else:
+        rep = _replicate(lanes)
+        index = base * rep + _pack(offsets)
     low = rep * _MASK64
-    index = base * rep + _pack(offsets)
     c0, c1, c2, c3 = block * rep, 0, index & low, (index >> 64) & low
     for k0, k1 in keys:
         p0 = c0 * _PHILOX_M0
@@ -137,6 +142,8 @@ def _philox_lanes(
         c0 = ((p1 >> 64) ^ c1 ^ k0) & low
         c2 = ((p0 >> 64) ^ c3 ^ k1) & low
         c1, c3 = p1, p0
+    if lanes == 1:
+        return iter(((c0 & mask, c1 & mask, c2 & mask, c3 & mask),))
     # Two words share each lane on the way out, the second in its high half.
     out = rep * mask
     first = _unpack(c0 & out | (c1 & out) << 64, lanes)
@@ -271,7 +278,9 @@ def draw_instance(
     tuples tried before one passed the gcd filter.
 
     The one-index case of draw_range: it reads the same words in the same
-    order as n calls of _RawStream(seed, index).uniform(T) per tuple.
+    order as n calls of _RawStream(seed, index).uniform(T) per tuple.  A
+    lone lane pays the whole cost of each round, so callers that draw many
+    indices should draw them with one draw_range call.
     """
     (drawn,) = draw_range(seed, index, index + 1, n, T)
     return drawn

@@ -21,8 +21,8 @@ class TestCellCap:
             cell_cap(0)
 
     def test_changed_variable_is_seen(self, monkeypatch):
-        # the parsed value is cached by the raw string, so every change of
-        # the variable, back and forth, must still take effect
+        # the variable is read on every call, so every change of it, back
+        # and forth, takes effect
         for raw, cap in [("10", 10), ("11", 11), ("10", 10), (" 12 ", 12)]:
             monkeypatch.setenv(ENV_VAR, raw)
             assert cell_cap() == cap
