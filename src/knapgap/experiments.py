@@ -63,7 +63,7 @@ from .errors import (
 )
 from .group import frobenius
 from .guardrail import cell_cap
-from .instances import draw_range
+from .instances import check_box, draw_range
 from .rounding import DEFAULT_BITS, pow_numerators
 
 # Not called here: _norm_power works on ints and _sampled draws whole
@@ -100,8 +100,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise DimensionTooSmall(f"n = {self.n} < 2")
-        if self.T < 1:
-            raise ValidationError(f"T = {self.T} < 1")
+        check_box(self.T)
         if self.count < 1:
             raise ValidationError(f"count = {self.count} < 1")
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon, "epsilon"))

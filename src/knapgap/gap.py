@@ -136,16 +136,18 @@ def gap_exact(
 
     so a path's key is load * K + D * cost (D and K are scale and k below).
     With K = m * max_j(D * l_j) + 1 the key order is the (load, cost)
-    lexicographic order and divmod(key, K) returns (b_r, D * IG(b_r)): a
+    lexicographic order and a class label is b_r * K + D * IG(b_r): a
     load-minimal solution uses fewer than m generators (m of them would
     contain a nonempty subsum divisible by m, whose removal lowers the load
-    and keeps the class), so its cost part stays below K.  The smallest b_r
-    attaining the maximum is the smallest attaining b overall, and scan_gap
-    keeps the classes with b_r < B*.  threshold and tail_gap come from the
-    reduced-cost table, which runs on the integer weights D * l_j: scaling
-    every weight by D keeps the same tight arcs and multiplies each minimum
-    by D.  Both tables have a_tau cells, which group_minima checks against
-    the guardrail; nothing else is allocated.
+    and keeps the class), so its cost part stays below K.  The labels are
+    read without splitting them: label % K is D * IG(b_r), the smallest
+    label of the largest remainder gives the smallest b_r attaining the
+    maximum, which is the smallest attaining b overall, and scan_gap keeps
+    the labels below B* * K, which are those with b_r < B*.  threshold and
+    tail_gap come from the reduced-cost table, which runs on the integer
+    weights D * l_j: scaling every weight by D keeps the same tight arcs and
+    multiplies each minimum by D.  Both tables have a_tau cells, which
+    group_minima checks against the guardrail; nothing else is allocated.
     """
     red = basis_reduction(inst, c)
     scale = math.lcm(*(lw.denominator for lw in red.l))
@@ -155,14 +157,18 @@ def gap_exact(
     k = table.modulus * max(cost) + 1
     keys = [g * k + w for g, w in zip(table.generators, cost)]
     packed = group_minima(inst, red.tau, keys, max_cells=max_cells)
-    labels = [divmod(key, k) for key in packed.minima]
-    gap = max(ig for _, ig in labels)
+    labels = packed.minima
+    igs = [label % k for label in labels]
+    gap = max(igs)
+    limit = bstar * k
     return GapReport(
         gap=Fraction(gap, scale),
-        witness_b=min(b for b, ig in labels if ig == gap),
+        witness_b=min([lab for lab, ig in zip(labels, igs) if ig == gap]) // k,
         threshold=bstar,
         tail_gap=Fraction(max(table.minima), scale),
-        scan_gap=Fraction(max([0] + [ig for b, ig in labels if b < bstar]), scale),
+        scan_gap=Fraction(
+            max([0] + [ig for lab, ig in zip(labels, igs) if lab < limit]), scale
+        ),
         tau=red.tau,
         generic=red.generic,
     )

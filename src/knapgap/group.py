@@ -85,7 +85,6 @@ Both are exposed as trivial wrappers so callers do not re-derive them.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -152,6 +151,15 @@ class GroupTable:
     generators are scanned in order, so ties go to the smaller generator
     position.  Unlike a backward greedy walk this stays acyclic even when
     some weights are zero.
+
+    The search keeps no separate queue: `order`, the residues in discovery
+    order, is the FIFO itself, and the loop iterates over it while
+    appending (a list iterator sees items appended during the loop).  Each
+    generator gets a successor list, (r + gen_j) mod m for every r, built
+    once, and pred_res doubles as the "seen" marker (the root holds itself
+    until the search ends).  Residues are still dequeued in discovery order
+    and arcs still scanned in generator order, so the tree, loads and
+    witnesses are those of a deque-based search.
     """
 
     modulus: int
@@ -168,30 +176,30 @@ class GroupTable:
         if self._tree is not None:
             return self._tree
         m = self.modulus
+        minima = self.minima
         pred_res = [-1] * m
         pred_gen = [-1] * m
         load = [0] * m
+        pred_res[0] = 0
         order: list[int] = [0]
-        seen = bytearray(m)
-        seen[0] = 1
-        minima = self.minima
-        arcs = [(g % m, g, w) for g, w in zip(self.generators, self.weights)]
-        queue = deque([0])
-        while queue:
-            r = queue.popleft()
+        # successor lists are rotations of one list, sharing its ints
+        residues = list(range(m))
+        arcs = []
+        for k, (gen, w) in enumerate(zip(self.generators, self.weights)):
+            step = gen % m
+            arcs.append((k, residues[step:] + residues[:step], gen, w))
+        for r in order:
             base = minima[r]
-            for k, (step, gen, w) in enumerate(arcs):
-                nr = r + step
-                if nr >= m:
-                    nr -= m
-                if not seen[nr] and minima[nr] == base + w:
-                    seen[nr] = 1
+            here = load[r]
+            for k, succ, gen, w in arcs:
+                nr = succ[r]
+                if pred_res[nr] < 0 and minima[nr] == base + w:
                     pred_res[nr] = r
                     pred_gen[nr] = k
-                    load[nr] = load[r] + gen
+                    load[nr] = here + gen
                     order.append(nr)
-                    queue.append(nr)
-        if not all(seen):
+        pred_res[0] = -1
+        if len(order) < m:
             raise AssertionError("tight-arc search failed to reach every residue")
         self._tree = (pred_res, pred_gen, load, order)
         return self._tree

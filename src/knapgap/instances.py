@@ -3,7 +3,8 @@
 The sampling target is the set of valid instances with all coefficients at
 most T, i.e. tuples in {1..T}^n with gcd 1.  Draws are i.i.d. uniform by
 rejection: each coordinate uniform on {1..T}, the tuple kept only if the
-gcd is 1.  The acceptance rate tends to 1/zeta(n) as T grows (6/pi^2 for
+gcd is 1.  T is at most 2**64, since each coordinate reads one 64-bit word
+at a time.  The acceptance rate tends to 1/zeta(n) as T grows (6/pi^2 for
 pairs).
 
 Reproducibility contract: the tuple produced for (seed, index) is a pure
@@ -151,6 +152,21 @@ def _philox_lanes(
     return zip(first[::2], first[1::2], second[::2], second[1::2])
 
 
+# Largest T a draw covers: mask rejection reads one 64-bit word per
+# coordinate, and a full word is uniform on {1..2**64} once shifted by one.
+_MAX_T = 1 << 64
+
+
+def check_box(T: int) -> None:
+    """Refuse a coefficient cap T outside [1, 2**64]."""
+    if T < 1:
+        raise ValidationError(f"T = {T} < 1")
+    if T > _MAX_T:
+        raise ValidationError(
+            f"T = {T} > 2**64, draws read one 64-bit word per coordinate"
+        )
+
+
 def _check_stream(seed: int, start: int, stop: int) -> None:
     """Refuse a seed, or an index of [start, stop), outside [0, 2**128)."""
     if not 0 <= seed < 1 << 128:
@@ -158,38 +174,6 @@ def _check_stream(seed: int, start: int, stop: int) -> None:
     if start < stop and not (0 <= start and stop <= 1 << 128):
         index = start if start < 0 else max(start, 1 << 128)
         raise ValueError(f"index = {index} must lie in [0, 2**128)")
-
-
-class _RawStream:
-    """Buffered view of one Philox counter block's raw 64-bit output."""
-
-    def __init__(self, seed: int, index: int) -> None:
-        _check_stream(seed, index, index + 1)
-        self._keys = _lane_keys(seed, 1)
-        self._index = index
-        self._blocks = 0
-        self._buf: list[int] = []
-
-    def batch(self) -> list[int]:
-        """The next 4-word block, past any words that next_raw buffered."""
-        self._blocks += 1
-        (words,) = _philox_lanes(self._keys, self._blocks, self._index, [0], _MASK64)
-        return list(words)
-
-    def next_raw(self) -> int:
-        if not self._buf:
-            self._buf = self.batch()
-            self._buf.reverse()
-        return self._buf.pop()
-
-    def uniform(self, upper: int) -> int:
-        """Uniform integer in {1, ..., upper} by mask rejection."""
-        bits = (upper - 1).bit_length()
-        mask = (1 << bits) - 1
-        while True:
-            v = self.next_raw() & mask
-            if v < upper:
-                return v + 1
 
 
 @dataclass(frozen=True)
@@ -204,8 +188,7 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValidationError(f"n = {self.n} < 2")
-        if self.T < 1:
-            raise ValidationError(f"T = {self.T} < 1")
+        check_box(self.T)
         if self.count < 1:
             raise ValidationError(f"count = {self.count} < 1")
         if not 0 <= self.seed < 2**64:
@@ -227,16 +210,14 @@ def draw_range(
     _check_stream(seed, start, stop)
     if n < 2:
         raise DimensionTooSmall(f"n = {n} < 2")
-    if T < 1:
-        raise ValidationError(f"T = {T} < 1")
+    check_box(T)
     return _draw_lanes(seed, start, stop, n, T)
 
 
 def _draw_lanes(
     seed: int, start: int, stop: int, n: int, T: int
 ) -> Iterator[tuple[KnapsackInstance, int]]:
-    # Raw words have 64 bits, so a wider mask would keep the same bits.
-    mask = ((1 << (T - 1).bit_length()) - 1) & _MASK64
+    mask = (1 << (T - 1).bit_length()) - 1
     gcd = math.gcd
     for base in range(start, stop, _LANES):
         size = min(_LANES, stop - base)
@@ -277,10 +258,11 @@ def draw_instance(
     """Draw the instance owned by (seed, index); also report the number of
     tuples tried before one passed the gcd filter.
 
-    The one-index case of draw_range: it reads the same words in the same
-    order as n calls of _RawStream(seed, index).uniform(T) per tuple.  A
-    lone lane pays the whole cost of each round, so callers that draw many
-    indices should draw them with one draw_range call.
+    The one-index case of draw_range: each coordinate is the first of the
+    index's raw words, in stream order, that falls below T once masked to
+    the bit length of T - 1.  A lone lane pays the whole cost of each
+    round, so callers that draw many indices should draw them with one
+    draw_range call.
     """
     (drawn,) = draw_range(seed, index, index + 1, n, T)
     return drawn

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from numpy.random import Philox
 
 from knapgap import (
     KnapsackInstance,
@@ -30,7 +31,7 @@ from knapgap import (
     tightness_family,
 )
 from knapgap.cli import run
-from knapgap.instances import _RawStream, draw_instance
+from knapgap.instances import draw_instance
 
 
 def _report(num, ok, detail):
@@ -82,15 +83,24 @@ def test_criterion_3_lattice_route_matches_frobenius_route():
     _report(3, True, "200 instances: residue-table maximum equals g(a) + a_n")
 
 
+def _uniform(gen, upper):
+    # uniform on {1..upper} by mask rejection on the raw 64-bit words
+    mask = (1 << (upper - 1).bit_length()) - 1
+    while True:
+        word = int(gen.random_raw()) & mask
+        if word < upper:
+            return word + 1
+
+
 @pytest.fixture(scope="module")
 def rational_cost_instances():
     out = []
     for i in range(200):
         n = (2, 3, 4)[i % 3]
         inst, _ = draw_instance(1004, i, n, 25)
-        stream = _RawStream(1004, 10**6 + i)
+        gen = Philox(key=1004, counter=(10**6 + i) << 128)
         cost = tuple(
-            Fraction(stream.uniform(11) - 6, stream.uniform(4)) for _ in range(n)
+            Fraction(_uniform(gen, 11) - 6, _uniform(gen, 4)) for _ in range(n)
         )
         out.append((inst, cost))
     return out

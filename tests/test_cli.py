@@ -14,8 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knapgap
+import knapgap.cli
+import knapgap.experiments
+import knapgap.gap
 import knapgap.group
-from knapgap import KnapsackInstance, frobenius_sieve_oracle, gap_exact
+from knapgap import KnapsackInstance, draw_instance, frobenius_sieve_oracle, gap_exact
 from knapgap.cli import _json_text, run
 
 
@@ -175,6 +178,36 @@ class TestTextOutput:
     def test_gap_infeasible_rhs(self, capsys):
         _, out, _ = _run(capsys, "gap", "--a", "3,5", "--c", "3,0", "--b", "7")
         assert "infeasible" in out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "b, ip, gap", [(12, "12", "12"), (7, None, None)]
+    )
+    def test_gap_single_rhs_runs_one_dp(self, capsys, monkeypatch, fmt, b, ip, gap):
+        # the CLI and integrality_gap both look the DP up by name
+        runs = []
+        real = knapgap.gap.ip_value
+
+        def counting(*args, **kwargs):
+            runs.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(knapgap.gap, "ip_value", counting)
+        monkeypatch.setattr(knapgap.cli, "ip_value", counting)
+        code, out, _ = _run(
+            capsys, "gap", "--a", "3,5", "--c", "3,0", "--b", str(b), "--format", fmt
+        )
+        assert code == 0
+        assert runs == [b]
+        if fmt == "json":
+            doc = json.loads(out)
+            assert (doc["feasible"], doc["ip"], doc["lp"], doc["gap"]) == (
+                ip is not None, ip, "0", gap
+            )
+        elif ip is None:
+            assert out.splitlines()[-1] == "infeasible"
+        else:
+            assert out.splitlines()[-3:] == [f"ip = {ip}", "lp = 0", f"gap = {gap}"]
 
     def test_bounds(self, capsys):
         _, out, _ = _run(capsys, "bounds", "--a", "3,5", "--c", "3,0")
@@ -368,6 +401,46 @@ class TestExperimentCommands:
         assert code == 0
         doc = json.loads(out)
         assert [entry["config"]["T"] for entry in doc["summaries"]] == [10, 20]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sample", "--n", "3", "--t", "18446744073709551617", "--count", "2",
+             "--seed", "5"),
+            ("tail", "--n", "3", "--t", "18446744073709551617", "--count", "200",
+             "--seed", "5", "--epsilon", "4/5", "--jobs", "2"),
+            ("mean", "--n", "3", "--t", "10,18446744073709551617", "--count", "200",
+             "--seed", "5", "--epsilon", "4/5", "--jobs", "2"),
+        ],
+    )
+    def test_box_beyond_full_words_is_2(self, capsys, monkeypatch, tmp_path, argv):
+        # refused while the configs are built: no range runs, no pool starts
+        def no_ranges(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(knapgap.experiments, "_ordered", no_ranges)
+        target = tmp_path / "records.csv"
+        target.write_bytes(b"kept\n")
+        out_flag = ("--out", str(target)) if argv[0] != "sample" else ()
+        code, out, err = _run(capsys, *argv, *out_flag)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: T = 18446744073709551617 > 2**64, "
+            "draws read one 64-bit word per coordinate\n"
+        )
+        assert target.read_bytes() == b"kept\n"
+
+    def test_box_of_full_words_samples(self, capsys):
+        code, out, _ = _run(
+            capsys, "sample", "--n", "3", "--t", str(2**64), "--count", "2",
+            "--seed", "5",
+        )
+        assert code == 0
+        assert out.splitlines()[4:] == [
+            f"{i}: {','.join(map(str, draw_instance(5, i, 3, 2**64)[0].a))}"
+            for i in range(2)
+        ]
 
     def test_jobs_flag_keeps_output_identical(self, capsys, tmp_path):
         target = tmp_path / "records.csv"

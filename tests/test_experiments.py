@@ -160,6 +160,12 @@ class TestConfig:
         with pytest.raises(DimensionTooSmall):
             ExperimentConfig(n=1, T=10, count=5, seed=0, epsilon="1/2")
 
+    def test_box_is_at_most_full_words(self):
+        config = ExperimentConfig(n=3, T=2**64, count=5, seed=0, epsilon="1/2")
+        assert config.T == 2**64
+        with pytest.raises(ValidationError, match=r"T = 18446744073709551617 > 2\*\*64"):
+            ExperimentConfig(n=3, T=2**64 + 1, count=5, seed=0, epsilon="1/2")
+
     def test_threshold_coercion(self):
         config = ExperimentConfig(
             n=3, T=10, count=5, seed=0, epsilon="1/2", thresholds=("1", "3/2")

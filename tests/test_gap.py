@@ -170,6 +170,30 @@ class TestGapExact:
             ig = integrality_gap(inst, (3, 0), b)
             assert ig is None or ig < report.gap
 
+    @pytest.mark.parametrize(
+        "a, c, witness",
+        [((2, 4, 7), (2, 0, 0), 2), ((3, 6, 8), (3, 0, 0), 3), ((4, 5, 8), (4, 0, 0), 4)],
+    )
+    def test_tied_classes_give_the_smallest_witness(self, a, c, witness):
+        inst = KnapsackInstance(a)
+        report = gap_exact(inst, c)
+        m = inst.a[report.tau]
+        first = {}
+        for b in range(report.threshold + m):
+            if integrality_gap(inst, c, b) == report.gap:
+                first.setdefault(b % m, b)
+        # several classes attain the maximum, the lowest residue only later
+        assert len(first) >= 2
+        assert first[min(first)] > witness
+        assert report.witness_b == min(first.values()) == witness
+
+    def test_zero_threshold_has_no_scan(self):
+        # a_tau = 1: one class, every load 0, so B* = 0 and no b lies below it
+        report = gap_exact(KnapsackInstance((1, 3)), (-2, 1))
+        assert (report.threshold, report.scan_gap, report.gap, report.witness_b) == (
+            0, 0, 0, 0
+        )
+
     @given(case=shaped_cases())
     # a tied slope, a zero reduced weight, negative costs and 8 = 2 * a_tau
     @example(case=(KnapsackInstance((4, 5, 8)), (-4, -4, -8)))

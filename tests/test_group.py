@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,90 @@ class TestRoundRobinKernel:
         with pytest.raises(AssertionError, match="not strongly reachable"):
             _round_robin(6, [(2, 1), (4, 3)])
         assert _round_robin(6, [(2, 1), (3, 5)]) == [0, 7, 1, 5, 2, 6]
+
+
+def _reference_tree(table):
+    """Tight-arc tree by a deque BFS with its own seen array and modular
+    steps, written apart from GroupTable: (pred_res, pred_gen, load, order)."""
+    m = table.modulus
+    minima = table.minima
+    pred_res, pred_gen, load = [-1] * m, [-1] * m, [0] * m
+    seen = [False] * m
+    seen[0] = True
+    order = [0]
+    queue = deque([0])
+    while queue:
+        r = queue.popleft()
+        for k, (gen, w) in enumerate(zip(table.generators, table.weights)):
+            nr = (r + gen) % m
+            if not seen[nr] and minima[nr] == minima[r] + w:
+                seen[nr] = True
+                pred_res[nr], pred_gen[nr], load[nr] = r, k, load[r] + gen
+                order.append(nr)
+                queue.append(nr)
+    assert all(seen)
+    return pred_res, pred_gen, load, order
+
+
+# n = 2..6 coefficients, moduli on both sides of _NUMPY_MIN_MODULUS (the
+# tables then come from either execution), and weights that are integers,
+# mostly zero (tight arcs back to residue 0 and ties between generators) or
+# rational.
+@st.composite
+def tree_cases(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    cutoff = knapgap.group._NUMPY_MIN_MODULUS
+    m = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=40),
+            st.integers(min_value=cutoff - 30, max_value=cutoff - 1),
+            st.integers(min_value=cutoff, max_value=cutoff + 250),
+        )
+    )
+    gens = draw(
+        st.lists(
+            st.integers(min_value=1, max_value=3 * m + 5),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    )
+    assume(math.gcd(m, *gens) == 1)
+    tau = draw(st.integers(min_value=0, max_value=n - 1))
+    inst = KnapsackInstance(tuple(gens[:tau]) + (m,) + tuple(gens[tau:]))
+    weight = draw(
+        st.sampled_from(
+            [
+                st.integers(min_value=0, max_value=50),
+                st.sampled_from([0, 0, 0, 1, 3]),
+                st.builds(Fraction, st.integers(0, 20), st.integers(1, 6)),
+            ]
+        )
+    )
+    weights = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    return inst, tau, weights
+
+
+class TestTightTree:
+    @given(case=tree_cases())
+    @settings(max_examples=150)
+    def test_matches_deque_search(self, case):
+        table = group_minima(*case)
+        assert table._tight_tree() == _reference_tree(table)
+
+    def test_zero_weights_lead_back_to_the_root(self):
+        # 2 -> 0 is tight at weight 0, yet the root keeps pred_res -1
+        table = group_minima(KnapsackInstance((4, 3, 2)), 0, (0, 0))
+        pred_res, pred_gen, load, order = table._tight_tree()
+        assert (pred_res, pred_gen, load, order) == _reference_tree(table)
+        assert pred_res[0] == pred_gen[0] == -1 and load[0] == 0
+        assert sorted(order) == list(range(4))
+
+    def test_unreached_residue_is_an_error(self):
+        # minima that no tight arc explains, e.g. a corrupted table
+        table = group_minima(KnapsackInstance((4, 3)), 0, (1,))
+        table.minima[2] += 1
+        with pytest.raises(AssertionError, match="failed to reach every residue"):
+            table._tight_tree()
 
 
 class TestGuardrails:

@@ -24,7 +24,24 @@ from knapgap import (
     sample_instances,
     tightness_family,
 )
-from knapgap.instances import _RawStream, draw_range
+from knapgap.instances import _lane_keys, _philox_lanes, draw_range
+
+_MASK64 = (1 << 64) - 1
+
+
+def _lane_words(seed, base, offsets, blocks):
+    """The first `blocks` 4-word blocks of each index base + j, j in
+    offsets, computed together in one lane per index."""
+    keys = _lane_keys(seed, len(offsets))
+    words = [[] for _ in offsets]
+    for block in range(1, blocks + 1):
+        for out, four in zip(words, _philox_lanes(keys, block, base, offsets, _MASK64)):
+            out.extend(four)
+    return words
+
+
+def _numpy_words(seed, index, count):
+    return Philox(key=seed, counter=index << 128).random_raw(count).tolist()
 
 
 class TestFamilies:
@@ -89,20 +106,14 @@ class TestSampler:
         assert abs(draws / attempts - 6 / math.pi**2) < 0.01
 
     def test_reused_generator_matches_fresh_philox(self):
-        # a stream opened after a half-used one, or after a switch of seed,
-        # still reads its own block
-        def fresh(seed, index, count):
-            return Philox(key=seed, counter=index << 128).random_raw(count).tolist()
-
-        half = _RawStream(1, 3)
-        [half.next_raw() for _ in range(5)]
+        # the round keys are cached per (seed, lanes): a stream computed
+        # after one of another seed or lane count still reads its own blocks
+        _lane_words(1, 3, [0, 1, 2], 2)
         for seed, index in [(1, 0), (1, 1), (2**64 - 1, 7), (1, 12345), (0, 2**100)]:
-            stream = _RawStream(seed, index)
-            assert [stream.next_raw() for _ in range(40)] == fresh(seed, index, 40)
-        with pytest.raises(ValueError):
-            _RawStream(1, -1)
-        with pytest.raises(ValueError):
-            _RawStream(1, 1 << 128)
+            (one,) = _lane_words(seed, index, [0], 10)
+            assert one == _numpy_words(seed, index, 40)
+            _, shared = _lane_words(seed, index, [5, 0], 10)
+            assert shared == one
 
     @given(
         seed=st.one_of(
@@ -114,17 +125,22 @@ class TestSampler:
     )
     @settings(max_examples=100)
     def test_stream_is_numpy_philox(self, seed, index):
-        # the Python Philox4x64-10 against numpy's, over ten 4-word blocks
-        stream = _RawStream(seed, index)
-        expected = Philox(key=seed, counter=index << 128).random_raw(40).tolist()
-        assert [stream.next_raw() for _ in range(40)] == expected
+        # the Python Philox4x64-10 against numpy's, over ten 4-word blocks,
+        # alone in a lane and packed with two neighbours of its range
+        (alone,) = _lane_words(seed, index, [0], 10)
+        assert alone == _numpy_words(seed, index, 40)
+        base = index - index % 4
+        packed = _lane_words(seed, base, [3, index % 4, 0], 10)
+        assert packed[1] == alone
+        assert packed[0] == _numpy_words(seed, base + 3, 40)
+        assert packed[2] == _numpy_words(seed, base, 40)
 
     @pytest.mark.parametrize(
         "seed, index", [(-1, 0), (1 << 128, 0), (0, -1), (0, 1 << 128)]
     )
     def test_stream_rejects_out_of_range(self, seed, index):
         with pytest.raises(ValueError, match="must lie in"):
-            _RawStream(seed, index)
+            draw_range(seed, index, index + 1, 3, 10)
         # numpy refuses the same keys and counters
         with pytest.raises(ValueError):
             Philox(key=seed, counter=index << 128)
@@ -244,14 +260,11 @@ class TestDrawRange:
         with pytest.raises(ValueError) as info:
             draw_range(seed, start, stop, 3, 10)  # not iterated
         assert str(info.value) == message
-        # a one-index draw and the raw stream refuse the same index
+        # a one-index draw refuses the same index
         bad = start if seed in (-1, 2**128) or start < 0 else 2**128
         with pytest.raises(ValueError) as single:
             draw_instance(seed, bad, 3, 10)
         assert str(single.value) == message
-        with pytest.raises(ValueError) as stream:
-            _RawStream(seed, bad)
-        assert str(stream.value) == message
 
     def test_empty_range_checks_no_index(self):
         assert list(draw_range(0, 2**128, 2**128, 3, 10)) == []
@@ -261,6 +274,19 @@ class TestDrawRange:
         # T < 1 would reject every word forever
         with pytest.raises(ValidationError, match="T = 0 < 1"):
             draw_range(0, 0, 1, 3, 0)
+
+    def test_box_of_full_words(self):
+        # every 64-bit word passes the test word < 2**64, so T = 2**64 is
+        # uniform on {1..2**64}; one more would need a second word
+        T = 2**64
+        got = list(draw_range(5, 0, 20, 3, T))
+        assert got == [_reference_draw(5, index, 3, T) for index in range(20)]
+        assert max(max(inst.a) for inst, _ in got) > 2**63
+        with pytest.raises(ValidationError, match=r"T = 18446744073709551617 > 2\*\*64"):
+            draw_range(5, 0, 20, 3, T + 1)
+        assert SamplerConfig(n=3, T=T, count=1, seed=5).T == T
+        with pytest.raises(ValidationError, match=r"> 2\*\*64"):
+            SamplerConfig(n=3, T=T + 1, count=1, seed=5)
         with pytest.raises(DimensionTooSmall, match="n = 1 < 2"):
             draw_range(0, 0, 1, 1, 5)
 
