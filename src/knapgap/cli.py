@@ -4,9 +4,14 @@ Subcommands expose the library one computation each: frobenius, group, gap,
 bounds, lovasz, sample, tail, mean.  Exit codes: 0 success, 1 I/O failure,
 2 validation error, 3 guardrail refusal, 64 usage error, 70 internal error,
 130 interrupted; a failure prints one line on stderr, never a traceback.
-Every run prints its resolved configuration (seed included, where one
-exists) before any result: on stdout for text output, inside the document
-for json, on stderr for csv so the stream itself stays machine readable.
+
+Output: each subcommand builds one JSON-ready document, its resolved
+configuration (seed included, where one exists) under "config" first and
+rationals as p/q strings, and _emit writes it.  json prints the document.
+Text is the config echo plus a `key = value` line per other entry (lists
+comma joined, booleans lower case, None as n/a), unless the subcommand
+gives its own lines.  csv puts the echo on stderr, so the stream itself
+stays machine readable.  sample, tail and mean echo their flags as typed.
 
 Rational values are written p/q or as plain integers; decimal notation is
 rejected.  Positions (tau and friends) are 1-based on this surface, matching
@@ -20,8 +25,10 @@ import json
 import shutil
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 from . import experiments as xp
@@ -64,12 +71,6 @@ def _instance(args: argparse.Namespace) -> KnapsackInstance:
     return validate_instance(_ints(args.a, "--a"))
 
 
-def _echo(pairs: list[tuple[str, str]], fmt: str) -> None:
-    stream = sys.stdout if fmt == "text" else sys.stderr
-    for key, value in pairs:
-        print(f"{key} = {value}", file=stream)
-
-
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder when built
 
 
@@ -95,7 +96,8 @@ def _json_text(value, pad: str = "\n") -> str:
 
     With an indent the json module runs its pure-Python encoder; this writes
     the same layout directly and encodes each leaf on the C path.  pad is
-    the newline plus indentation that closes the value.
+    the newline plus indentation that closes the value.  An iterator is
+    written as the list it yields, so bulk columns are built only here.
     """
     if isinstance(value, dict):
         if not value:
@@ -121,11 +123,39 @@ def _json_text(value, pad: str = "\n") -> str:
         else:
             items = (_json_text(v, inner) for v in value)
         return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, Iterator):
+        return _json_text(list(value), pad)
     return _json_scalar(value)
 
 
-def _print_json(doc: dict) -> None:
-    print(_json_text(doc))
+def _text(value) -> str:
+    """One document value as a text field."""
+    if isinstance(value, list):
+        return ",".join(map(_text, value))
+    if value is None:
+        return "n/a"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def _pairs(doc: dict, keys: Iterable[str]) -> list[str]:
+    return [f"{key} = {_text(doc[key])}" for key in keys]
+
+
+def _emit(args: argparse.Namespace, doc: dict, *, echo=None, lines=None) -> int:
+    """Write doc in args.format (module docstring); returns the exit code."""
+    if args.format == "json":
+        print(_json_text(doc))
+        return 0
+    config = doc["config"] if echo is None else echo
+    stream = sys.stdout if args.format == "text" else sys.stderr
+    print("\n".join(_pairs(config, config)), file=stream)
+    if lines is None:
+        lines = _pairs(doc, [key for key in doc if key != "config"])
+    for line in lines:
+        print(line)
+    return 0
 
 
 # --------------------------------------------------------------- frobenius
@@ -133,26 +163,18 @@ def _print_json(doc: dict) -> None:
 
 def _cmd_frobenius(args: argparse.Namespace) -> int:
     inst = _instance(args)
-    config = [("a", ",".join(map(str, inst.a)))]
     from .group import frobenius
 
     g = frobenius(inst)
-    simplex, integral = g + sum(inst.a), g + inst.a[-1]
-    if args.format == "json":
-        _print_json(
-            {
-                "config": {"a": list(inst.a)},
-                "g": g,
-                "covering_radius_simplex": simplex,
-                "covering_radius_integral": integral,
-            }
-        )
-    else:
-        _echo(config, args.format)
-        print(f"g = {g}")
-        print(f"covering_radius_simplex = {simplex}")
-        print(f"covering_radius_integral = {integral}")
-    return 0
+    return _emit(
+        args,
+        {
+            "config": {"a": list(inst.a)},
+            "g": g,
+            "covering_radius_simplex": g + sum(inst.a),
+            "covering_radius_integral": g + inst.a[-1],
+        },
+    )
 
 
 # ------------------------------------------------------------------- group
@@ -160,53 +182,37 @@ def _cmd_frobenius(args: argparse.Namespace) -> int:
 
 def _cmd_group(args: argparse.Namespace) -> int:
     inst = _instance(args)
-    if args.tau is None:
-        tau = inst.a.index(inst.min_entry)
-    else:
-        if not 1 <= args.tau <= inst.n:
-            raise ValidationError(f"--tau {args.tau} out of range 1..{inst.n}")
-        tau = args.tau - 1
+    tau = inst.a.index(inst.min_entry) if args.tau is None else args.tau - 1
+    if not 0 <= tau < inst.n:
+        raise ValidationError(f"--tau {args.tau} out of range 1..{inst.n}")
     if args.w is None:
         weights: Sequence = [inst.a[j] for j in range(inst.n) if j != tau]
-        w_text = ",".join(str(v) for v in weights)
+        w_text = [str(v) for v in weights]
     else:
         weights = _rationals(args.w, "--w")
-        w_text = args.w
-    config = [
-        ("a", ",".join(map(str, inst.a))),
-        ("tau", str(tau + 1)),
-        ("w", w_text),
-    ]
+        w_text = args.w.split(",")
     table = group_minima(inst, tau, weights)
-    gap = lattice_gap(table)
-    bstar = tightness_threshold(table)
     witness = table.witness
-    if args.format == "json":
-        _print_json(
-            {
-                "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text.split(",")},
-                "modulus": table.modulus,
-                "lattice_gap": str(gap),
-                "threshold": bstar,
-                "minima": [str(v) for v in table.minima],
-                "witness": [list(x) for x in witness],
-                "load": list(table.load),
-            }
-        )
-        return 0
-    _echo(config, args.format)
-    print(f"modulus = {table.modulus}")
-    print(f"lattice_gap = {gap}")
-    print(f"threshold = {bstar}")
+    doc = {
+        "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text},
+        "modulus": table.modulus,
+        "lattice_gap": str(lattice_gap(table)),
+        "threshold": tightness_threshold(table),
+        # only json reads the whole columns, so they are built there
+        "minima": map(str, table.minima),
+        "witness": map(list, witness),
+        "load": table.load,
+    }
+    lines = _pairs(doc, ("modulus", "lattice_gap", "threshold"))
+    lines.append("r minima witness load")
     limit = 50
-    shown = min(table.modulus, limit)
-    print("r minima witness load")
-    for r in range(shown):
+    for r in range(min(table.modulus, limit)):
         x = ",".join(map(str, witness[r]))
-        print(f"{r} {table.minima[r]} ({x}) {table.load[r]}")
+        lines.append(f"{r} {table.minima[r]} ({x}) {table.load[r]}")
     if table.modulus > limit:
-        print(f"... {table.modulus - limit} more rows, use --format json for all")
-    return 0
+        more = table.modulus - limit
+        lines.append(f"... {more} more rows, use --format json for all")
+    return _emit(args, doc, lines=lines)
 
 
 # --------------------------------------------------------------------- gap
@@ -215,59 +221,35 @@ def _cmd_group(args: argparse.Namespace) -> int:
 def _cmd_gap(args: argparse.Namespace) -> int:
     inst = _instance(args)
     costs = _rationals(args.c, "--c")
-    config = [("a", ",".join(map(str, inst.a))), ("c", args.c)]
+    config = {"a": list(inst.a), "c": args.c.split(",")}
     if args.b is not None:
-        if args.b < 0:
-            # Let the library raise the canonical message.
-            lp_value(inst, costs, args.b)
-        config.append(("b", str(args.b)))
+        config["b"] = args.b
         ip = ip_value(inst, costs, args.b)
         lp = lp_value(inst, costs, args.b)
         # integrality_gap would rerun the O(b) dynamic program behind ip
-        ig = None if ip is None else ip - lp
-        if args.format == "json":
-            _print_json(
-                {
-                    "config": {"a": list(inst.a), "c": args.c.split(","), "b": args.b},
-                    "feasible": ip is not None,
-                    "ip": None if ip is None else str(ip),
-                    "lp": str(lp),
-                    "gap": None if ig is None else str(ig),
-                }
-            )
-            return 0
-        _echo(config, args.format)
-        if ip is None:
-            print("infeasible")
-        else:
-            print(f"ip = {ip}")
-            print(f"lp = {lp}")
-            print(f"gap = {ig}")
-        return 0
+        doc = {
+            "config": config,
+            "feasible": ip is not None,
+            "ip": None if ip is None else str(ip),
+            "lp": str(lp),
+            "gap": None if ip is None else str(ip - lp),
+        }
+        lines = ["infeasible"] if ip is None else _pairs(doc, ("ip", "lp", "gap"))
+        return _emit(args, doc, lines=lines)
     report = gap_exact(inst, costs)
-    if args.format == "json":
-        _print_json(
-            {
-                "config": {"a": list(inst.a), "c": args.c.split(",")},
-                "gap": str(report.gap),
-                "witness_b": report.witness_b,
-                "threshold": report.threshold,
-                "tail_gap": str(report.tail_gap),
-                "scan_gap": str(report.scan_gap),
-                "tau": report.tau + 1,
-                "generic": report.generic,
-            }
-        )
-        return 0
-    _echo(config, args.format)
-    print(f"gap = {report.gap}")
-    print(f"witness_b = {report.witness_b}")
-    print(f"threshold = {report.threshold}")
-    print(f"tail_gap = {report.tail_gap}")
-    print(f"scan_gap = {report.scan_gap}")
-    print(f"tau = {report.tau + 1}")
-    print(f"generic = {str(report.generic).lower()}")
-    return 0
+    return _emit(
+        args,
+        {
+            "config": config,
+            "gap": str(report.gap),
+            "witness_b": report.witness_b,
+            "threshold": report.threshold,
+            "tail_gap": str(report.tail_gap),
+            "scan_gap": str(report.scan_gap),
+            "tau": report.tau + 1,
+            "generic": report.generic,
+        },
+    )
 
 
 # ------------------------------------------------------------------ bounds
@@ -276,37 +258,23 @@ def _cmd_gap(args: argparse.Namespace) -> int:
 def _cmd_bounds(args: argparse.Namespace) -> int:
     inst = _instance(args)
     costs = _rationals(args.c, "--c")
-    config = [("a", ",".join(map(str, inst.a))), ("c", args.c)]
     report = gap_exact(inst, costs)
     bounds = check_bounds(inst, costs, report.gap)
-    lower = (
-        None if bounds.lower_covering is None else str(bounds.lower_covering)
+    lower = bounds.lower_covering
+    return _emit(
+        args,
+        {
+            "config": {"a": list(inst.a), "c": args.c.split(",")},
+            "gap": str(report.gap),
+            "schur": bounds.schur,
+            "cook": str(bounds.cook),
+            "upper_l1": str(bounds.upper_l1),
+            "upper_linf": str(bounds.upper_linf),
+            "upper_frobenius": str(bounds.upper_frobenius),
+            "lower_covering": None if lower is None else str(lower),
+            "all_satisfied": bounds.all_satisfied,
+        },
     )
-    if args.format == "json":
-        _print_json(
-            {
-                "config": {"a": list(inst.a), "c": args.c.split(",")},
-                "gap": str(report.gap),
-                "schur": bounds.schur,
-                "cook": str(bounds.cook),
-                "upper_l1": str(bounds.upper_l1),
-                "upper_linf": str(bounds.upper_linf),
-                "upper_frobenius": str(bounds.upper_frobenius),
-                "lower_covering": lower,
-                "all_satisfied": bounds.all_satisfied,
-            }
-        )
-        return 0
-    _echo(config, args.format)
-    print(f"gap = {report.gap}")
-    print(f"schur = {bounds.schur}")
-    print(f"cook = {bounds.cook}")
-    print(f"upper_l1 = {bounds.upper_l1}")
-    print(f"upper_linf = {bounds.upper_linf}")
-    print(f"upper_frobenius = {bounds.upper_frobenius}")
-    print(f"lower_covering = {'n/a' if lower is None else lower}")
-    print(f"all_satisfied = {str(bounds.all_satisfied).lower()}")
-    return 0
 
 
 # ------------------------------------------------------------------ lovasz
@@ -314,78 +282,52 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_lovasz(args: argparse.Namespace) -> int:
     example = lovasz_example(args.n, args.delta, args.beta)
-    config = [
-        ("n", str(example.n)),
-        ("delta", str(example.delta)),
-        ("beta", str(example.beta)),
-    ]
-    if args.format == "json":
-        _print_json(
-            {
-                "config": {
-                    "n": example.n,
-                    "delta": example.delta,
-                    "beta": str(example.beta),
-                },
-                "matrix": [list(row) for row in example.matrix],
-                "rhs": [str(v) for v in example.rhs],
-                "cost": list(example.cost),
-                "lp_solution": [str(v) for v in example.lp_solution],
-                "ip_solution": list(example.ip_solution),
-                "distance": str(example.distance),
-            }
-        )
-        return 0
-    _echo(config, args.format)
-    print(f"lp_solution = {','.join(str(v) for v in example.lp_solution)}")
-    print(f"ip_solution = {','.join(str(v) for v in example.ip_solution)}")
-    print(f"distance = {example.distance}")
-    return 0
+    doc = {
+        "config": {"n": example.n, "delta": example.delta, "beta": str(example.beta)},
+        "matrix": [list(row) for row in example.matrix],
+        "rhs": [str(v) for v in example.rhs],
+        "cost": list(example.cost),
+        "lp_solution": [str(v) for v in example.lp_solution],
+        "ip_solution": list(example.ip_solution),
+        "distance": str(example.distance),
+    }
+    lines = _pairs(doc, ("lp_solution", "ip_solution", "distance"))
+    return _emit(args, doc, lines=lines)
 
 
 # ------------------------------------------------------------------ sample
 
 
-def _sampling_config(args: argparse.Namespace) -> list[tuple[str, str]]:
-    return [
-        ("n", str(args.n)),
-        ("T", args.t),
-        ("count", str(args.count)),
-        ("seed", str(args.seed)),
-    ]
+def _typed_flags(args: argparse.Namespace, **more) -> dict:
+    """The sampling flags as typed, then more: the echo of sample, tail, mean."""
+    return {"n": args.n, "T": args.t, "count": args.count, "seed": args.seed, **more}
+
+
+def _single_t(args: argparse.Namespace) -> int:
+    t_values = _ints(args.t, "--t")
+    if len(t_values) != 1:
+        raise ValidationError(f"{args.command} takes a single --t value")
+    return t_values[0]
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    t_values = _ints(args.t, "--t")
-    if len(t_values) != 1:
-        raise ValidationError("sample takes a single --t value")
-    cfg = SamplerConfig(n=args.n, T=t_values[0], count=args.count, seed=args.seed)
-    rows = list(sample_instances(cfg))
-    config = _sampling_config(args)
-    if args.format == "json":
-        _print_json(
-            {
-                "config": {
-                    "n": cfg.n,
-                    "T": cfg.T,
-                    "count": cfg.count,
-                    "seed": cfg.seed,
-                },
-                "instances": [list(inst.a) for inst in rows],
-            }
-        )
-        return 0
+    cfg = SamplerConfig(n=args.n, T=_single_t(args), count=args.count, seed=args.seed)
+    rows = sample_instances(cfg)  # drawn as the one writer reads them
+    doc = {
+        "config": {"n": cfg.n, "T": cfg.T, "count": cfg.count, "seed": cfg.seed},
+        "instances": (list(inst.a) for inst in rows),
+    }
+    lines: Iterable[str]
     if args.format == "csv":
-        _echo(config, args.format)
+        head = f"{cfg.n},{cfg.T},{cfg.seed}"
         header = ["n", "T", "seed", "index"] + [f"a_{i}" for i in range(1, cfg.n + 1)]
-        print(",".join(header))
-        for index, inst in enumerate(rows):
-            print(",".join(map(str, [cfg.n, cfg.T, cfg.seed, index, *inst.a])))
-        return 0
-    _echo(config, args.format)
-    for index, inst in enumerate(rows):
-        print(f"{index}: {','.join(map(str, inst.a))}")
-    return 0
+        lines = chain(
+            [",".join(header)],
+            (f"{head},{i},{','.join(map(str, inst.a))}" for i, inst in enumerate(rows)),
+        )
+    else:
+        lines = (f"{i}: {','.join(map(str, inst.a))}" for i, inst in enumerate(rows))
+    return _emit(args, doc, echo=_typed_flags(args), lines=lines)
 
 
 # ---------------------------------------------------------------- tail/mean
@@ -403,29 +345,20 @@ def _experiment_config(args: argparse.Namespace, T: int) -> xp.ExperimentConfig:
     )
 
 
-def _summary_text(summary: xp.ExperimentSummary) -> None:
-    print(f"alpha_theoretical = {summary.alpha_theoretical}")
+def _summary_lines(summary: xp.ExperimentSummary) -> list[str]:
     slope = summary.fitted_slope
-    print(f"fitted_slope = {'n/a' if slope is None else format(slope, '.6f')}")
-    print(
-        "mean_ratio_upper = "
-        f"{summary.mean_upper} ({format(float(summary.mean_upper), '.6g')})"
-    )
-    print(
-        "mean_ratio_lower = "
-        f"{summary.mean_lower} ({format(float(summary.mean_lower), '.6g')})"
-    )
-    for name, survival in (
-        ("upper", summary.survival_upper),
-        ("lower", summary.survival_lower),
-    ):
-        for t, frac in survival:
-            print(
-                f"survival_{name}[t={t}] = {frac} "
-                f"({format(float(frac), '.6g')})"
-            )
+    exact = [("mean_ratio_upper", summary.mean_upper)]
+    exact += [("mean_ratio_lower", summary.mean_lower)]
+    exact += [(f"survival_upper[t={t}]", q) for t, q in summary.survival_upper]
+    exact += [(f"survival_lower[t={t}]", q) for t, q in summary.survival_lower]
+    lines = [
+        f"alpha_theoretical = {summary.alpha_theoretical}",
+        f"fitted_slope = {'n/a' if slope is None else format(slope, '.6f')}",
+    ]
+    lines += [f"{key} = {q} ({format(float(q), '.6g')})" for key, q in exact]
     if summary.flags:
-        print(f"flags = {','.join(summary.flags)}")
+        lines.append(f"flags = {','.join(summary.flags)}")
+    return lines
 
 
 @contextmanager
@@ -445,65 +378,38 @@ def _records_csv(path: str | None):
             shutil.copyfileobj(spool, handle)
 
 
+def _emit_run(args: argparse.Namespace, doc: dict, lines: list, epsilon: str) -> int:
+    """_emit for tail and mean, naming the record CSV that --out wrote."""
+    if args.out:
+        doc["records_csv"] = args.out
+        lines += _pairs(doc, ["records_csv"])
+    echo = _typed_flags(args, jobs=args.jobs, epsilon=epsilon,
+                        thresholds=args.thresholds, bits=args.bits)
+    return _emit(args, doc, echo=echo, lines=lines)
+
+
 def _cmd_tail(args: argparse.Namespace) -> int:
-    t_values = _ints(args.t, "--t")
-    if len(t_values) != 1:
-        raise ValidationError("tail takes a single --t value")
-    config = _experiment_config(args, t_values[0])
-    echo = _sampling_config(args) + [
-        ("jobs", str(args.jobs)),
-        ("epsilon", str(config.epsilon)),
-        ("thresholds", args.thresholds),
-        ("bits", str(config.bits)),
-    ]
+    config = _experiment_config(args, _single_t(args))
     with _records_csv(args.out) as out:
         summary = xp.tail_experiment(config, jobs=args.jobs, out=out)
-    if args.format == "json":
-        doc = xp.summary_json_dict(summary)
-        if args.out:
-            doc["records_csv"] = args.out
-        _print_json(doc)
-        return 0
-    _echo(echo, args.format)
-    _summary_text(summary)
-    if args.out:
-        print(f"records_csv = {args.out}")
-    return 0
+    doc = xp.summary_json_dict(summary)
+    return _emit_run(args, doc, _summary_lines(summary), str(config.epsilon))
 
 
 def _cmd_mean(args: argparse.Namespace) -> int:
     t_values = _ints(args.t, "--t")
     configs = [_experiment_config(args, T) for T in t_values]
-    echo = _sampling_config(args) + [
-        ("jobs", str(args.jobs)),
-        ("epsilon", args.epsilon),
-        ("thresholds", args.thresholds),
-        ("bits", str(args.bits)),
-    ]
     with _records_csv(args.out) as out:
         summaries = xp.mean_experiment(configs, jobs=args.jobs, out=out)
-    if args.format == "json":
-        doc = {
-            "config": {
-                "n": args.n,
-                "T_ladder": t_values,
-                "count": args.count,
-                "seed": args.seed,
-                "epsilon": args.epsilon,
-            },
-            "summaries": [xp.summary_json_dict(s) for s in summaries],
-        }
-        if args.out:
-            doc["records_csv"] = args.out
-        _print_json(doc)
-        return 0
-    _echo(echo, args.format)
-    for summary in summaries:
-        print(f"--- T = {summary.T}")
-        _summary_text(summary)
-    if args.out:
-        print(f"records_csv = {args.out}")
-    return 0
+    doc = {
+        "config": {
+            "n": args.n, "T_ladder": t_values, "count": args.count,
+            "seed": args.seed, "epsilon": args.epsilon,
+        },
+        "summaries": [xp.summary_json_dict(s) for s in summaries],
+    }
+    lines = [x for s in summaries for x in [f"--- T = {s.T}", *_summary_lines(s)]]
+    return _emit_run(args, doc, lines, args.epsilon)
 
 
 # ------------------------------------------------------------------ parser
@@ -516,44 +422,37 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def add_format(p: _Parser, *choices: str) -> None:
-        p.add_argument(
-            "--format",
-            choices=list(choices),
-            default="text",
-            help="output format (default text)",
-        )
+    # argparse takes a value like -1,2 for an option, so it needs --c=-1,2
+    costs_help = "costs p/q, comma separated; write --c=-1,2 when the first is negative"
 
     p = sub.add_parser("frobenius", help="Frobenius number and covering radii")
     p.add_argument("--a", required=True, help="coefficients, e.g. 6,9,20")
-    add_format(p, "text", "json")
     p.set_defaults(handler=_cmd_frobenius)
 
     p = sub.add_parser("group", help="residue-class minima table")
     p.add_argument("--a", required=True, help="coefficients, e.g. 6,9,20")
     p.add_argument("--tau", type=int, help="1-based pivot position (default: min)")
-    p.add_argument("--w", help="weights p/q, comma separated (default: coefficients)")
-    add_format(p, "text", "json")
+    p.add_argument(
+        "--w", help="weights p/q, comma separated (default: coefficients); write "
+        "--w=LIST when LIST starts with -"
+    )
     p.set_defaults(handler=_cmd_group)
 
     p = sub.add_parser("gap", help="exact integrality gap")
     p.add_argument("--a", required=True, help="coefficients, e.g. 3,5")
-    p.add_argument("--c", required=True, help="costs p/q, comma separated")
+    p.add_argument("--c", required=True, help=costs_help)
     p.add_argument("--b", type=int, help="single right hand side instead of the max")
-    add_format(p, "text", "json")
     p.set_defaults(handler=_cmd_gap)
 
     p = sub.add_parser("bounds", help="closed-form bounds against the exact gap")
     p.add_argument("--a", required=True, help="coefficients")
-    p.add_argument("--c", required=True, help="costs p/q, comma separated")
-    add_format(p, "text", "json")
+    p.add_argument("--c", required=True, help=costs_help)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("lovasz", help="bidiagonal LP/IP distance example")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--delta", type=int, required=True)
     p.add_argument("--beta", required=True, help="rational in (0,1), e.g. 1/2")
-    add_format(p, "text", "json")
     p.set_defaults(handler=_cmd_lovasz)
 
     def add_sampling(p: _Parser) -> None:
@@ -564,7 +463,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="draw uniform valid instances")
     add_sampling(p)
-    add_format(p, "text", "csv", "json")
     p.set_defaults(handler=_cmd_sample)
 
     def add_experiment(p: _Parser) -> None:
@@ -578,7 +476,6 @@ def build_parser() -> _Parser:
         )
         p.add_argument("--bits", type=int, default=60)
         p.add_argument("--out", help="write the per-sample records CSV here")
-        add_format(p, "text", "json")
 
     p = sub.add_parser("tail", help="survival tail of the upper bracket")
     add_experiment(p)
@@ -588,6 +485,10 @@ def build_parser() -> _Parser:
     add_experiment(p)
     p.set_defaults(handler=_cmd_mean)
 
+    for name, p in sub.choices.items():
+        formats = ["text", "csv", "json"] if name == "sample" else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text",
+                       help="output format (default text)")
     return parser
 
 
@@ -599,15 +500,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return USAGE_EXIT
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GuardrailExceeded as exc:
         print(f"guardrail: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

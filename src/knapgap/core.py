@@ -159,13 +159,18 @@ def basis_reduction(
     )
 
 
-def lp_value(
-    inst: KnapsackInstance, c: Sequence[RationalLike], b: int
-) -> Fraction:
-    """Exact optimum of the continuous relaxation, b * min_i c_i / a_i."""
+def check_rhs(b: int) -> None:
+    """Refuse a right hand side that is not an integer b >= 0."""
     if not isinstance(b, int) or isinstance(b, bool):
         raise ValidationError(f"b must be an integer, got {b!r}")
     if b < 0:
         raise NegativeRhs(f"b = {b} < 0, right hand side must be nonnegative")
+
+
+def lp_value(
+    inst: KnapsackInstance, c: Sequence[RationalLike], b: int
+) -> Fraction:
+    """Exact optimum of the continuous relaxation, b * min_i c_i / a_i."""
+    check_rhs(b)
     costs = cost_vector(c, inst.n)
     return b * min(ci / ai for ci, ai in zip(costs, inst.a))

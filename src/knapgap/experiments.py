@@ -45,7 +45,6 @@ bounded away from zero.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from contextlib import closing
@@ -63,7 +62,7 @@ from .errors import (
 )
 from .group import frobenius
 from .guardrail import cell_cap
-from .instances import check_box, draw_range
+from .instances import check_sampling, draw_range
 from .rounding import DEFAULT_BITS, pow_numerators
 
 # Not called here: _norm_power works on ints and _sampled draws whole
@@ -98,11 +97,7 @@ class ExperimentConfig:
     bits: int = DEFAULT_BITS
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DimensionTooSmall(f"n = {self.n} < 2")
-        check_box(self.T)
-        if self.count < 1:
-            raise ValidationError(f"count = {self.count} < 1")
+        check_sampling(self.n, self.T, self.count, self.seed)
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon, "epsilon"))
         if not 0 < self.epsilon < 1:
             raise BadEpsilon(
@@ -116,8 +111,6 @@ class ExperimentConfig:
         for t in self.thresholds:
             if t <= 0:
                 raise ValidationError(f"threshold t = {t} must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
         if self.bits < 8:
             raise ValidationError(f"bits = {self.bits} too small for sound rounding")
 
@@ -603,7 +596,3 @@ def summary_json_dict(summary: ExperimentSummary) -> dict:
         },
         "flags": list(summary.flags),
     }
-
-
-def summary_to_json(summary: ExperimentSummary) -> str:
-    return json.dumps(summary_json_dict(summary), indent=2)

@@ -19,9 +19,10 @@ Past the tightness threshold B* the class minimum is reached outright:
 
     IG_c(a, b) = minima[b mod a_tau]        for every b >= B*.
 
-ip_value, integrality_gap and gap_bruteforce run direct dynamic programs
-over right hand sides; gap_bruteforce is the independent check value for
-gap_exact.  Everything here is exact rational arithmetic.
+ip_value, integrality_gap and gap_bruteforce read one direct dynamic
+program over right hand sides (_value_table), off the residue table, so
+gap_bruteforce stays an independent check value for gap_exact.
+Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -35,35 +36,23 @@ from .core import (
     KnapsackInstance,
     RationalLike,
     basis_reduction,
+    check_rhs,
     cost_vector,
 )
-from .errors import NegativeRhs, ValidationError
 from .group import group_minima, tightness_threshold
 from .guardrail import check_cells
 
 
-def _check_rhs(b: int) -> None:
-    if not isinstance(b, int) or isinstance(b, bool):
-        raise ValidationError(f"b must be an integer, got {b!r}")
-    if b < 0:
-        raise NegativeRhs(f"b = {b} < 0, right hand side must be nonnegative")
+def _value_table(
+    inst: KnapsackInstance, c: Sequence[RationalLike], b: int, max_cells: int | None
+) -> list[Fraction | None]:
+    """IP_c(a, t) for t = 0..b, None where t is not representable.
 
-
-def ip_value(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    b: int,
-    *,
-    max_cells: int | None = None,
-) -> Fraction | None:
-    """Exact integer optimum IP_c(a, b), or None when b is not representable.
-
-    Dynamic program over right hand sides 0..b; every solution of a.x = t
-    decomposes as a solution of t - a_i plus one use of coordinate i, so the
-    recursion is exhaustive.  Negative cost entries are fine, the state
-    space is bounded by b regardless.
+    Every solution of a.x = t decomposes as a solution of t - a_i plus one
+    use of coordinate i, so the recursion is exhaustive.  Negative cost
+    entries are fine, the state space is bounded by b regardless.
     """
-    _check_rhs(b)
+    check_rhs(b)
     costs = cost_vector(c, inst.n)
     check_cells(b + 1, f"value table up to b = {b}", max_cells)
     value: list[Fraction | None] = [None] * (b + 1)
@@ -79,7 +68,21 @@ def ip_value(
                     if best is None or cand < best:
                         best = cand
         value[t] = best
-    return value[b]
+    return value
+
+
+def ip_value(
+    inst: KnapsackInstance,
+    c: Sequence[RationalLike],
+    b: int,
+    *,
+    max_cells: int | None = None,
+) -> Fraction | None:
+    """Exact integer optimum IP_c(a, b), or None when b is not representable.
+
+    Dynamic program over right hand sides 0..b (_value_table).
+    """
+    return _value_table(inst, c, b, max_cells)[b]
 
 
 def integrality_gap(
@@ -187,26 +190,7 @@ def gap_bruteforce(
     costs; meant as an independent check value for gap_exact, which it
     matches whenever b_max >= threshold + a_tau.
     """
-    _check_rhs(b_max)
-    costs = cost_vector(c, inst.n)
-    check_cells(b_max + 1, f"value table up to b = {b_max}", max_cells)
-    slope = min(ci / ai for ci, ai in zip(costs, inst.a))
-    a = inst.a
-    value: list[Fraction | None] = [None] * (b_max + 1)
-    value[0] = Fraction(0)
-    best = Fraction(0)
-    for t in range(1, b_max + 1):
-        cur: Fraction | None = None
-        for ai, ci in zip(a, costs):
-            if ai <= t:
-                prev = value[t - ai]
-                if prev is not None:
-                    cand = prev + ci
-                    if cur is None or cand < cur:
-                        cur = cand
-        value[t] = cur
-        if cur is not None:
-            ig = cur - slope * t
-            if ig > best:
-                best = ig
-    return best
+    value = _value_table(inst, c, b_max, max_cells)
+    slope = min(ci / ai for ci, ai in zip(cost_vector(c, inst.n), inst.a))
+    # t = 0 contributes IG = 0
+    return max(v - slope * t for t, v in enumerate(value) if v is not None)

@@ -167,6 +167,18 @@ def check_box(T: int) -> None:
         )
 
 
+def check_sampling(n: int, T: int, count: int, seed: int) -> None:
+    """Refuse n < 2, T outside [1, 2**64], count < 1 or a seed outside 64 bits:
+    the checks SamplerConfig and ExperimentConfig share."""
+    if n < 2:
+        raise DimensionTooSmall(f"n = {n} < 2")
+    check_box(T)
+    if count < 1:
+        raise ValidationError(f"count = {count} < 1")
+    if not 0 <= seed < 2**64:
+        raise ValidationError("seed must fit in 64 bits")
+
+
 def _check_stream(seed: int, start: int, stop: int) -> None:
     """Refuse a seed, or an index of [start, stop), outside [0, 2**128)."""
     if not 0 <= seed < 1 << 128:
@@ -186,13 +198,7 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValidationError(f"n = {self.n} < 2")
-        check_box(self.T)
-        if self.count < 1:
-            raise ValidationError(f"count = {self.count} < 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must fit in 64 bits")
+        check_sampling(self.n, self.T, self.count, self.seed)
 
 
 def draw_range(
@@ -269,9 +275,10 @@ def draw_instance(
 
 
 def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:
-    """Yield config.count i.i.d. uniform valid instances."""
-    for inst, _ in draw_range(config.seed, 0, config.count, config.n, config.T):
-        yield inst
+    """config.count i.i.d. uniform valid instances, drawn as they are read;
+    the range is checked at the call."""
+    drawn = draw_range(config.seed, 0, config.count, config.n, config.T)
+    return (inst for inst, _ in drawn)
 
 
 def count_instances(n: int, T: int, *, max_cells: int | None = None) -> int:

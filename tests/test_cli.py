@@ -1,11 +1,13 @@
 """Command-line surface: exit codes, stream discipline, round-trippable output."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +177,26 @@ class TestTextOutput:
         assert "lp = 0" in out
         assert "gap = 12" in out
 
+    def test_negative_first_cost_needs_equals_form(self, capsys):
+        # argparse takes "-1,-1,-1" for an option, so only --c=... passes it
+        code, out, _ = _run(capsys, "gap", "--a", "2,3,5", "--c=-1,-1,-1")
+        assert code == 0
+        assert "gap = 1/2" in out.splitlines()
+        src = str(Path(knapgap.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "knapgap", "gap", "--a", "2,3,5", "--c", "-1,-1,-1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: knapgap gap ")
+        assert proc.stderr.endswith(
+            "knapgap gap: error: argument --c: expected one argument\n"
+        )
+        assert "Traceback" not in proc.stderr
+
     def test_gap_infeasible_rhs(self, capsys):
         _, out, _ = _run(capsys, "gap", "--a", "3,5", "--c", "3,0", "--b", "7")
         assert "infeasible" in out
@@ -242,6 +264,21 @@ class TestTextOutput:
         assert lines[lines.index("r minima witness load") + 1] == "0 0 (0,0) 0"
         assert lines[-1] == "... 11 more rows, use --format json for all"
         assert builds == [61]
+
+    def test_sample_streams_rows(self):
+        # rows are written as they are drawn: the peak does not grow with the count
+        peaks = []
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            for count in (2000, 20000):
+                tracemalloc.start()
+                try:
+                    code = run(["sample", "--n", "3", "--t", "1000", "--count",
+                                str(count), "--seed", "1", "--format", "csv"])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0
+        assert peaks[1] - peaks[0] < 1 << 20
 
     def test_sample_echo(self, capsys):
         _, out, _ = _run(capsys, "sample", "--n", "2", "--t", "3", "--count", "2",

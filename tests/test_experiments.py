@@ -2,7 +2,6 @@
 
 import csv
 import io
-import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -27,7 +26,6 @@ from knapgap import (
     mean_experiment,
     sample_records,
     summarize,
-    summary_to_json,
     tail_experiment,
     tail_exponent,
     write_records_csv,
@@ -38,6 +36,7 @@ from knapgap.experiments import (
     _dyadic_str,
     compute_record,
     csv_header,
+    summary_json_dict,
 )
 from knapgap.instances import draw_instance
 from knapgap.rounding import DEFAULT_BITS, dyadic_ceil, dyadic_floor, pow_bounds
@@ -557,7 +556,7 @@ class TestJson:
             n=3, T=50, count=300, seed=12, epsilon="4/5", thresholds=("1/2", "1")
         )
         summary = summarize(config, sample_records(config))
-        doc = json.loads(summary_to_json(summary))
+        doc = summary_json_dict(summary)
         assert doc["config"]["n"] == 3
         assert doc["config"]["epsilon"] == "4/5"
         assert doc["alpha_theoretical"] == "5/3"
