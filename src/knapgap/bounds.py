@@ -2,9 +2,9 @@
 
 Upper bounds hold for every valid instance and cost; the covering lower
 bound applies to generic costs only and is reported as None otherwise.
-Irrational constants enter through directed rational rounding (see
-knapgap.rounding), always in the direction that keeps the stated inequality
-true, so comparing these values with exact gaps is sound.
+Irrational constants enter through directed rational rounding at
+knapgap.rounding's DEFAULT_BITS, always in the direction that keeps the
+stated inequality true, so comparing these values with exact gaps is sound.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import ValidationError
 from .group import frobenius
-from .rounding import DEFAULT_BITS, root_lower
+from .rounding import root_lower
 
 
 def schur_bound(inst: KnapsackInstance) -> int:
@@ -69,11 +69,7 @@ def gap_bound_linf(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fractio
 
 
 def gap_bound_frobenius(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    *,
-    g: int | None = None,
-    max_cells: int | None = None,
+    inst: KnapsackInstance, c: Sequence[RationalLike], *, g: int | None = None
 ) -> Fraction:
     """Gap_c(a) <= (g(a) + max(a)) * ||c||_1 / min(a).
 
@@ -81,7 +77,7 @@ def gap_bound_frobenius(
     """
     costs = cost_vector(c, inst.n)
     if g is None:
-        g = frobenius(inst, max_cells=max_cells)
+        g = frobenius(inst)
     return Fraction(g + inst.norm_inf) * _norm_l1(costs) / inst.min_entry
 
 
@@ -100,22 +96,20 @@ class RhoEstimate:
     exact: bool
 
 
-def rho_lower(d: int, bits: int = DEFAULT_BITS) -> RhoEstimate:
+def rho_lower(d: int) -> RhoEstimate:
     """Certified rational lower estimate of the simplex covering constant."""
     if d < 1:
         raise ValidationError(f"dimension d = {d} must be >= 1")
     if d == 1:
         return RhoEstimate(d=1, value=Fraction(1), exact=True)
     if d == 2:
-        return RhoEstimate(d=2, value=root_lower(Fraction(3), 2, bits), exact=True)
-    value = root_lower(Fraction(math.factorial(d)), d, bits)
+        return RhoEstimate(d=2, value=root_lower(Fraction(3), 2), exact=True)
+    value = root_lower(Fraction(math.factorial(d)), d)
     return RhoEstimate(d=d, value=value, exact=False)
 
 
 def gap_lower_bound_covering(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    bits: int = DEFAULT_BITS,
+    inst: KnapsackInstance, c: Sequence[RationalLike]
 ) -> Fraction | None:
     """Lower bound rho * (a_tau * l_1 * ... * l_{n-1})^(1/(n-1)) - ||l||_1.
 
@@ -131,8 +125,8 @@ def gap_lower_bound_covering(
     prod = Fraction(inst.a[red.tau])
     for lw in red.l:
         prod *= lw
-    root = root_lower(prod, d, bits)
-    rho = rho_lower(d, bits).value
+    root = root_lower(prod, d)
+    rho = rho_lower(d).value
     return rho * root - sum(red.l, Fraction(0))
 
 
@@ -155,22 +149,17 @@ class BoundReport:
 
 
 def check_bounds(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    exact_gap: RationalLike,
-    *,
-    bits: int = DEFAULT_BITS,
-    max_cells: int | None = None,
+    inst: KnapsackInstance, c: Sequence[RationalLike], exact_gap: RationalLike
 ) -> BoundReport:
     """Evaluate all bounds against a supplied exact gap value."""
     gap = as_fraction(exact_gap, "exact_gap")
-    g = frobenius(inst, max_cells=max_cells)
+    g = frobenius(inst)
     schur = schur_bound(inst)
     cook = cook_gap_bound(inst, c)
     upper_l1 = gap_bound_l1(inst, c)
     upper_linf = gap_bound_linf(inst, c)
     upper_frob = gap_bound_frobenius(inst, c, g=g)
-    lower = gap_lower_bound_covering(inst, c, bits)
+    lower = gap_lower_bound_covering(inst, c)
     ok = (
         g <= schur
         and gap <= cook

@@ -103,11 +103,6 @@ class KnapsackInstance:
         return "(" + ", ".join(str(v) for v in self.a) + ")"
 
 
-def validate_instance(entries: Sequence[int]) -> KnapsackInstance:
-    """Validate raw coefficients and return the immutable instance."""
-    return KnapsackInstance(tuple(entries))
-
-
 def cost_vector(
     entries: Sequence[RationalLike], n: int | None = None
 ) -> tuple[Fraction, ...]:

@@ -62,7 +62,7 @@ from .errors import (
 )
 from .group import frobenius
 from .guardrail import cell_cap
-from .instances import check_sampling, draw_range
+from .instances import SamplerConfig, draw_range
 from .rounding import DEFAULT_BITS, pow_numerators
 
 # Not called here: _norm_power works on ints and _sampled draws whole
@@ -85,19 +85,15 @@ def tail_exponent(epsilon: RationalLike, n: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(SamplerConfig):
     """Sampling plus normalization parameters for one experiment run."""
 
-    n: int
-    T: int
-    count: int
-    seed: int
     epsilon: Fraction
     thresholds: tuple[Fraction, ...] = ()
     bits: int = DEFAULT_BITS
 
     def __post_init__(self) -> None:
-        check_sampling(self.n, self.T, self.count, self.seed)
+        super().__post_init__()
         object.__setattr__(self, "epsilon", as_fraction(self.epsilon, "epsilon"))
         if not 0 < self.epsilon < 1:
             raise BadEpsilon(
@@ -200,17 +196,13 @@ def _sampled(config: ExperimentConfig, start: int, stop: int):
         yield index, inst, g, lower, upper
 
 
-def _record_chunk(task: tuple[ExperimentConfig, int, int]) -> list[SampleRecord]:
-    config, start, stop = task
+def sample_records(config: ExperimentConfig) -> list[SampleRecord]:
+    """All records for a config, in index order, from the generator the
+    streaming workers read."""
     return [
         SampleRecord(index, inst, g, g + sum(inst.a), lower, upper, config.bits)
-        for index, inst, g, lower, upper in _sampled(config, start, stop)
+        for index, inst, g, lower, upper in _sampled(config, 0, config.count)
     ]
-
-
-def compute_record(config: ExperimentConfig, index: int) -> SampleRecord:
-    """Deterministically compute the record owned by (config.seed, index)."""
-    return _record_chunk((config, index, index + 1))[0]
 
 
 def _stream_chunk(
@@ -275,18 +267,6 @@ def _ordered(worker, tasks: list, jobs: int):
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     with multiprocessing.get_context(method).Pool(jobs) as pool:
         yield from pool.imap(worker, tasks)
-
-
-def sample_records(config: ExperimentConfig, jobs: int = 1) -> list[SampleRecord]:
-    """All records for a config, in index order, optionally in parallel.
-
-    Record i depends only on (seed, i), so any partition of the index range
-    across workers reassembles to the same list; jobs changes wall time,
-    never output.
-    """
-    tasks = [(config, start, stop) for _, start, stop in _ranges([config], jobs)]
-    with closing(_ordered(_record_chunk, tasks, jobs)) as chunks:
-        return [record for chunk in chunks for record in chunk]
 
 
 @dataclass(frozen=True)

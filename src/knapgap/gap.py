@@ -38,13 +38,14 @@ from .core import (
     basis_reduction,
     check_rhs,
     cost_vector,
+    lp_value,
 )
 from .group import group_minima, tightness_threshold
 from .guardrail import check_cells
 
 
 def _value_table(
-    inst: KnapsackInstance, c: Sequence[RationalLike], b: int, max_cells: int | None
+    inst: KnapsackInstance, c: Sequence[RationalLike], b: int
 ) -> list[Fraction | None]:
     """IP_c(a, t) for t = 0..b, None where t is not representable.
 
@@ -54,7 +55,7 @@ def _value_table(
     """
     check_rhs(b)
     costs = cost_vector(c, inst.n)
-    check_cells(b + 1, f"value table up to b = {b}", max_cells)
+    check_cells(b + 1, f"value table up to b = {b}")
     value: list[Fraction | None] = [None] * (b + 1)
     value[0] = Fraction(0)
     a = inst.a
@@ -72,33 +73,23 @@ def _value_table(
 
 
 def ip_value(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    b: int,
-    *,
-    max_cells: int | None = None,
+    inst: KnapsackInstance, c: Sequence[RationalLike], b: int
 ) -> Fraction | None:
     """Exact integer optimum IP_c(a, b), or None when b is not representable.
 
     Dynamic program over right hand sides 0..b (_value_table).
     """
-    return _value_table(inst, c, b, max_cells)[b]
+    return _value_table(inst, c, b)[b]
 
 
 def integrality_gap(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    b: int,
-    *,
-    max_cells: int | None = None,
+    inst: KnapsackInstance, c: Sequence[RationalLike], b: int
 ) -> Fraction | None:
     """IG_c(a, b) = IP - LP for one right hand side, None when infeasible."""
-    ip = ip_value(inst, c, b, max_cells=max_cells)
+    ip = ip_value(inst, c, b)
     if ip is None:
         return None
-    costs = cost_vector(c, inst.n)
-    slope = min(ci / ai for ci, ai in zip(costs, inst.a))
-    return ip - slope * b
+    return ip - lp_value(inst, c, b)
 
 
 @dataclass(frozen=True)
@@ -150,7 +141,9 @@ def gap_exact(
     tail_gap come from the reduced-cost table, which runs on the integer
     weights D * l_j: scaling every weight by D keeps the same tight arcs and
     multiplies each minimum by D.  Both tables have a_tau cells, which
-    group_minima checks against the guardrail; nothing else is allocated.
+    group_minima checks against the guardrail.  The tight-arc search behind
+    tightness_threshold also holds (n + 4) * a_tau list slots (GroupTable),
+    which the guardrail does not count.
     """
     red = basis_reduction(inst, c)
     scale = math.lcm(*(lw.denominator for lw in red.l))
@@ -178,11 +171,7 @@ def gap_exact(
 
 
 def gap_bruteforce(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    b_max: int,
-    *,
-    max_cells: int | None = None,
+    inst: KnapsackInstance, c: Sequence[RationalLike], b_max: int
 ) -> Fraction:
     """Max of IG_c(a, b) over representable b <= b_max, by direct sweep.
 
@@ -190,7 +179,7 @@ def gap_bruteforce(
     costs; meant as an independent check value for gap_exact, which it
     matches whenever b_max >= threshold + a_tau.
     """
-    value = _value_table(inst, c, b_max, max_cells)
+    value = _value_table(inst, c, b_max)
     slope = min(ci / ai for ci, ai in zip(cost_vector(c, inst.n), inst.a))
     # t = 0 contributes IG = 0
     return max(v - slope * t for t, v in enumerate(value) if v is not None)

@@ -79,7 +79,7 @@ Two identities connect g(a) to lattice covering radii of the simplex
 conv{0, a_1 e_1, ..., a_n e_n} scaled by the corresponding lattice: the
 radius against the full null lattice is g(a) + a_1 + ... + a_n, and against
 the integer lattice of the last coordinate's complement it is g(a) + a_n.
-Both are exposed as trivial wrappers so callers do not re-derive them.
+`knapgap frobenius` reports both next to g(a).
 """
 
 from __future__ import annotations
@@ -320,11 +320,6 @@ def group_minima(
     )
 
 
-def lattice_gap(table: GroupTable) -> Weight:
-    """Largest residue-class minimum, the worst case over right hand sides."""
-    return max(table.minima)
-
-
 def tightness_threshold(table: GroupTable) -> int:
     """A B such that every b >= B inherits its class minimum.
 
@@ -394,9 +389,7 @@ def frobenius(inst: KnapsackInstance, *, max_cells: int | None = None) -> int:
     return max(_round_robin(m, [(g % m, g) for g in inst.a if g % m])) - m
 
 
-def frobenius_sieve_oracle(
-    inst: KnapsackInstance, *, max_cells: int | None = None
-) -> int:
+def frobenius_sieve_oracle(inst: KnapsackInstance) -> int:
     """Frobenius number by a representability sieve, no shortest paths.
 
     Marks every representable integer up to the classical product bound
@@ -411,7 +404,7 @@ def frobenius_sieve_oracle(
     bound = lo * hi - lo - hi
     if bound < 0:
         return -1
-    check_cells(bound + 1, f"representability sieve up to {bound}", max_cells)
+    check_cells(bound + 1, f"representability sieve up to {bound}")
     full = (1 << (bound + 1)) - 1
     mask = 1
     for coin in inst.a:
@@ -430,8 +423,6 @@ def group_min_bruteforce(
     weights: Sequence[RationalLike],
     r: int,
     radius: int,
-    *,
-    max_cells: int | None = None,
 ) -> Fraction:
     """Exhaustive check value for group_minima on one residue class.
 
@@ -449,9 +440,7 @@ def group_min_bruteforce(
     positions = tuple(j for j in range(inst.n) if j != tau)
     generators = tuple(inst.a[j] for j in positions)
     w = _normalize_weights(weights, inst.n - 1)
-    check_cells(
-        (radius + 1) ** len(generators), "brute-force enumeration box", max_cells
-    )
+    check_cells((radius + 1) ** len(generators), "brute-force enumeration box")
     best: Weight | None = None
     for x in product(range(radius + 1), repeat=len(generators)):
         if sum(g * xi for g, xi in zip(generators, x)) % m != r:
@@ -464,20 +453,3 @@ def group_min_bruteforce(
             f"no point of residue class {r} mod {m} in box 0..{radius}"
         )
     return Fraction(best)
-
-
-def covering_radius_simplex(
-    inst: KnapsackInstance, *, max_cells: int | None = None
-) -> int:
-    """Covering radius of the coefficient simplex: g(a) + a_1 + ... + a_n."""
-    return frobenius(inst, max_cells=max_cells) + sum(inst.a)
-
-
-def covering_radius_integral(
-    inst: KnapsackInstance, *, max_cells: int | None = None
-) -> int:
-    """Covering radius against the plain integer lattice: g(a) + a_n.
-
-    a_n is the last coefficient in the order given.
-    """
-    return frobenius(inst, max_cells=max_cells) + inst.a[-1]

@@ -2,8 +2,10 @@
 
 Residue tables, representability sieves and exhaustive enumerations all
 allocate one cell per lattice point or residue.  Every such allocation is
-checked against a cap, by default 10**8 cells, overridable per call or
-globally through the KNAPGAP_GUARDRAIL_CELLS environment variable.
+checked against a cap, by default 10**8 cells, overridable globally
+through the KNAPGAP_GUARDRAIL_CELLS environment variable.  Three calls also
+take a per-call max_cells argument, which wins over both: frobenius and
+group_minima (knapgap.group) and gap_exact (knapgap.gap).
 """
 
 from __future__ import annotations

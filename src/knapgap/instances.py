@@ -71,8 +71,8 @@ _ONE_LANE = (1).to_bytes(16, "little")
 # Most lanes one wave computes.  Larger ranges are drawn this many indices
 # at a time, which bounds the big ints and the cached keys.  The cost per
 # block is about 0.8-0.9 us from 100 to 1000 lanes, 1.1 us at 3000 and
-# 7 us for a single lane, which skips the packing (2-core x86-64 host,
-# CPython 3.11).
+# about 10 us for a single lane, which packs and unpacks like any other
+# (2-core x86-64 host, CPython 3.11).
 _LANES = 1000
 
 
@@ -129,12 +129,8 @@ def _philox_lanes(
     their product's high word until the XOR that uses them is masked.
     """
     lanes = len(offsets)
-    if lanes == 1:
-        # a lone lane is a plain int: no packing on the way in or out
-        rep, index = 1, base + offsets[0]
-    else:
-        rep = _replicate(lanes)
-        index = base * rep + _pack(offsets)
+    rep = _replicate(lanes)
+    index = base * rep + _pack(offsets)
     low = rep * _MASK64
     c0, c1, c2, c3 = block * rep, 0, index & low, (index >> 64) & low
     for k0, k1 in keys:
@@ -143,8 +139,6 @@ def _philox_lanes(
         c0 = ((p1 >> 64) ^ c1 ^ k0) & low
         c2 = ((p0 >> 64) ^ c3 ^ k1) & low
         c1, c3 = p1, p0
-    if lanes == 1:
-        return iter(((c0 & mask, c1 & mask, c2 & mask, c3 & mask),))
     # Two words share each lane on the way out, the second in its high half.
     out = rep * mask
     first = _unpack(c0 & out | (c1 & out) << 64, lanes)
@@ -167,18 +161,6 @@ def check_box(T: int) -> None:
         )
 
 
-def check_sampling(n: int, T: int, count: int, seed: int) -> None:
-    """Refuse n < 2, T outside [1, 2**64], count < 1 or a seed outside 64 bits:
-    the checks SamplerConfig and ExperimentConfig share."""
-    if n < 2:
-        raise DimensionTooSmall(f"n = {n} < 2")
-    check_box(T)
-    if count < 1:
-        raise ValidationError(f"count = {count} < 1")
-    if not 0 <= seed < 2**64:
-        raise ValidationError("seed must fit in 64 bits")
-
-
 def _check_stream(seed: int, start: int, stop: int) -> None:
     """Refuse a seed, or an index of [start, stop), outside [0, 2**128)."""
     if not 0 <= seed < 1 << 128:
@@ -198,7 +180,13 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        check_sampling(self.n, self.T, self.count, self.seed)
+        if self.n < 2:
+            raise DimensionTooSmall(f"n = {self.n} < 2")
+        check_box(self.T)
+        if self.count < 1:
+            raise ValidationError(f"count = {self.count} < 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError("seed must fit in 64 bits")
 
 
 def draw_range(
@@ -281,7 +269,7 @@ def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:
     return (inst for inst, _ in drawn)
 
 
-def count_instances(n: int, T: int, *, max_cells: int | None = None) -> int:
+def count_instances(n: int, T: int) -> int:
     """Exact count of valid instances with coefficients in {1..T}.
 
     Plain enumeration over T**n tuples, guarded by the cell cap.
@@ -290,7 +278,7 @@ def count_instances(n: int, T: int, *, max_cells: int | None = None) -> int:
         raise ValidationError(f"n = {n} < 2")
     if T < 1:
         raise ValidationError(f"T = {T} < 1")
-    check_cells(T**n, f"enumeration of {T}**{n} tuples", max_cells)
+    check_cells(T**n, f"enumeration of {T}**{n} tuples")
     return sum(
         1 for tup in product(range(1, T + 1), repeat=n) if math.gcd(*tup) == 1
     )
@@ -348,7 +336,8 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     """Construct and verify the bidiagonal example for given n, delta, beta.
 
     Verification is by substitution: the closed-form LP point satisfies
-    every row with equality, and the recursion x_1 <= beta < 1, then
+    every row with equality, each row checked on its (at most two) nonzero
+    entries, and the recursion x_1 <= beta < 1, then
     x_{i+1} <= beta + (row coefficient) * x_i, forces every integer feasible
     point to have nonpositive coordinates, so the origin is the unique
     integer optimum for the all-minus-one cost.
@@ -360,6 +349,7 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     beta = as_fraction(beta, "beta")
     if not 0 < beta < 1:
         raise BetaOutOfRange(f"beta = {beta} must lie strictly between 0 and 1")
+    check_cells(n * n, f"bidiagonal {n} x {n} matrix")
 
     rows = []
     for i in range(n):
@@ -376,8 +366,10 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     lp.append((delta * (n - 1) + 1) * beta)
     lp_solution = tuple(lp)
 
-    for row in matrix:
-        lhs = sum(coef * x for coef, x in zip(row, lp_solution))
+    for i, row in enumerate(matrix):
+        lhs = row[i] * lp_solution[i]
+        if i > 0:
+            lhs += row[i - 1] * lp_solution[i - 1]
         if lhs != beta:
             raise AssertionError("constructed LP point misses a row")
 

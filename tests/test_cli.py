@@ -78,6 +78,18 @@ class TestExitCodes:
         assert out == ""
         assert "witness table" in err
 
+    def test_lovasz_guardrail_is_3(self, capsys, monkeypatch):
+        # the n x n matrix is checked before it is built
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "100")
+        code, out, err = _run(capsys, "lovasz", "--n", "11", "--delta", "3", "--beta", "1/2")
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "11 x 11 matrix needs 121 cells, cap is 100" in err
+        code, out, _ = _run(capsys, "lovasz", "--n", "10", "--delta", "3", "--beta", "1/2")
+        assert code == 0
+        assert "distance = 14" in out
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -18,7 +18,6 @@ from knapgap import (
     basis_reduction,
     cost_vector,
     lp_value,
-    validate_instance,
 )
 
 coefficients = st.lists(st.integers(min_value=1, max_value=80), min_size=2, max_size=5)
@@ -38,14 +37,14 @@ def rational_costs(n):
 
 class TestValidation:
     def test_accepts_valid(self):
-        inst = validate_instance((6, 9, 20))
+        inst = KnapsackInstance((6, 9, 20))
         assert inst.a == (6, 9, 20)
         assert inst.n == 3
         assert inst.norm_inf == 20
         assert inst.min_entry == 6
 
     def test_accepts_entry_one(self):
-        assert validate_instance((1, 7)).a == (1, 7)
+        assert KnapsackInstance((1, 7)).a == (1, 7)
 
     def test_rejects_common_divisor(self):
         with pytest.raises(NotCoprime, match=r"condition \(ii\)"):

@@ -18,12 +18,14 @@ from knapgap import (
     InsufficientSamples,
     KnapsackInstance,
     SampleRecord,
+    SamplerConfig,
     ValidationError,
     bracket_ratios,
     frobenius,
     gap_exact,
     frobenius_cost,
     mean_experiment,
+    sample_instances,
     sample_records,
     summarize,
     tail_experiment,
@@ -34,7 +36,6 @@ from knapgap.experiments import (
     MIN_TAIL_SAMPLES,
     _CHUNK,
     _dyadic_str,
-    compute_record,
     csv_header,
     summary_json_dict,
 )
@@ -123,7 +124,7 @@ class TestBracketRatios:
         # the record path keeps ints; the reference rounds exact Fractions
         eps = Fraction(data.draw(st.integers(min_value=1, max_value=den - 1)), den)
         config = ExperimentConfig(n=n, T=T, count=1, seed=seed, epsilon=eps, bits=bits)
-        rec = compute_record(config, 0)
+        (rec,) = sample_records(config)
         inst = rec.instance
         power_lo, power_hi = pow_bounds(inst.norm_inf, eps, bits)
         head = sum(inst.a) - inst.a[-1]
@@ -172,21 +173,33 @@ class TestConfig:
         assert config.thresholds == (Fraction(1), Fraction(3, 2))
         assert config.epsilon == Fraction(1, 2)
 
+    def test_is_a_sampler_config(self):
+        config = ExperimentConfig(n=3, T=40, count=10, seed=77, epsilon="4/5")
+        assert isinstance(config, SamplerConfig)
+        drawn = list(sample_instances(config))
+        assert drawn == [r.instance for r in sample_records(config)]
+        assert drawn == list(sample_instances(SamplerConfig(3, 40, 10, 77)))
+        assert repr(config) == (
+            "ExperimentConfig(n=3, T=40, count=10, seed=77, "
+            "epsilon=Fraction(4, 5), thresholds=(), bits=60)"
+        )
+        # the sampling fields are checked first, in their field order
+        with pytest.raises(DimensionTooSmall):
+            ExperimentConfig(n=1, T=10, count=5, seed=-1, epsilon=2, bits=0)
+        with pytest.raises(ValidationError, match="seed must fit in 64 bits"):
+            ExperimentConfig(n=3, T=10, count=5, seed=-1, epsilon=2, bits=0)
+
 
 class TestRecords:
     def test_record_matches_draw(self):
         config = ExperimentConfig(n=3, T=40, count=10, seed=77, epsilon="4/5")
-        rec = compute_record(config, 4)
+        rec = sample_records(config)[4]
         inst, _ = draw_instance(77, 4, 3, 40)
         assert rec.instance == inst
         assert rec.g == frobenius(inst)
         assert rec.f == rec.g + sum(inst.a)
         lo, up = bracket_ratios(inst, Fraction(4, 5))
         assert (rec.ratio_lower, rec.ratio_upper) == (lo, up)
-
-    def test_serial_equals_parallel(self):
-        config = ExperimentConfig(n=3, T=50, count=64, seed=5, epsilon="4/5")
-        assert sample_records(config, 1) == sample_records(config, 4)
 
     def test_order_is_by_index(self):
         config = ExperimentConfig(n=3, T=50, count=30, seed=5, epsilon="4/5")
@@ -341,7 +354,6 @@ class TestDrivers:
         )
         records = sample_records(config)
         assert [r.index for r in records] == list(range(config.count))
-        assert records == sample_records(config, 2)
         expected = io.StringIO()
         write_records_csv(expected, [(config, records)])
         for jobs in (1, 2):

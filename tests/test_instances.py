@@ -1,6 +1,7 @@
 """Named families, the coprime sampler, and the fractional-vertex examples."""
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -391,6 +392,20 @@ class TestLovaszExample:
             lovasz_example(1, 2, "1/2")
         with pytest.raises(ValidationError):
             lovasz_example(3, 0, "1/2")
+
+    def test_large_n_verifies_in_linear_time(self):
+        # each row is checked on its two nonzeros, not on all n entries
+        start = time.perf_counter()
+        ex = lovasz_example(3000, 3, "1/2")
+        assert time.perf_counter() - start < 5
+        assert ex.distance == Fraction(3 * 2999 + 1, 2)
+        assert ex.lp_solution[-2] == Fraction(2999, 2)
+
+    def test_matrix_guardrail(self, monkeypatch):
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "100")
+        assert lovasz_example(10, 3, "1/2").n == 10
+        with pytest.raises(BoundTooLarge, match="11 x 11 matrix"):
+            lovasz_example(11, 3, "1/2")
 
     def test_delta_max_guardrail(self, monkeypatch):
         # a 3 x 4 matrix has C(7, 3) - 1 = 34 square submatrices
