@@ -192,7 +192,12 @@ def _cmd_group(args: argparse.Namespace) -> int:
         weights = _rationals(args.w, "--w")
         w_text = args.w.split(",")
     table = group_minima(inst, tau, weights)
-    witness = table.witness
+    limit = 50
+    # text prints the first limit rows, so only their witnesses are decoded;
+    # the guardrail still counts the whole witness table either way
+    shown = min(table.modulus, limit)
+    witness = table._witnesses(table.modulus if args.format == "json" else shown)
+    load = table.load
     doc = {
         "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text},
         "modulus": table.modulus,
@@ -201,14 +206,13 @@ def _cmd_group(args: argparse.Namespace) -> int:
         # only json reads the whole columns, so they are built there
         "minima": map(str, table.minima),
         "witness": map(list, witness),
-        "load": table.load,
+        "load": load,
     }
     lines = _pairs(doc, ("modulus", "lattice_gap", "threshold"))
     lines.append("r minima witness load")
-    limit = 50
-    for r in range(min(table.modulus, limit)):
+    for r in range(shown):
         x = ",".join(map(str, witness[r]))
-        lines.append(f"{r} {table.minima[r]} ({x}) {table.load[r]}")
+        lines.append(f"{r} {table.minima[r]} ({x}) {load[r]}")
     if table.modulus > limit:
         more = table.modulus - limit
         lines.append(f"... {more} more rows, use --format json for all")

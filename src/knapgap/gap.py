@@ -40,7 +40,7 @@ from .core import (
     cost_vector,
     lp_value,
 )
-from .group import group_minima, tightness_threshold
+from .group import _round_robin, group_minima, tightness_threshold
 from .guardrail import check_cells
 
 
@@ -123,8 +123,8 @@ def gap_exact(
     IG never increases along a residue class (module docstring), so the
     gap is the largest IG(b_r) over the a_tau classes, where b_r is the
     class's smallest representable b.  Every (b_r, IG(b_r)) comes from one
-    more group_minima run whose integer arc weights pack load and reduced
-    cost into a single key,
+    more run of the residue kernel, whose integer arc weights pack load and
+    reduced cost into a single key,
 
         key_j = gen_j * K + D * l_j,    D = lcm of the denominators of l,
 
@@ -134,37 +134,47 @@ def gap_exact(
     load-minimal solution uses fewer than m generators (m of them would
     contain a nonempty subsum divisible by m, whose removal lowers the load
     and keeps the class), so its cost part stays below K.  The labels are
-    read without splitting them: label % K is D * IG(b_r), the smallest
-    label of the largest remainder gives the smallest b_r attaining the
-    maximum, which is the smallest attaining b overall, and scan_gap keeps
-    the labels below B* * K, which are those with b_r < B*.  threshold and
-    tail_gap come from the reduced-cost table, which runs on the integer
-    weights D * l_j: scaling every weight by D keeps the same tight arcs and
-    multiplies each minimum by D.  Both tables have a_tau cells, which
-    group_minima checks against the guardrail.  The tight-arc search behind
-    tightness_threshold also holds (n + 4) * a_tau list slots (GroupTable),
-    which the guardrail does not count.
+    read without splitting them, on the int64 array itself when the kernel
+    ran on numpy: label % K is D * IG(b_r), the smallest label of the
+    largest remainder gives the smallest b_r attaining the maximum, which
+    is the smallest attaining b overall, and scan_gap keeps the labels
+    below B* * K, which are those with b_r < B*.  B* * K stays below the
+    kernel's int64 guard, since B* is a witness load, below m * max gen.
+    threshold and tail_gap come from the reduced-cost table, which runs on
+    the integer weights D * l_j: scaling every weight by D keeps the same
+    tight arcs and multiplies each minimum by D.  Both tables have a_tau
+    cells, which group_minima checks against the guardrail; the witness
+    counts behind B* (and, in blocked runs, the tight-arc masks) add a few
+    times (n - 1) * a_tau array entries, which it does not count.
     """
     red = basis_reduction(inst, c)
     scale = math.lcm(*(lw.denominator for lw in red.l))
     cost = [int(lw * scale) for lw in red.l]
     table = group_minima(inst, red.tau, cost, max_cells=max_cells)
     bstar = tightness_threshold(table)
-    k = table.modulus * max(cost) + 1
-    keys = [g * k + w for g, w in zip(table.generators, cost)]
-    packed = group_minima(inst, red.tau, keys, max_cells=max_cells)
-    labels = packed.minima
-    igs = [label % k for label in labels]
-    gap = max(igs)
+    m = table.modulus
+    k = m * max(cost) + 1
+    labels = _round_robin(
+        m, [(g % m, g * k + w) for g, w in zip(table.generators, cost) if g % m]
+    )
     limit = bstar * k
+    if isinstance(labels, list):
+        igs = [label % k for label in labels]
+        gap = max(igs)
+        first = min([lab for lab, ig in zip(labels, igs) if ig == gap])
+        scan = max([0] + [ig for lab, ig in zip(labels, igs) if lab < limit])
+    else:
+        igs = labels % k
+        gap = int(igs.max())
+        first = int(labels[igs == gap].min())
+        below = igs[labels < limit]
+        scan = int(below.max()) if below.size else 0
     return GapReport(
         gap=Fraction(gap, scale),
-        witness_b=min([lab for lab, ig in zip(labels, igs) if ig == gap]) // k,
+        witness_b=first // k,
         threshold=bstar,
         tail_gap=Fraction(max(table.minima), scale),
-        scan_gap=Fraction(
-            max([0] + [ig for lab, ig in zip(labels, igs) if lab < limit]), scale
-        ),
+        scan_gap=Fraction(scan, scale),
         tau=red.tau,
         generic=red.generic,
     )

@@ -48,6 +48,36 @@ generator, which small tables never earn back.  numpy is imported by the
 first table that takes the int64 execution, so a process that builds none
 never loads it.
 
+group_minima gets the witnesses (GroupTable) from the same kernel run.
+Numbering the generators 1..k, arc j carries the key (w_j, 1, [j >= 2],
+..., [j >= k]) instead of w_j, so a solution x sums to (w.x, c_1, ...,
+c_k) with suffix counts c_i = x_i + ... + x_k, and the keys are packed
+with radix m:
+
+    key_j = w_j m^k + sum_{i <= j} m^(k-i).
+
+The lexicographically smallest solution x* uses fewer than m generators:
+any m of them contain a nonempty subsum divisible by m, whose removal keeps
+the class and, x* being optimal and the weights nonnegative, the cost,
+while lowering c_1.  So every digit of x* is below m, a solution that is
+lexicographically larger has a larger packed sum whatever its digits, and
+the kernel's label for r is x*'s packed sum.  minima[r] is the label // m^k,
+the digits give x_i = c_i - c_{i+1}, and load = sum_j x_j gen_j.  On the
+Python execution the load is appended as the lowest component, with radix
+m max gen: the digits fix it, so the order is unchanged, and the loads cost
+one % per residue.  On the numpy execution the packed keys may break the
+int64 guard.  The first run then carries as many digits as fit, and the
+rest take further runs of as many digits d as fit, in which an arc costs
+its generator's digits when it was tight (label[r + s] = label[r] + its
+weight) in every earlier run, and m^d otherwise, more than the packed sum
+of any tight path.  The tight paths are exactly the solutions optimal in
+the components so far, and every ordering of one is again a tight path,
+so the passes, which try each solution with its generators in pass order,
+still find the optimum.  Such a run has per-arc weights: the offsets k w
+become the running sum W_k of the arc weights along the cycle and the lap
+L w their total, and no pass is skipped, since a path no longer costs the
+same wherever it starts.
+
 Taking the weights to be the coefficients themselves makes minima[r] the
 smallest integer congruent to r mod m that is representable without using
 a_tau, so b is representable exactly when b >= minima[b mod m] within its
@@ -136,30 +166,33 @@ def _normalize_weights(
 
 @dataclass(eq=False)
 class GroupTable:
-    """Per-residue minima table plus lazily derived witness data.
+    """Per-residue minima table plus the witness data decoded from it.
 
     Treat instances as immutable.  `minima[r]` is the exact optimum for
     residue r; `witness[r]` is one optimal solution vector (coordinates
     follow `positions`, the original indices other than tau); `load[r]` is
     the value sum_j gen_j * witness[r][j], an ordinary integer.
 
-    Witnesses are reconstructed from the finished table by a breadth-first
-    search from residue 0 over tight arcs, the arcs r -> r + gen_j with
-    minima[(r + gen_j) mod m] == minima[r] + w_j.  Every residue is reached
-    this way (drop one generator from an optimal solution and the remainder
-    is optimal for its own class, hence tight), first discovery wins, and
-    generators are scanned in order, so ties go to the smaller generator
-    position.  Unlike a backward greedy walk this stays acyclic even when
-    some weights are zero.
+    The witness of class r is its optimal solution with the fewest
+    generators, ties going to the most copies of generator 1, then of
+    generator 2, and so on: the lexicographic minimum of the counts
+    (w.x, c_1, ..., c_k) with c_i = x_i + ... + x_k (generators numbered
+    1..k in order).  This is the solution a breadth-first search from
+    residue 0 over the tight arcs (minima[r + gen_j] = minima[r] + w_j)
+    reaches first when it scans generators in order.  Every ordering of an
+    optimal solution is a tight path, since a sub-solution of an optimal
+    solution is optimal, so the search discovers r at depth c_1 of the
+    fewest-generator solutions, and its discovery order is lexicographic
+    in the arc sequence, whose smallest ordering of x is the sorted one;
+    comparing sorted sequences of equal length favours more copies of
+    generator 1, then of generator 2, ...  Zero weights need no care.
 
-    The search keeps no separate queue: `order`, the residues in discovery
-    order, is the FIFO itself, and the loop iterates over it while
-    appending (a list iterator sees items appended during the loop).  Each
-    generator gets a successor list, (r + gen_j) mod m for every r, built
-    once, and pred_res doubles as the "seen" marker (the root holds itself
-    until the search ends).  Residues are still dequeued in discovery order
-    and arcs still scanned in generator order, so the tree, loads and
-    witnesses are those of a deque-based search.
+    group_minima reads these counts off the labels of its kernel run
+    (module docstring): `_blocks` holds (labels, digits) pairs whose
+    labels carry c_1, ..., c_k as radix-m digits in order, and on the
+    Python execution `_load_radix` is the radix of the load, the lowest
+    component of its one label list.  Loads and witnesses are decoded
+    from them on demand.
     """
 
     modulus: int
@@ -168,91 +201,124 @@ class GroupTable:
     generators: tuple[int, ...]
     weights: tuple[Weight, ...]
     minima: list[Weight]
-    _tree: tuple[list[int], list[int], list[int], list[int]] | None = field(
-        default=None, repr=False
-    )
+    _blocks: tuple = field(repr=False)
+    _load_radix: int = field(repr=False)
+    _decoded: tuple | None = field(default=None, repr=False)
 
-    def _tight_tree(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        if self._tree is not None:
-            return self._tree
-        m = self.modulus
-        minima = self.minima
-        pred_res = [-1] * m
-        pred_gen = [-1] * m
-        load = [0] * m
-        pred_res[0] = 0
-        order: list[int] = [0]
-        # successor lists are rotations of one list, sharing its ints
-        residues = list(range(m))
-        arcs = []
-        for k, (gen, w) in enumerate(zip(self.generators, self.weights)):
-            step = gen % m
-            arcs.append((k, residues[step:] + residues[:step], gen, w))
-        for r in order:
-            base = minima[r]
-            here = load[r]
-            for k, succ, gen, w in arcs:
-                nr = succ[r]
-                if pred_res[nr] < 0 and minima[nr] == base + w:
-                    pred_res[nr] = r
-                    pred_gen[nr] = k
-                    load[nr] = here + gen
-                    order.append(nr)
-        pred_res[0] = -1
-        if len(order) < m:
-            raise AssertionError("tight-arc search failed to reach every residue")
-        self._tree = (pred_res, pred_gen, load, order)
-        return self._tree
+    def _decode(self) -> tuple:
+        """(loads, counts): loads as a list or int64 array, and on the numpy
+        execution the (k, m) array of counts c_i (None on the Python one)."""
+        if self._decoded is None:
+            if self._load_radix:
+                ((labels, _),) = self._blocks
+                self._decoded = ([v % self._load_radix for v in labels], None)
+            else:
+                import numpy as np
+
+                m, gens = self.modulus, self.generators
+                digits = []
+                for labels, width in self._blocks:
+                    for place in reversed(range(width)):
+                        digits.append(labels // m**place % m)
+                counts = np.array(digits, dtype=np.int64)
+                # sum_j gen_j x_j = sum_i c_i (gen_i - gen_{i-1}); every partial
+                # sum lies in [0, m * max gen), so int64 holds it below the guard
+                if m * max(gens) >= _INT64_HEADROOM:
+                    counts = counts.astype(object)
+                loads = sum(c * (g - h) for c, g, h in zip(counts, gens, (0,) + gens))
+                self._decoded = (loads, counts)
+        return self._decoded
 
     @property
     def load(self) -> list[int]:
-        return self._tight_tree()[2]
+        loads = self._decode()[0]
+        return loads if isinstance(loads, list) else loads.tolist()
 
     @property
     def witness(self) -> list[tuple[int, ...]]:
-        """One optimal solution per residue, rebuilt on every access."""
-        k = len(self.generators)
-        check_cells(self.modulus * k, f"witness table of {self.modulus} rows")
-        pred_res, pred_gen, _, order = self._tight_tree()
-        out: list[tuple[int, ...] | None] = [None] * self.modulus
-        out[0] = (0,) * k
-        for r in order[1:]:
-            prev = out[pred_res[r]]
-            assert prev is not None
-            j = pred_gen[r]
-            out[r] = prev[:j] + (prev[j] + 1,) + prev[j + 1 :]
-        return out  # type: ignore[return-value]
+        """One optimal solution per residue, decoded on every access."""
+        return self._witnesses(self.modulus)
+
+    def _witnesses(self, rows: int) -> list[tuple[int, ...]]:
+        """witness[:rows]; the guardrail counts the whole table all the same."""
+        m, k = self.modulus, len(self.generators)
+        check_cells(m * k, f"witness table of {m} rows")
+        counts = self._decode()[1]
+        if counts is not None:
+            x = counts[:, :rows].copy()
+            x[:-1] -= counts[1:, :rows]  # x_i = c_i - c_{i+1}
+            return list(map(tuple, x.T.tolist()))
+        out = []
+        for label in self._blocks[0][0][:rows]:
+            rest, above, x = label // self._load_radix, 0, []
+            for _ in range(k):  # c_k first
+                rest, c = divmod(rest, m)
+                x.append(c - above)
+                above = c
+            out.append(tuple(reversed(x)))
+        return out
 
 
-def _round_robin(m: int, arcs: list[tuple[int, int]]) -> list[int]:
+def _fits_int64(m: int, top: int) -> bool:
+    """Whether a table of m residues with arc weights at most top runs on
+    numpy int64 arrays (module docstring)."""
+    return m >= _NUMPY_MIN_MODULUS and max(m * (top + 1), m * m) < _INT64_HEADROOM
+
+
+def _largest(labels) -> int:
+    """Largest entry of a _round_robin result, as a Python int."""
+    return max(labels) if isinstance(labels, list) else int(labels.max())
+
+
+def _cycle_pass(labels, index, step: int, w) -> None:
+    """One numpy pass: relax every arc r -> r + step of the table in place.
+
+    w is one weight, or an int64 array of per-arc weights indexed by the
+    arc's source residue; the offsets along a cycle are then their running
+    sum instead of multiples of w (module docstring).
+    """
+    import numpy as np
+
+    m = len(labels)
+    length = m // math.gcd(step, m)
+    # Row p lists p, p + step, p + 2 step, ... since length * step is 0
+    # mod m.  index * step < m**2 fits by the guard.
+    cycles = ((index // length + index * step) % m).reshape(-1, length)
+    if np.ndim(w):
+        arc = w[cycles]
+        lap = np.cumsum(arc, axis=1)
+        offsets = lap - arc
+        lap = lap[:, -1:]
+    else:
+        offsets = np.arange(length, dtype=np.int64) * w
+        lap = length * w
+    prefix = np.minimum.accumulate(labels[cycles] - offsets, axis=1)
+    labels[cycles] = np.minimum(prefix, prefix[:, -1:] + lap) + offsets
+
+
+def _round_robin(m: int, arcs: list[tuple[int, int]]):
     """Residue minima for integer arcs (step, w), 0 < step < m, w >= 0.
 
     Processes one generator at a time in ascending weight and skips a pass
     whose step the table already reaches at cost <= w (module docstring).
     Residues nobody reaches hold the sentinel m * (max w + 1), which exceeds
     every finite label (m - 1) * max w, so no pass is skipped against it; a
-    cycle of sentinels maps to itself, so sentinels never grow.
+    cycle of sentinels maps to itself, so sentinels never grow.  Returns
+    the labels as an int64 array when the numpy execution runs, else as a
+    list of ints.
     """
     arcs = sorted(arcs, key=itemgetter(1))
-    unreached = m * (arcs[-1][1] + 1 if arcs else 1)
-    if m >= _NUMPY_MIN_MODULUS and max(unreached, m * m) < _INT64_HEADROOM:
+    top = arcs[-1][1] if arcs else 0
+    unreached = m * (top + 1)
+    if _fits_int64(m, top):
         import numpy as np
 
-        labels = np.full(m, unreached, dtype=np.int64)
-        labels[0] = 0
+        minima = np.full(m, unreached, dtype=np.int64)
+        minima[0] = 0
         index = np.arange(m, dtype=np.int64)
         for step, w in arcs:
-            if labels[step] <= w:
-                continue
-            length = m // math.gcd(step, m)
-            # Row p lists p, p + step, p + 2 step, ... since length * step
-            # is 0 mod m.  index * step < m**2 fits by the guard above.
-            cycles = ((index // length + index * step) % m).reshape(-1, length)
-            offsets = np.arange(length, dtype=np.int64) * w
-            prefix = np.minimum.accumulate(labels[cycles] - offsets, axis=1)
-            wrap = prefix[:, -1:] + length * w
-            labels[cycles] = np.minimum(prefix, wrap) + offsets
-        minima = labels.tolist()
+            if minima[step] > w:
+                _cycle_pass(minima, index, step, w)
     else:
         minima = [unreached] * m
         minima[0] = 0
@@ -280,6 +346,15 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]) -> list[int]:
     return minima
 
 
+def _digit_keys(m: int, k: int, lo: int, hi: int) -> list[int]:
+    """Per generator, the count digits lo..hi-1 packed with radix m.
+
+    Digit i of generator j (both 0-based) is 1 when i <= j: it counts
+    towards c_{i+1} = x_{i+1} + ... + x_k in the class docstring's terms.
+    """
+    return [sum(m ** (hi - 1 - i) for i in range(lo, min(j + 1, hi))) for j in range(k)]
+
+
 def group_minima(
     inst: KnapsackInstance,
     tau: int,
@@ -293,7 +368,10 @@ def group_minima(
     rationals, one per remaining coefficient in original order.  Minima are
     ints when every weight is integral and Fractions otherwise.  The table
     has a_tau rows, which is checked against the cell guardrail before
-    allocation.
+    allocation.  One kernel run on lexicographic keys gives the minima and
+    the witness counts together (module docstring); tables whose keys
+    exceed the int64 guard run their last count digits in further numpy
+    runs restricted to the arcs tight so far.
     """
     if not 0 <= tau < inst.n:
         raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
@@ -305,11 +383,42 @@ def group_minima(
 
     # Scale rational weights to integers; labels come back divided by scale.
     scale = math.lcm(*(x.denominator for x in w))
-    # Self-loop arcs (generator divisible by m) can never improve a label.
-    arcs = [(g % m, int(wj * scale)) for g, wj in zip(generators, w) if g % m]
-    minima: list[Weight] = _round_robin(m, arcs)
+    cost = [int(wj * scale) for wj in w]
+    k = len(cost)
+    steps = [g % m for g in generators]
+
+    def run(keys):
+        # Self-loop arcs (generator divisible by m) can never improve a label.
+        return _round_robin(m, [(s, key) for s, key in zip(steps, keys) if s])
+
+    def packed(width):
+        # cost and the first width count digits
+        return [wj * m**width + d for wj, d in zip(cost, _digit_keys(m, k, 0, width))]
+
+    radix = 0
+    if _fits_int64(m, max(cost)):
+        # numpy execution: as many count digits as fit ride on the cost
+        width = k
+        while width and not _fits_int64(m, max(packed(width))):
+            width -= 1
+        keys = packed(width)
+        labels = run(keys)
+        values, first = divmod(labels, m**width)
+        values = values.tolist()
+        blocks = [(first, width)]
+        if width < k:
+            blocks += _blocked_runs(labels, keys, steps, m, width)
+    else:
+        # Python execution: one run with the load as the lowest component; a
+        # witness has fewer than m generators, so its load is below radix
+        radix = m * max(generators)
+        labels = run([key * radix + g for key, g in zip(packed(k), generators)])
+        top = m**k * radix
+        values = [v // top for v in labels]
+        blocks = [(labels, k)]
+    minima: list[Weight] = values
     if isinstance(w[0], Fraction):
-        minima = [Fraction(v, scale) for v in minima]
+        minima = [Fraction(v, scale) for v in values]
     return GroupTable(
         modulus=m,
         tau=tau,
@@ -317,7 +426,46 @@ def group_minima(
         generators=generators,
         weights=w,
         minima=minima,
+        _blocks=tuple(blocks),
+        _load_radix=radix,
     )
+
+
+def _blocked_runs(labels, keys, steps, m, done):
+    """Count digits done..k-1 by further numpy runs (module docstring).
+
+    Each run packs as many digits as its int64 guard allows.  An arc
+    costs its generator's digits when it was tight in every earlier run
+    and m**digits otherwise, more than any label the tight arcs give, so
+    the runs keep to the optimal solutions of the earlier components.
+    """
+    import numpy as np
+
+    k = len(keys)
+    index = np.arange(m, dtype=np.int64)
+    # tight[j][r]: the arc r -> r + gen_j was tight in every run so far
+    tight = [np.roll(labels, -s) == labels + key for s, key in zip(steps, keys)]
+    blocks = []
+    while done < k:
+        width = 1
+        while done + width < k and _fits_int64(m, m ** (width + 1)):
+            width += 1
+        penalty = m**width
+        weights = [
+            np.where(ok, d, penalty)
+            for ok, d in zip(tight, _digit_keys(m, k, done, done + width))
+        ]
+        labels = np.full(m, m * (penalty + 1), dtype=np.int64)
+        labels[0] = 0
+        for s, arc in zip(steps, weights):
+            if s:
+                _cycle_pass(labels, index, s, arc)
+        blocks.append((labels, width))
+        done += width
+        if done < k:
+            for ok, s, arc in zip(tight, steps, weights):
+                ok &= np.roll(labels, -s) == labels + arc
+    return blocks
 
 
 def tightness_threshold(table: GroupTable) -> int:
@@ -327,9 +475,9 @@ def tightness_threshold(table: GroupTable) -> int:
     a genuine solution as soon as b is at least the largest witness load, so
     past this threshold the per-b optimum and the residue table agree.  The
     threshold is valid but not always the smallest one: other optimal
-    solutions may have smaller loads than the breadth-first witnesses.
+    solutions may have smaller loads than the fewest-generator witnesses.
     """
-    return max(table.load)
+    return _largest(table._decode()[0])
 
 
 def _frobenius3(a: tuple[int, int, int]) -> int:
@@ -386,7 +534,7 @@ def frobenius(inst: KnapsackInstance, *, max_cells: int | None = None) -> int:
     check_cells(m, f"residue table modulo {m}", max_cells)
     if inst.n == 3:
         return _frobenius3(inst.a)
-    return max(_round_robin(m, [(g % m, g) for g in inst.a if g % m])) - m
+    return _largest(_round_robin(m, [(g % m, g) for g in inst.a if g % m])) - m
 
 
 def frobenius_sieve_oracle(inst: KnapsackInstance) -> int:

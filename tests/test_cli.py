@@ -262,20 +262,25 @@ class TestTextOutput:
         assert "lattice_gap = 10" in out
 
     def test_group_builds_witnesses_once(self, capsys, monkeypatch):
+        # text decodes the 50 rows it prints, json every row, each once
         builds = []
-        real = knapgap.group.GroupTable.witness
+        real = knapgap.group.GroupTable._witnesses
 
-        def counting(table):
-            builds.append(table.modulus)
-            return real.fget(table)
+        def counting(table, rows):
+            builds.append(rows)
+            return real(table, rows)
 
-        monkeypatch.setattr(knapgap.group.GroupTable, "witness", property(counting))
+        monkeypatch.setattr(knapgap.group.GroupTable, "_witnesses", counting)
         code, out, _ = _run(capsys, "group", "--a", "61,97,131")
         assert code == 0
         lines = out.splitlines()
         assert lines[lines.index("r minima witness load") + 1] == "0 0 (0,0) 0"
         assert lines[-1] == "... 11 more rows, use --format json for all"
-        assert builds == [61]
+        assert builds == [50]
+        code, out, _ = _run(capsys, "group", "--a", "61,97,131", "--format", "json")
+        assert code == 0
+        assert len(json.loads(out)["witness"]) == 61
+        assert builds == [50, 61]
 
     def test_sample_streams_rows(self):
         # rows are written as they are drawn: the peak does not grow with the count

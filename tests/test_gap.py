@@ -8,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import knapgap.gap
+import knapgap.group
 from knapgap import (
     BoundTooLarge,
     KnapsackInstance,
@@ -288,6 +290,96 @@ class TestGapExact:
         # one reduced cost, one nontrivial residue generator: the max is
         # always l_1 * (a_tau - 1)
         assert gap_exact(inst, c).gap == red.l[0] * (inst.a[red.tau] - 1)
+
+
+# Pivots a_tau = m from 192 to 450, where the packed table reads on numpy.
+# The cost is slope * a plus reduced costs from {0, 1, 5/2}, positive on
+# every other coefficient so that m stays the pivot; equal reduced costs
+# tie the maximum over several classes.
+@st.composite
+def numpy_gap_cases(draw):
+    m = draw(st.integers(min_value=192, max_value=450))
+    gens = draw(st.lists(st.integers(min_value=1, max_value=3 * m), min_size=1, max_size=3))
+    assume(math.gcd(m, *gens) == 1)
+    slope = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    reduced = draw(
+        st.lists(
+            st.sampled_from([Fraction(1), Fraction(5, 2), Fraction(1, 3)]),
+            min_size=len(gens),
+            max_size=len(gens),
+        )
+    )
+    inst = KnapsackInstance((m, *gens))
+    return inst, (slope * m, *(slope * g + r for g, r in zip(gens, reduced)))
+
+
+def _python_readout(inst, c):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1 << 62)
+        return gap_exact(inst, c)
+
+
+class TestPackedReadout:
+    @given(case=numpy_gap_cases())
+    @settings(max_examples=40)
+    def test_numpy_readout_matches_python(self, case):
+        inst, c = case
+        report = gap_exact(inst, c)
+        assert inst.a[report.tau] >= knapgap.group._NUMPY_MIN_MODULUS
+        assert report == _python_readout(inst, c)
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((1, 3), (-2, 1)),  # a_tau = 1: B* = 0, nothing below it
+            ((2, 4, 7), (2, 0, 0)),  # tied maxima (test_tied_classes_give_...)
+            ((4, 5, 8), (4, 0, 0)),
+            ((200, 301, 403), (200, 301, 403)),  # every IG 0, all classes tie
+            ((200, 301, 403), (400, 603, 807)),
+        ],
+    )
+    def test_readouts_agree_on_ties_and_zero_threshold(self, a, c, monkeypatch):
+        inst = KnapsackInstance(a)
+        expected = _python_readout(inst, c)
+        monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1)
+        assert gap_exact(inst, c) == expected
+
+
+class TestWork:
+    @pytest.mark.parametrize(
+        "a, c, runs",
+        [
+            ((1234, 1789, 1999), (Fraction(3, 2), -1, 7), 1),
+            ((20011, 30011, 40009, 50021), (Fraction(3, 2), -1, 7, 2), 2),
+        ],
+    )
+    def test_one_kernel_run_per_table(self, a, c, runs, monkeypatch):
+        # witnesses, loads and B* come out of the table's own kernel run
+        calls, passes = [], []
+
+        def counting(m, arcs):
+            calls.append(m)
+            return real(m, arcs)
+
+        def counting_pass(*args):
+            passes.append(args[2])
+            return real_pass(*args)
+
+        real, real_pass = knapgap.group._round_robin, knapgap.group._cycle_pass
+        monkeypatch.setattr(knapgap.group, "_round_robin", counting)
+        monkeypatch.setattr(knapgap.gap, "_round_robin", counting)
+        monkeypatch.setattr(knapgap.group, "_cycle_pass", counting_pass)
+        inst = KnapsackInstance(a)
+        red = basis_reduction(inst, c)
+        table = group_minima(inst, red.tau, red.l)
+        tightness_threshold(table)
+        assert len(table.witness) == table.modulus
+        assert len(calls) == 1 and len(table._blocks) == runs
+        # one pass per generator and run at most, none for the decode
+        assert len(passes) <= (inst.n - 1) * runs
+        calls.clear()
+        gap_exact(inst, c)
+        assert len(calls) == 2
 
 
 class TestFamilies:

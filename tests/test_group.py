@@ -17,6 +17,7 @@ from knapgap import (
     NegativeWeight,
     NoPointInBox,
     ValidationError,
+    basis_reduction,
     frobenius,
     frobenius_sieve_oracle,
     group_min_bruteforce,
@@ -446,14 +447,14 @@ class TestRoundRobinKernel:
                     if expected[r] + weight < expected[(r + step) % m]:
                         expected[(r + step) % m] = expected[r] + weight
                         changed = True
-        assert _round_robin(m, arcs) == expected
+        assert list(_round_robin(m, arcs)) == expected
 
     @pytest.mark.parametrize("cutoff", [1, 1 << 62])
     def test_unreachable_residue_detected(self, cutoff, monkeypatch):
         monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
         with pytest.raises(AssertionError, match="not strongly reachable"):
             _round_robin(6, [(2, 1), (4, 3)])
-        assert _round_robin(6, [(2, 1), (3, 5)]) == [0, 7, 1, 5, 2, 6]
+        assert list(_round_robin(6, [(2, 1), (3, 5)])) == [0, 7, 1, 5, 2, 6]
 
 
 def _reference_tree(table):
@@ -517,27 +518,89 @@ def tree_cases(draw):
     return inst, tau, weights
 
 
+def _searched(table):
+    """(load, witness, B*) read off the reference tree: a witness is its
+    parent's plus one arc."""
+    pred_res, pred_gen, load, order = _reference_tree(table)
+    witness = [None] * table.modulus
+    witness[0] = (0,) * len(table.generators)
+    for r in order[1:]:
+        prev, j = witness[pred_res[r]], pred_gen[r]
+        witness[r] = prev[:j] + (prev[j] + 1,) + prev[j + 1 :]
+    return load, witness, max(load)
+
+
+def _decoded(table):
+    return table.load, table.witness, tightness_threshold(table)
+
+
+def _one_digit_headroom(inst, tau, weights):
+    """An _INT64_HEADROOM that still takes the cost on numpy but leaves one
+    count digit per blocked run (group_minima)."""
+    m = inst.a[tau]
+    scale = math.lcm(*(Fraction(w).denominator for w in weights))
+    top = max(int(Fraction(w) * scale) for w in weights)
+    return max(m * (top + 1), m * (m + 1)) + 1
+
+
+def _executions(inst, tau, weights):
+    """(name, table, _decoded(table)) on the Python walk, one numpy run at
+    the real guard, and numpy runs with one count digit per blocked run."""
+    runs = [
+        ("python", 1 << 62, knapgap.group._INT64_HEADROOM),
+        ("numpy", 1, knapgap.group._INT64_HEADROOM),
+        ("blocked", 1, _one_digit_headroom(inst, tau, weights)),
+    ]
+    for name, cutoff, headroom in runs:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
+            mp.setattr(knapgap.group, "_INT64_HEADROOM", headroom)
+            table = group_minima(inst, tau, weights)
+            yield name, table, _decoded(table)
+
+
 class TestTightTree:
+    # the witnesses are those of a breadth-first search over tight arcs
     @given(case=tree_cases())
     @settings(max_examples=150)
     def test_matches_deque_search(self, case):
-        table = group_minima(*case)
-        assert table._tight_tree() == _reference_tree(table)
+        for name, table, decoded in _executions(*case):
+            assert decoded == _searched(table), name
+            m = table.modulus
+            if name == "blocked" and m * (m * m + 1) >= _one_digit_headroom(*case):
+                # every count digit past the first run got a run of its own
+                first = table._blocks[0][1]
+                widths = [width for _, width in table._blocks[1:]]
+                assert widths == [1] * (len(table.generators) - first)
 
     def test_zero_weights_lead_back_to_the_root(self):
-        # 2 -> 0 is tight at weight 0, yet the root keeps pred_res -1
-        table = group_minima(KnapsackInstance((4, 3, 2)), 0, (0, 0))
-        pred_res, pred_gen, load, order = table._tight_tree()
-        assert (pred_res, pred_gen, load, order) == _reference_tree(table)
-        assert pred_res[0] == pred_gen[0] == -1 and load[0] == 0
-        assert sorted(order) == list(range(4))
+        # 2 -> 0 is tight at weight 0, yet the root keeps the empty witness
+        inst = KnapsackInstance((4, 3, 2))
+        for name, table, decoded in _executions(inst, 0, (0, 0)):
+            assert decoded == _searched(table), name
+            load, witness, _ = decoded
+            assert load[0] == 0 and witness[0] == (0, 0)
 
-    def test_unreached_residue_is_an_error(self):
-        # minima that no tight arc explains, e.g. a corrupted table
-        table = group_minima(KnapsackInstance((4, 3)), 0, (1,))
-        table.minima[2] += 1
-        with pytest.raises(AssertionError, match="failed to reach every residue"):
-            table._tight_tree()
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((20011, 30011, 40009, 50021), (Fraction(3, 2), -1, 7, 2)),
+            ((1999, 2503, 3001, 3511, 4007, 4513), (0, 0, 0, 0, 0, 1)),
+        ],
+    )
+    def test_blocked_runs_at_the_real_guard(self, a, c):
+        # reduced costs whose keys need a second numpy run
+        inst = KnapsackInstance(a)
+        red = basis_reduction(inst, c)
+        table = group_minima(inst, red.tau, red.l)
+        assert len(table._blocks) == 2
+        assert _decoded(table) == _searched(table)
+
+    def test_huge_generators_keep_exact_loads(self):
+        # the cost fits int64 but a load does not: decoded with Python ints
+        table = group_minima(KnapsackInstance((200, 10**20 + 1, 301)), 0, (1, 1))
+        assert _decoded(table) == _searched(table)
+        assert tightness_threshold(table) > 1 << 64
 
 
 class TestGuardrails:
