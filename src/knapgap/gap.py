@@ -40,7 +40,7 @@ from .core import (
     cost_vector,
     lp_value,
 )
-from .group import _round_robin, group_minima, tightness_threshold
+from .group import _packed_maxima, _round_robin, group_minima, tightness_threshold
 from .guardrail import check_cells
 
 
@@ -157,18 +157,7 @@ def gap_exact(
     labels = _round_robin(
         m, [(g % m, g * k + w) for g, w in zip(table.generators, cost) if g % m]
     )
-    limit = bstar * k
-    if isinstance(labels, list):
-        igs = [label % k for label in labels]
-        gap = max(igs)
-        first = min([lab for lab, ig in zip(labels, igs) if ig == gap])
-        scan = max([0] + [ig for lab, ig in zip(labels, igs) if lab < limit])
-    else:
-        igs = labels % k
-        gap = int(igs.max())
-        first = int(labels[igs == gap].min())
-        below = igs[labels < limit]
-        scan = int(below.max()) if below.size else 0
+    gap, first, scan = _packed_maxima(labels, k, bstar * k)
     return GapReport(
         gap=Fraction(gap, scale),
         witness_b=first // k,

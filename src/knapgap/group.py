@@ -265,9 +265,31 @@ def _fits_int64(m: int, top: int) -> bool:
     return m >= _NUMPY_MIN_MODULUS and max(m * (top + 1), m * m) < _INT64_HEADROOM
 
 
+def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:
+    """Whether _round_robin(m, arcs) takes the numpy execution."""
+    return _fits_int64(m, max((w for _, w in arcs), default=0))
+
+
 def _largest(labels) -> int:
     """Largest entry of a _round_robin result, as a Python int."""
     return max(labels) if isinstance(labels, list) else int(labels.max())
+
+
+def _packed_maxima(labels, k: int, limit: int) -> tuple[int, int, int]:
+    """Readout of a _round_robin result whose labels are hi * k + lo with
+    0 <= lo < k: the largest lo, the smallest label attaining it, and the
+    largest lo among the labels below limit (0 when there is none), as
+    Python ints.  On the numpy execution limit must fit int64."""
+    if isinstance(labels, list):
+        lows = [label % k for label in labels]
+        top = max(lows)
+        first = min([label for label, lo in zip(labels, lows) if lo == top])
+        below = max([0] + [lo for label, lo in zip(labels, lows) if label < limit])
+        return top, first, below
+    lows = labels % k
+    top = int(lows.max())
+    below = lows[labels < limit]
+    return top, int(labels[lows == top].min()), int(below.max()) if below.size else 0
 
 
 def _cycle_pass(labels, index, step: int, w) -> None:
@@ -310,7 +332,7 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]):
     arcs = sorted(arcs, key=itemgetter(1))
     top = arcs[-1][1] if arcs else 0
     unreached = m * (top + 1)
-    if _fits_int64(m, top):
+    if _on_numpy(m, arcs):
         import numpy as np
 
         minima = np.full(m, unreached, dtype=np.int64)
@@ -387,22 +409,23 @@ def group_minima(
     k = len(cost)
     steps = [g % m for g in generators]
 
-    def run(keys):
-        # Self-loop arcs (generator divisible by m) can never improve a label.
-        return _round_robin(m, [(s, key) for s, key in zip(steps, keys) if s])
+    def arcs(keys):
+        # Self-loop arcs (generator divisible by m) can never improve a
+        # label.  The execution is chosen on the arcs _round_robin gets.
+        return [(s, key) for s, key in zip(steps, keys) if s]
 
     def packed(width):
         # cost and the first width count digits
         return [wj * m**width + d for wj, d in zip(cost, _digit_keys(m, k, 0, width))]
 
     radix = 0
-    if _fits_int64(m, max(cost)):
+    if _on_numpy(m, arcs(cost)):
         # numpy execution: as many count digits as fit ride on the cost
         width = k
-        while width and not _fits_int64(m, max(packed(width))):
+        while width and not _on_numpy(m, arcs(packed(width))):
             width -= 1
         keys = packed(width)
-        labels = run(keys)
+        labels = _round_robin(m, arcs(keys))
         values, first = divmod(labels, m**width)
         values = values.tolist()
         blocks = [(first, width)]
@@ -410,9 +433,12 @@ def group_minima(
             blocks += _blocked_runs(labels, keys, steps, m, width)
     else:
         # Python execution: one run with the load as the lowest component; a
-        # witness has fewer than m generators, so its load is below radix
+        # witness has fewer than m generators, so its load is below radix.
+        # These keys are at least the costs, so _round_robin walks them too.
         radix = m * max(generators)
-        labels = run([key * radix + g for key, g in zip(packed(k), generators)])
+        labels = _round_robin(
+            m, arcs([key * radix + g for key, g in zip(packed(k), generators)])
+        )
         top = m**k * radix
         values = [v // top for v in labels]
         blocks = [(labels, k)]
@@ -460,6 +486,10 @@ def _blocked_runs(labels, keys, steps, m, done):
         for s, arc in zip(steps, weights):
             if s:
                 _cycle_pass(labels, index, s, arc)
+        # a tight path's label packs width digits below m, so it is below
+        # the penalty; a larger one is an unreached or untight residue
+        if (labels >= penalty).any():
+            raise AssertionError("blocked run left a residue off the tight arcs")
         blocks.append((labels, width))
         done += width
         if done < k:

@@ -282,6 +282,15 @@ class TestTextOutput:
         assert len(json.loads(out)["witness"]) == 61
         assert builds == [50, 61]
 
+    def test_group_json_with_a_huge_self_loop_weight(self, capsys):
+        code, out, _ = _run(
+            capsys, "group", "--a", "200,400,301", "--w", "6000000000000000,1",
+            "--format", "json",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["threshold"] == 59899 and len(doc["witness"]) == 200
+
     def test_sample_streams_rows(self):
         # rows are written as they are drawn: the peak does not grow with the count
         peaks = []

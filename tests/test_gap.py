@@ -345,6 +345,17 @@ class TestPackedReadout:
         assert gap_exact(inst, c) == expected
 
 
+    def test_self_loop_weight_keeps_the_threshold_exact(self):
+        # the self-loop generator 400 carries the largest reduced cost; B*
+        # stays a Python int, so B* * K does not wrap around in int64
+        inst, c = KnapsackInstance((200, 400, 301)), (0, 6 * 10**15, 1)
+        report = gap_exact(inst, c)
+        assert type(report.threshold) is int
+        assert report == _python_readout(inst, c)
+        assert report.scan_gap == 198
+        assert report.gap == gap_bruteforce(inst, c, report.threshold + 200)
+
+
 class TestWork:
     @pytest.mark.parametrize(
         "a, c, runs",

@@ -603,6 +603,34 @@ class TestTightTree:
         assert tightness_threshold(table) > 1 << 64
 
 
+    def test_self_loop_weight_does_not_choose_the_execution(self):
+        # generator 400 is a self-loop modulo 200 whose weight breaks the
+        # int64 guard; _round_robin never gets its arc, so the table runs on
+        # numpy and every value still comes back as a Python int
+        table = group_minima(KnapsackInstance((200, 400, 301)), 0, (6 * 10**15, 1))
+        assert not table._load_radix
+        load, witness, bstar = decoded = _decoded(table)
+        assert decoded == _searched(table)
+        values = [*table.minima, *load, bstar, *(x for row in witness for x in row)]
+        assert all(type(v) is int for v in values)
+
+    def test_blocked_run_off_the_tight_arcs_is_an_error(self, monkeypatch):
+        # a faulty pass leaves residue 1 of a blocked run above the penalty
+        np = pytest.importorskip("numpy")
+        real = knapgap.group._cycle_pass
+
+        def spoiled(labels, index, step, w):
+            real(labels, index, step, w)
+            if np.ndim(w):  # per-arc weights: a blocked run
+                labels[1] = 1 << 59
+
+        inst = KnapsackInstance((20011, 30011, 40009, 50021))
+        red = basis_reduction(inst, (Fraction(3, 2), -1, 7, 2))
+        monkeypatch.setattr(knapgap.group, "_cycle_pass", spoiled)
+        with pytest.raises(AssertionError, match="off the tight arcs"):
+            group_minima(inst, red.tau, red.l)
+
+
 class TestGuardrails:
     def test_witness_table_is_capped(self, monkeypatch):
         table = group_minima(KnapsackInstance((6, 9, 20)), 0, (9, 20))
