@@ -193,11 +193,10 @@ def _cmd_group(args: argparse.Namespace) -> int:
         w_text = args.w.split(",")
     table = group_minima(inst, tau, weights)
     limit = 50
-    # text prints the first limit rows, so only their witnesses are decoded;
-    # the guardrail still counts the whole witness table either way
+    # text prints the first limit rows, so only their witnesses and loads
+    # are decoded; the guardrail still counts the whole witness table
     shown = min(table.modulus, limit)
-    witness = table._witnesses(table.modulus if args.format == "json" else shown)
-    load = table.load
+    witness, load = table._rows(table.modulus if args.format == "json" else shown)
     doc = {
         "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text},
         "modulus": table.modulus,

@@ -103,12 +103,10 @@ class KnapsackInstance:
         return "(" + ", ".join(str(v) for v in self.a) + ")"
 
 
-def cost_vector(
-    entries: Sequence[RationalLike], n: int | None = None
-) -> tuple[Fraction, ...]:
-    """Coerce raw cost entries to exact Fractions, checking the length."""
+def cost_vector(entries: Sequence[RationalLike], n: int) -> tuple[Fraction, ...]:
+    """Coerce raw cost entries to exact Fractions, checking the length n."""
     costs = tuple(as_fraction(v, f"c[{i + 1}]") for i, v in enumerate(entries))
-    if n is not None and len(costs) != n:
+    if len(costs) != n:
         raise ValidationError(f"cost vector has length {len(costs)}, expected {n}")
     return costs
 

@@ -129,23 +129,26 @@ def gap_exact(
         key_j = gen_j * K + D * l_j,    D = lcm of the denominators of l,
 
     so a path's key is load * K + D * cost (D and K are scale and k below).
-    With K = m * max_j(D * l_j) + 1 the key order is the (load, cost)
-    lexicographic order and a class label is b_r * K + D * IG(b_r): a
-    load-minimal solution uses fewer than m generators (m of them would
-    contain a nonempty subsum divisible by m, whose removal lowers the load
-    and keeps the class), so its cost part stays below K.  The labels are
-    read without splitting them, on the int64 array itself when the kernel
-    ran on numpy: label % K is D * IG(b_r), the smallest label of the
-    largest remainder gives the smallest b_r attaining the maximum, which
-    is the smallest attaining b overall, and scan_gap keeps the labels
-    below B* * K, which are those with b_r < B*.  B* * K stays below the
-    kernel's int64 guard, since B* is a witness load, below m * max gen.
+    A load-minimal solution uses no self-loop generator (gen_j divisible
+    by m adds load and keeps the class), and fewer than m generators (m of
+    them would contain a nonempty subsum divisible by m, whose removal
+    lowers the load and keeps the class).  So with K = m * max_j(D * l_j)
+    + 1 over the other generators, the key order is the (load, cost)
+    lexicographic order, its cost part stays below K, and a class label is
+    b_r * K + D * IG(b_r).  The labels are read without splitting them,
+    on the int64 array itself when the kernel ran on numpy: label % K is
+    D * IG(b_r), the smallest label of the largest remainder gives the
+    smallest b_r attaining the maximum, which is the smallest attaining b
+    overall, and scan_gap keeps the labels below B* * K, which are those
+    with b_r < B*.  B* * K stays below the kernel's int64 guard, since B*
+    is a witness load, below m times the largest generator that is not a
+    self-loop.
     threshold and tail_gap come from the reduced-cost table, which runs on
     the integer weights D * l_j: scaling every weight by D keeps the same
     tight arcs and multiplies each minimum by D.  Both tables have a_tau
     cells, which group_minima checks against the guardrail; the witness
-    counts behind B* (and, in blocked runs, the tight-arc masks) add a few
-    times (n - 1) * a_tau array entries, which it does not count.
+    counts behind B* add a few times (n - 1) * a_tau array entries, which
+    it does not count.
     """
     red = basis_reduction(inst, c)
     scale = math.lcm(*(lw.denominator for lw in red.l))
@@ -153,10 +156,9 @@ def gap_exact(
     table = group_minima(inst, red.tau, cost, max_cells=max_cells)
     bstar = tightness_threshold(table)
     m = table.modulus
-    k = m * max(cost) + 1
-    labels = _round_robin(
-        m, [(g % m, g * k + w) for g, w in zip(table.generators, cost) if g % m]
-    )
+    live = [(g, w) for g, w in zip(table.generators, cost) if g % m]
+    k = m * max((w for _, w in live), default=0) + 1
+    labels = _round_robin(m, [(g % m, g * k + w) for g, w in live])
     gap, first, scan = _packed_maxima(labels, k, bstar * k)
     return GapReport(
         gap=Fraction(gap, scale),

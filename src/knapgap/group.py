@@ -65,18 +65,9 @@ the kernel's label for r is x*'s packed sum.  minima[r] is the label // m^k,
 the digits give x_i = c_i - c_{i+1}, and load = sum_j x_j gen_j.  On the
 Python execution the load is appended as the lowest component, with radix
 m max gen: the digits fix it, so the order is unchanged, and the loads cost
-one % per residue.  On the numpy execution the packed keys may break the
-int64 guard.  The first run then carries as many digits as fit, and the
-rest take further runs of as many digits d as fit, in which an arc costs
-its generator's digits when it was tight (label[r + s] = label[r] + its
-weight) in every earlier run, and m^d otherwise, more than the packed sum
-of any tight path.  The tight paths are exactly the solutions optimal in
-the components so far, and every ordering of one is again a tight path,
-so the passes, which try each solution with its generators in pass order,
-still find the optimum.  Such a run has per-arc weights: the offsets k w
-become the running sum W_k of the arc weights along the cycle and the lap
-L w their total, and no pass is skipped, since a path no longer costs the
-same wherever it starts.
+one % per residue.  The numpy execution runs only when the packed keys
+themselves pass the int64 guard: a table whose keys break it takes the
+Python execution even where its weights alone would fit.
 
 Taking the weights to be the coefficients themselves makes minima[r] the
 smallest integer congruent to r mod m that is representable without using
@@ -188,11 +179,10 @@ class GroupTable:
     generator 1, then of generator 2, ...  Zero weights need no care.
 
     group_minima reads these counts off the labels of its kernel run
-    (module docstring): `_blocks` holds (labels, digits) pairs whose
-    labels carry c_1, ..., c_k as radix-m digits in order, and on the
-    Python execution `_load_radix` is the radix of the load, the lowest
-    component of its one label list.  Loads and witnesses are decoded
-    from them on demand.
+    (module docstring): `_labels` carries c_1, ..., c_k as radix-m digits
+    in order, and on the Python execution `_load_radix` is the radix of the
+    load, their lowest component (0 on the numpy execution).  Loads and
+    witnesses are decoded from them on every access.
     """
 
     modulus: int
@@ -201,73 +191,63 @@ class GroupTable:
     generators: tuple[int, ...]
     weights: tuple[Weight, ...]
     minima: list[Weight]
-    _blocks: tuple = field(repr=False)
+    _labels: object = field(repr=False)
     _load_radix: int = field(repr=False)
-    _decoded: tuple | None = field(default=None, repr=False)
 
-    def _decode(self) -> tuple:
-        """(loads, counts): loads as a list or int64 array, and on the numpy
-        execution the (k, m) array of counts c_i (None on the Python one)."""
-        if self._decoded is None:
-            if self._load_radix:
-                ((labels, _),) = self._blocks
-                self._decoded = ([v % self._load_radix for v in labels], None)
-            else:
-                import numpy as np
+    def _decode(self, rows: int) -> tuple:
+        """(loads, counts) of residues 0..rows-1: loads as a list or int64
+        array, and on the numpy execution the (k, rows) array of counts c_i
+        (None on the Python one)."""
+        labels = self._labels[:rows]
+        if self._load_radix:
+            return [v % self._load_radix for v in labels], None
+        import numpy as np
 
-                m, gens = self.modulus, self.generators
-                digits = []
-                for labels, width in self._blocks:
-                    for place in reversed(range(width)):
-                        digits.append(labels // m**place % m)
-                counts = np.array(digits, dtype=np.int64)
-                # sum_j gen_j x_j = sum_i c_i (gen_i - gen_{i-1}); every partial
-                # sum lies in [0, m * max gen), so int64 holds it below the guard
-                if m * max(gens) >= _INT64_HEADROOM:
-                    counts = counts.astype(object)
-                loads = sum(c * (g - h) for c, g, h in zip(counts, gens, (0,) + gens))
-                self._decoded = (loads, counts)
-        return self._decoded
+        m, gens = self.modulus, self.generators
+        places = reversed(range(len(gens)))
+        counts = np.array([labels // m**p % m for p in places], dtype=np.int64)
+        # sum_j gen_j x_j = sum_i c_i (gen_i - gen_{i-1}); every partial
+        # sum lies in [0, m * max gen), so int64 holds it below the guard
+        if m * max(gens) >= _INT64_HEADROOM:
+            counts = counts.astype(object)
+        return sum(c * (g - h) for c, g, h in zip(counts, gens, (0,) + gens)), counts
 
     @property
     def load(self) -> list[int]:
-        loads = self._decode()[0]
+        loads = self._decode(self.modulus)[0]
         return loads if isinstance(loads, list) else loads.tolist()
 
     @property
     def witness(self) -> list[tuple[int, ...]]:
-        """One optimal solution per residue, decoded on every access."""
-        return self._witnesses(self.modulus)
+        """One optimal solution per residue."""
+        return self._rows(self.modulus)[0]
 
-    def _witnesses(self, rows: int) -> list[tuple[int, ...]]:
-        """witness[:rows]; the guardrail counts the whole table all the same."""
+    def _rows(self, rows: int) -> tuple[list[tuple[int, ...]], list[int]]:
+        """(witness[:rows], load[:rows]); the guardrail counts the whole
+        witness table all the same."""
         m, k = self.modulus, len(self.generators)
         check_cells(m * k, f"witness table of {m} rows")
-        counts = self._decode()[1]
+        loads, counts = self._decode(rows)
         if counts is not None:
-            x = counts[:, :rows].copy()
-            x[:-1] -= counts[1:, :rows]  # x_i = c_i - c_{i+1}
-            return list(map(tuple, x.T.tolist()))
+            x = counts.copy()
+            x[:-1] -= counts[1:]  # x_i = c_i - c_{i+1}
+            return list(map(tuple, x.T.tolist())), loads.tolist()
         out = []
-        for label in self._blocks[0][0][:rows]:
+        for label in self._labels[:rows]:
             rest, above, x = label // self._load_radix, 0, []
             for _ in range(k):  # c_k first
                 rest, c = divmod(rest, m)
                 x.append(c - above)
                 above = c
             out.append(tuple(reversed(x)))
-        return out
-
-
-def _fits_int64(m: int, top: int) -> bool:
-    """Whether a table of m residues with arc weights at most top runs on
-    numpy int64 arrays (module docstring)."""
-    return m >= _NUMPY_MIN_MODULUS and max(m * (top + 1), m * m) < _INT64_HEADROOM
+        return out, loads
 
 
 def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:
-    """Whether _round_robin(m, arcs) takes the numpy execution."""
-    return _fits_int64(m, max((w for _, w in arcs), default=0))
+    """Whether _round_robin(m, arcs) takes the numpy int64 execution
+    (module docstring)."""
+    top = max((w for _, w in arcs), default=0)
+    return m >= _NUMPY_MIN_MODULUS and max(m * (top + 1), m * m) < _INT64_HEADROOM
 
 
 def _largest(labels) -> int:
@@ -292,13 +272,8 @@ def _packed_maxima(labels, k: int, limit: int) -> tuple[int, int, int]:
     return top, int(labels[lows == top].min()), int(below.max()) if below.size else 0
 
 
-def _cycle_pass(labels, index, step: int, w) -> None:
-    """One numpy pass: relax every arc r -> r + step of the table in place.
-
-    w is one weight, or an int64 array of per-arc weights indexed by the
-    arc's source residue; the offsets along a cycle are then their running
-    sum instead of multiples of w (module docstring).
-    """
+def _cycle_pass(labels, index, step: int, w: int) -> None:
+    """One numpy pass: relax every arc r -> r + step of weight w in place."""
     import numpy as np
 
     m = len(labels)
@@ -306,16 +281,9 @@ def _cycle_pass(labels, index, step: int, w) -> None:
     # Row p lists p, p + step, p + 2 step, ... since length * step is 0
     # mod m.  index * step < m**2 fits by the guard.
     cycles = ((index // length + index * step) % m).reshape(-1, length)
-    if np.ndim(w):
-        arc = w[cycles]
-        lap = np.cumsum(arc, axis=1)
-        offsets = lap - arc
-        lap = lap[:, -1:]
-    else:
-        offsets = np.arange(length, dtype=np.int64) * w
-        lap = length * w
+    offsets = np.arange(length, dtype=np.int64) * w
     prefix = np.minimum.accumulate(labels[cycles] - offsets, axis=1)
-    labels[cycles] = np.minimum(prefix, prefix[:, -1:] + lap) + offsets
+    labels[cycles] = np.minimum(prefix, prefix[:, -1:] + length * w) + offsets
 
 
 def _round_robin(m: int, arcs: list[tuple[int, int]]):
@@ -368,13 +336,13 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]):
     return minima
 
 
-def _digit_keys(m: int, k: int, lo: int, hi: int) -> list[int]:
-    """Per generator, the count digits lo..hi-1 packed with radix m.
+def _digit_keys(m: int, k: int) -> list[int]:
+    """Per generator, the count digits packed with radix m.
 
     Digit i of generator j (both 0-based) is 1 when i <= j: it counts
     towards c_{i+1} = x_{i+1} + ... + x_k in the class docstring's terms.
     """
-    return [sum(m ** (hi - 1 - i) for i in range(lo, min(j + 1, hi))) for j in range(k)]
+    return [sum(m ** (k - 1 - i) for i in range(j + 1)) for j in range(k)]
 
 
 def group_minima(
@@ -391,9 +359,7 @@ def group_minima(
     ints when every weight is integral and Fractions otherwise.  The table
     has a_tau rows, which is checked against the cell guardrail before
     allocation.  One kernel run on lexicographic keys gives the minima and
-    the witness counts together (module docstring); tables whose keys
-    exceed the int64 guard run their last count digits in further numpy
-    runs restricted to the arcs tight so far.
+    the witness counts together (module docstring).
     """
     if not 0 <= tau < inst.n:
         raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
@@ -405,43 +371,24 @@ def group_minima(
 
     # Scale rational weights to integers; labels come back divided by scale.
     scale = math.lcm(*(x.denominator for x in w))
-    cost = [int(wj * scale) for wj in w]
-    k = len(cost)
-    steps = [g % m for g in generators]
-
-    def arcs(keys):
-        # Self-loop arcs (generator divisible by m) can never improve a
-        # label.  The execution is chosen on the arcs _round_robin gets.
-        return [(s, key) for s, key in zip(steps, keys) if s]
-
-    def packed(width):
-        # cost and the first width count digits
-        return [wj * m**width + d for wj, d in zip(cost, _digit_keys(m, k, 0, width))]
-
-    radix = 0
-    if _on_numpy(m, arcs(cost)):
-        # numpy execution: as many count digits as fit ride on the cost
-        width = k
-        while width and not _on_numpy(m, arcs(packed(width))):
-            width -= 1
-        keys = packed(width)
-        labels = _round_robin(m, arcs(keys))
-        values, first = divmod(labels, m**width)
-        values = values.tolist()
-        blocks = [(first, width)]
-        if width < k:
-            blocks += _blocked_runs(labels, keys, steps, m, width)
+    k = len(generators)
+    keys = [int(wj * scale) * m**k + d for wj, d in zip(w, _digit_keys(m, k))]
+    # Self-loop arcs (generator divisible by m) can never improve a label,
+    # and the execution is chosen on the arcs _round_robin gets.
+    live = [(g, key) for g, key in zip(generators, keys) if g % m]
+    arcs = [(g % m, key) for g, key in live]
+    if _on_numpy(m, arcs):
+        radix = 0
+        labels = _round_robin(m, arcs)
+        values = (labels // m**k).tolist()
     else:
-        # Python execution: one run with the load as the lowest component; a
-        # witness has fewer than m generators, so its load is below radix.
-        # These keys are at least the costs, so _round_robin walks them too.
+        # Python execution: the load rides as the lowest component; a witness
+        # has fewer than m generators, so its load is below radix.  These
+        # keys are larger still, so _round_robin walks them too.
         radix = m * max(generators)
-        labels = _round_robin(
-            m, arcs([key * radix + g for key, g in zip(packed(k), generators)])
-        )
+        labels = _round_robin(m, [(g % m, key * radix + g) for g, key in live])
         top = m**k * radix
         values = [v // top for v in labels]
-        blocks = [(labels, k)]
     minima: list[Weight] = values
     if isinstance(w[0], Fraction):
         minima = [Fraction(v, scale) for v in values]
@@ -452,50 +399,9 @@ def group_minima(
         generators=generators,
         weights=w,
         minima=minima,
-        _blocks=tuple(blocks),
+        _labels=labels,
         _load_radix=radix,
     )
-
-
-def _blocked_runs(labels, keys, steps, m, done):
-    """Count digits done..k-1 by further numpy runs (module docstring).
-
-    Each run packs as many digits as its int64 guard allows.  An arc
-    costs its generator's digits when it was tight in every earlier run
-    and m**digits otherwise, more than any label the tight arcs give, so
-    the runs keep to the optimal solutions of the earlier components.
-    """
-    import numpy as np
-
-    k = len(keys)
-    index = np.arange(m, dtype=np.int64)
-    # tight[j][r]: the arc r -> r + gen_j was tight in every run so far
-    tight = [np.roll(labels, -s) == labels + key for s, key in zip(steps, keys)]
-    blocks = []
-    while done < k:
-        width = 1
-        while done + width < k and _fits_int64(m, m ** (width + 1)):
-            width += 1
-        penalty = m**width
-        weights = [
-            np.where(ok, d, penalty)
-            for ok, d in zip(tight, _digit_keys(m, k, done, done + width))
-        ]
-        labels = np.full(m, m * (penalty + 1), dtype=np.int64)
-        labels[0] = 0
-        for s, arc in zip(steps, weights):
-            if s:
-                _cycle_pass(labels, index, s, arc)
-        # a tight path's label packs width digits below m, so it is below
-        # the penalty; a larger one is an unreached or untight residue
-        if (labels >= penalty).any():
-            raise AssertionError("blocked run left a residue off the tight arcs")
-        blocks.append((labels, width))
-        done += width
-        if done < k:
-            for ok, s, arc in zip(tight, steps, weights):
-                ok &= np.roll(labels, -s) == labels + arc
-    return blocks
 
 
 def tightness_threshold(table: GroupTable) -> int:
@@ -507,7 +413,7 @@ def tightness_threshold(table: GroupTable) -> int:
     threshold is valid but not always the smallest one: other optimal
     solutions may have smaller loads than the fewest-generator witnesses.
     """
-    return _largest(table._decode()[0])
+    return _largest(table._decode(table.modulus)[0])
 
 
 def _frobenius3(a: tuple[int, int, int]) -> int:

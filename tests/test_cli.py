@@ -264,13 +264,15 @@ class TestTextOutput:
     def test_group_builds_witnesses_once(self, capsys, monkeypatch):
         # text decodes the 50 rows it prints, json every row, each once
         builds = []
-        real = knapgap.group.GroupTable._witnesses
+        real = knapgap.group.GroupTable._rows
 
         def counting(table, rows):
             builds.append(rows)
             return real(table, rows)
 
-        monkeypatch.setattr(knapgap.group.GroupTable, "_witnesses", counting)
+        monkeypatch.setattr(knapgap.group.GroupTable, "_rows", counting)
+        # the loads come from the same rows, never from the full load list
+        monkeypatch.delattr(knapgap.group.GroupTable, "load")
         code, out, _ = _run(capsys, "group", "--a", "61,97,131")
         assert code == 0
         lines = out.splitlines()

@@ -355,16 +355,32 @@ class TestPackedReadout:
         assert report.scan_gap == 198
         assert report.gap == gap_bruteforce(inst, c, report.threshold + 200)
 
+    def test_self_loop_cost_does_not_size_the_packing(self, monkeypatch):
+        # K is taken over the live arcs, 201 here, so the packed table stays
+        # on numpy although the self-loop 400 costs 6 * 10**15
+        inst, c = KnapsackInstance((200, 400, 301)), (0, 6 * 10**15, 1)
+        expected = _python_readout(inst, c)
+        on_numpy = []
+
+        def recording(m, arcs):
+            on_numpy.append(knapgap.group._on_numpy(m, arcs))
+            return real(m, arcs)
+
+        real = knapgap.gap._round_robin
+        monkeypatch.setattr(knapgap.gap, "_round_robin", recording)
+        assert gap_exact(inst, c) == expected
+        assert on_numpy == [True]
+
 
 class TestWork:
     @pytest.mark.parametrize(
-        "a, c, runs",
+        "a, c",
         [
-            ((1234, 1789, 1999), (Fraction(3, 2), -1, 7), 1),
-            ((20011, 30011, 40009, 50021), (Fraction(3, 2), -1, 7, 2), 2),
+            ((1234, 1789, 1999), (Fraction(3, 2), -1, 7)),  # numpy
+            ((20011, 30011, 40009, 50021), (Fraction(3, 2), -1, 7, 2)),  # Python
         ],
     )
-    def test_one_kernel_run_per_table(self, a, c, runs, monkeypatch):
+    def test_one_kernel_run_per_table(self, a, c, monkeypatch):
         # witnesses, loads and B* come out of the table's own kernel run
         calls, passes = [], []
 
@@ -385,9 +401,9 @@ class TestWork:
         table = group_minima(inst, red.tau, red.l)
         tightness_threshold(table)
         assert len(table.witness) == table.modulus
-        assert len(calls) == 1 and len(table._blocks) == runs
-        # one pass per generator and run at most, none for the decode
-        assert len(passes) <= (inst.n - 1) * runs
+        assert len(calls) == 1
+        # one numpy pass per generator at most, none for the decode
+        assert len(passes) <= inst.n - 1
         calls.clear()
         gap_exact(inst, c)
         assert len(calls) == 2

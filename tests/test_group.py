@@ -422,14 +422,14 @@ class TestRoundRobinKernel:
     def test_index_headroom_edge(self, monkeypatch):
         # cycle indices reach m**2, so a table with small weights but m * m
         # beyond the headroom must walk with Python ints
-        inst = KnapsackInstance((200, 601, 1403))
-        expected = group_minima(inst, 0, [1, 2]).minima
+        m, arcs = 200, [(1, 1), (3, 2)]
+        expected = list(_round_robin(m, arcs))
         monkeypatch.setitem(sys.modules, "numpy", None)
-        monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", 200 * 200 + 1)
+        monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", m * m + 1)
         with pytest.raises(ImportError):
-            group_minima(inst, 0, [1, 2])
-        monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", 200 * 200)
-        assert group_minima(inst, 0, [1, 2]).minima == expected
+            _round_robin(m, arcs)
+        monkeypatch.setattr(knapgap.group, "_INT64_HEADROOM", m * m)
+        assert _round_robin(m, arcs) == expected
 
     @pytest.mark.parametrize("cutoff", [1, 1 << 62])
     @pytest.mark.parametrize("w", [9, 10, 11])
@@ -534,27 +534,12 @@ def _decoded(table):
     return table.load, table.witness, tightness_threshold(table)
 
 
-def _one_digit_headroom(inst, tau, weights):
-    """An _INT64_HEADROOM that still takes the cost on numpy but leaves one
-    count digit per blocked run (group_minima)."""
-    m = inst.a[tau]
-    scale = math.lcm(*(Fraction(w).denominator for w in weights))
-    top = max(int(Fraction(w) * scale) for w in weights)
-    return max(m * (top + 1), m * (m + 1)) + 1
-
-
 def _executions(inst, tau, weights):
-    """(name, table, _decoded(table)) on the Python walk, one numpy run at
-    the real guard, and numpy runs with one count digit per blocked run."""
-    runs = [
-        ("python", 1 << 62, knapgap.group._INT64_HEADROOM),
-        ("numpy", 1, knapgap.group._INT64_HEADROOM),
-        ("blocked", 1, _one_digit_headroom(inst, tau, weights)),
-    ]
-    for name, cutoff, headroom in runs:
+    """(name, table, _decoded(table)) on the Python walk and on numpy with
+    the cutoff at 1 (numpy when the packed keys fit the int64 guard)."""
+    for name, cutoff in [("python", 1 << 62), ("numpy", 1)]:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
-            mp.setattr(knapgap.group, "_INT64_HEADROOM", headroom)
             table = group_minima(inst, tau, weights)
             yield name, table, _decoded(table)
 
@@ -566,12 +551,6 @@ class TestTightTree:
     def test_matches_deque_search(self, case):
         for name, table, decoded in _executions(*case):
             assert decoded == _searched(table), name
-            m = table.modulus
-            if name == "blocked" and m * (m * m + 1) >= _one_digit_headroom(*case):
-                # every count digit past the first run got a run of its own
-                first = table._blocks[0][1]
-                widths = [width for _, width in table._blocks[1:]]
-                assert widths == [1] * (len(table.generators) - first)
 
     def test_zero_weights_lead_back_to_the_root(self):
         # 2 -> 0 is tight at weight 0, yet the root keeps the empty witness
@@ -589,11 +568,12 @@ class TestTightTree:
         ],
     )
     def test_blocked_runs_at_the_real_guard(self, a, c):
-        # reduced costs whose keys need a second numpy run
+        # the reduced costs fit the int64 guard but their packed keys do
+        # not, so the table takes the Python walk
         inst = KnapsackInstance(a)
         red = basis_reduction(inst, c)
         table = group_minima(inst, red.tau, red.l)
-        assert len(table._blocks) == 2
+        assert table._load_radix
         assert _decoded(table) == _searched(table)
 
     def test_huge_generators_keep_exact_loads(self):
@@ -613,22 +593,6 @@ class TestTightTree:
         assert decoded == _searched(table)
         values = [*table.minima, *load, bstar, *(x for row in witness for x in row)]
         assert all(type(v) is int for v in values)
-
-    def test_blocked_run_off_the_tight_arcs_is_an_error(self, monkeypatch):
-        # a faulty pass leaves residue 1 of a blocked run above the penalty
-        np = pytest.importorskip("numpy")
-        real = knapgap.group._cycle_pass
-
-        def spoiled(labels, index, step, w):
-            real(labels, index, step, w)
-            if np.ndim(w):  # per-arc weights: a blocked run
-                labels[1] = 1 << 59
-
-        inst = KnapsackInstance((20011, 30011, 40009, 50021))
-        red = basis_reduction(inst, (Fraction(3, 2), -1, 7, 2))
-        monkeypatch.setattr(knapgap.group, "_cycle_pass", spoiled)
-        with pytest.raises(AssertionError, match="off the tight arcs"):
-            group_minima(inst, red.tau, red.l)
 
 
 class TestGuardrails:
