@@ -5,6 +5,12 @@ bound applies to generic costs only and is reported as None otherwise.
 Irrational constants enter through directed rational rounding at
 knapgap.rounding's DEFAULT_BITS, always in the direction that keeps the
 stated inequality true, so comparing these values with exact gaps is sound.
+
+Costs become integers over a common denominator before any bound is
+formed: the norms of c over the lcm of its denominators (_norms), and the
+reduced costs as basis_reduction's integer weights over its scale.  Each
+bound computes an integer numerator and builds its one Fraction at its
+return.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .core import (
@@ -36,20 +43,20 @@ def schur_bound(inst: KnapsackInstance) -> int:
     return lo * hi - lo - hi
 
 
-def _norm_l1(costs: Sequence[Fraction]) -> Fraction:
-    return sum((abs(ci) for ci in costs), Fraction(0))
-
-
-def _norm_linf(costs: Sequence[Fraction]) -> Fraction:
-    return max(abs(ci) for ci in costs)
+def _norms(inst: KnapsackInstance, c: Sequence[RationalLike]) -> tuple[int, int, int]:
+    """(D, D * ||c||_1, D * ||c||_inf) as ints, D the lcm of c's denominators."""
+    costs = cost_vector(c, inst.n)
+    scale = math.lcm(*(ci.denominator for ci in costs))
+    sizes = [abs(ci.numerator) * (scale // ci.denominator) for ci in costs]
+    return scale, sum(sizes), max(sizes)
 
 
 def cook_gap_bound(
     inst: KnapsackInstance, c: Sequence[RationalLike]
 ) -> Fraction:
     """Proximity-type bound n * max(a) * ||c||_1, valid for every b."""
-    costs = cost_vector(c, inst.n)
-    return inst.n * inst.norm_inf * _norm_l1(costs)
+    scale, l1, _ = _norms(inst, c)
+    return Fraction(inst.n * inst.norm_inf * l1, scale)
 
 
 def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
@@ -58,14 +65,14 @@ def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     Attained with equality on the family (k, ..., k, 1) with cost e_n, so
     the constant cannot be improved.
     """
-    costs = cost_vector(c, inst.n)
-    return (inst.norm_inf - 1) * _norm_l1(costs)
+    scale, l1, _ = _norms(inst, c)
+    return Fraction((inst.norm_inf - 1) * l1, scale)
 
 
 def gap_bound_linf(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     """Gap_c(a) <= 2 * (max(a) - 1) * ||c||_inf."""
-    costs = cost_vector(c, inst.n)
-    return 2 * (inst.norm_inf - 1) * _norm_linf(costs)
+    scale, _, linf = _norms(inst, c)
+    return Fraction(2 * (inst.norm_inf - 1) * linf, scale)
 
 
 def gap_bound_frobenius(
@@ -75,37 +82,26 @@ def gap_bound_frobenius(
 
     Pass g to reuse an already computed Frobenius number.
     """
-    costs = cost_vector(c, inst.n)
+    scale, l1, _ = _norms(inst, c)
     if g is None:
         g = frobenius(inst)
-    return Fraction(g + inst.norm_inf) * _norm_l1(costs) / inst.min_entry
+    return Fraction((g + inst.norm_inf) * l1, scale * inst.min_entry)
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
-    """Lower estimate of the covering constant of a d-simplex.
+@cache
+def rho_lower(d: int) -> Fraction:
+    """Certified rational lower estimate of the simplex covering constant.
 
-    value is a dyadic rational never exceeding the true constant.  The
-    constant is exactly known for d = 1 (one) and d = 2 (sqrt of 3), where
-    `exact` is True even though the stored rational still rounds sqrt(3)
-    down; for d >= 3 only the (d!)^(1/d) lower estimate is available.
+    The value is a dyadic rational never exceeding the true constant of the
+    d-simplex.  The constant is known exactly for d = 1 (one) and d = 2
+    (sqrt 3, rounded down here); for d >= 3 the estimate is (d!)^(1/d)
+    rounded down.  It depends on d alone, so each d is computed once.
     """
-
-    d: int
-    value: Fraction
-    exact: bool
-
-
-def rho_lower(d: int) -> RhoEstimate:
-    """Certified rational lower estimate of the simplex covering constant."""
     if d < 1:
         raise ValidationError(f"dimension d = {d} must be >= 1")
     if d == 1:
-        return RhoEstimate(d=1, value=Fraction(1), exact=True)
-    if d == 2:
-        return RhoEstimate(d=2, value=root_lower(Fraction(3), 2), exact=True)
-    value = root_lower(Fraction(math.factorial(d)), d)
-    return RhoEstimate(d=d, value=value, exact=False)
+        return Fraction(1)
+    return root_lower(Fraction(3 if d == 2 else math.factorial(d)), d)
 
 
 def gap_lower_bound_covering(
@@ -116,18 +112,16 @@ def gap_lower_bound_covering(
     Applies to generic costs only (returns None otherwise).  rho and the
     root are both rounded down, and both factors are nonnegative, so the
     product still bounds the gap from below.  For n = 2 every quantity is
-    exact and the bound equals the gap itself.
+    exact and the bound equals the gap itself.  The product and the sum
+    are taken on the reduction's integer weights D * l_j.
     """
     red = basis_reduction(inst, c)
     if not red.generic:
         return None
     d = inst.n - 1
-    prod = Fraction(inst.a[red.tau])
-    for lw in red.l:
-        prod *= lw
-    root = root_lower(prod, d)
-    rho = rho_lower(d).value
-    return rho * root - sum(red.l, Fraction(0))
+    prod = inst.a[red.tau] * math.prod(red.weights)
+    root = root_lower(Fraction(prod, red.scale**d), d)
+    return rho_lower(d) * root - Fraction(sum(red.weights), red.scale)
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,8 @@ class BasisReduction:
     c_j - slope * a_j for the remaining positions in their original order.
     All reduced costs are >= 0; `generic` records whether the minimizing
     ratio was unique, which is equivalent to all reduced costs being > 0.
+    scale is the lcm D of the denominators of l and weights lists the
+    integers D * l_j, the form in which the gap and the bounds use them.
     """
 
     tau: int
@@ -127,6 +129,8 @@ class BasisReduction:
     l: tuple[Fraction, ...]
     generic: bool
     positions: tuple[int, ...]
+    scale: int
+    weights: tuple[int, ...]
 
 
 def basis_reduction(
@@ -147,8 +151,15 @@ def basis_reduction(
     generic = ratios.count(slope) == 1
     positions = tuple(j for j in range(inst.n) if j != tau)
     reduced = tuple(costs[j] - slope * inst.a[j] for j in positions)
+    scale = math.lcm(*(lw.denominator for lw in reduced))
     return BasisReduction(
-        tau=tau, slope=slope, l=reduced, generic=generic, positions=positions
+        tau=tau,
+        slope=slope,
+        l=reduced,
+        generic=generic,
+        positions=positions,
+        scale=scale,
+        weights=tuple(lw.numerator * (scale // lw.denominator) for lw in reduced),
     )
 
 

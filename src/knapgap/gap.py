@@ -27,7 +27,6 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -112,12 +111,7 @@ class GapReport:
     generic: bool
 
 
-def gap_exact(
-    inst: KnapsackInstance,
-    c: Sequence[RationalLike],
-    *,
-    max_cells: int | None = None,
-) -> GapReport:
+def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
     """Exact Gap_c(a) = max over representable b of IG_c(a, b).
 
     IG never increases along a residue class (module docstring), so the
@@ -128,7 +122,8 @@ def gap_exact(
 
         key_j = gen_j * K + D * l_j,    D = lcm of the denominators of l,
 
-    so a path's key is load * K + D * cost (D and K are scale and k below).
+    so a path's key is load * K + D * cost.  basis_reduction hands over D
+    and the integers D * l_j as its scale and weights, and K is k below.
     A load-minimal solution uses no self-loop generator (gen_j divisible
     by m adds load and keeps the class), and fewer than m generators (m of
     them would contain a nonempty subsum divisible by m, whose removal
@@ -151,21 +146,19 @@ def gap_exact(
     it does not count.
     """
     red = basis_reduction(inst, c)
-    scale = math.lcm(*(lw.denominator for lw in red.l))
-    cost = [int(lw * scale) for lw in red.l]
-    table = group_minima(inst, red.tau, cost, max_cells=max_cells)
+    table = group_minima(inst, red.tau, red.weights)
     bstar = tightness_threshold(table)
     m = table.modulus
-    live = [(g, w) for g, w in zip(table.generators, cost) if g % m]
+    live = [(g, w) for g, w in zip(table.generators, red.weights) if g % m]
     k = m * max((w for _, w in live), default=0) + 1
     labels = _round_robin(m, [(g % m, g * k + w) for g, w in live])
     gap, first, scan = _packed_maxima(labels, k, bstar * k)
     return GapReport(
-        gap=Fraction(gap, scale),
+        gap=Fraction(gap, red.scale),
         witness_b=first // k,
         threshold=bstar,
-        tail_gap=Fraction(max(table.minima), scale),
-        scan_gap=Fraction(scan, scale),
+        tail_gap=Fraction(max(table.minima), red.scale),
+        scan_gap=Fraction(scan, red.scale),
         tau=red.tau,
         generic=red.generic,
     )

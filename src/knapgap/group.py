@@ -261,10 +261,13 @@ def _packed_maxima(labels, k: int, limit: int) -> tuple[int, int, int]:
     largest lo among the labels below limit (0 when there is none), as
     Python ints.  On the numpy execution limit must fit int64."""
     if isinstance(labels, list):
-        lows = [label % k for label in labels]
-        top = max(lows)
-        first = min([label for label, lo in zip(labels, lows) if lo == top])
-        below = max([0] + [lo for label, lo in zip(labels, lows) if label < limit])
+        top, first, below = -1, 0, 0
+        for label in labels:
+            lo = label % k
+            if lo > top or (lo == top and label < first):
+                top, first = lo, label
+            if lo > below and label < limit:
+                below = lo
         return top, first, below
     lows = labels % k
     top = int(lows.max())
@@ -346,11 +349,7 @@ def _digit_keys(m: int, k: int) -> list[int]:
 
 
 def group_minima(
-    inst: KnapsackInstance,
-    tau: int,
-    weights: Sequence[RationalLike],
-    *,
-    max_cells: int | None = None,
+    inst: KnapsackInstance, tau: int, weights: Sequence[RationalLike]
 ) -> GroupTable:
     """Exact residue-class minima modulo a_tau by the round-robin algorithm.
 
@@ -367,7 +366,7 @@ def group_minima(
     generators = tuple(inst.a[j] for j in positions)
     w = _normalize_weights(weights, inst.n - 1)
     m = inst.a[tau]
-    check_cells(m, f"residue table modulo {m}", max_cells)
+    check_cells(m, f"residue table modulo {m}")
 
     # Scale rational weights to integers; labels come back divided by scale.
     scale = math.lcm(*(x.denominator for x in w))

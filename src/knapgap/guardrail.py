@@ -3,9 +3,10 @@
 Residue tables, representability sieves and exhaustive enumerations all
 allocate one cell per lattice point or residue.  Every such allocation is
 checked against a cap, by default 10**8 cells, overridable globally
-through the KNAPGAP_GUARDRAIL_CELLS environment variable.  Three calls also
-take a per-call max_cells argument, which wins over both: frobenius and
-group_minima (knapgap.group) and gap_exact (knapgap.gap).
+through the KNAPGAP_GUARDRAIL_CELLS environment variable.  frobenius
+(knapgap.group) also takes a max_cells argument, which wins over both: the
+sampler reads the cap once per range and passes it to every record's call,
+since reading the environment costs more than checking one record's table.
 """
 
 from __future__ import annotations
@@ -46,6 +47,5 @@ def check_cells(needed: int, what: str, explicit: int | None = None) -> None:
     cap = cell_cap(explicit)
     if needed > cap:
         raise BoundTooLarge(
-            f"{what} needs {needed} cells, cap is {cap} "
-            f"(override with {ENV_VAR} or the max_cells argument)"
+            f"{what} needs {needed} cells, cap is {cap} (override with {ENV_VAR})"
         )

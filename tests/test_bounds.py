@@ -1,10 +1,11 @@
 """Closed-form bounds must sandwich the exact gap, always."""
 
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knapgap import (
@@ -14,6 +15,7 @@ from knapgap import (
     check_bounds,
     cook_gap_bound,
     frobenius,
+    frobenius_sieve_oracle,
     gap_bound_frobenius,
     gap_bound_l1,
     gap_bound_linf,
@@ -23,6 +25,7 @@ from knapgap import (
     schur_bound,
     tightness_family,
 )
+from knapgap.rounding import root_lower
 
 tiny_instances = (
     st.lists(st.integers(min_value=1, max_value=18), min_size=2, max_size=4)
@@ -81,21 +84,17 @@ class TestUpperBounds:
 
 class TestRho:
     def test_dimension_one(self):
-        est = rho_lower(1)
-        assert est.value == 1
-        assert est.exact
+        assert rho_lower(1) == 1
 
     def test_dimension_two_sqrt3(self):
-        est = rho_lower(2)
-        assert est.exact
-        assert est.value**2 <= 3
-        assert (est.value + Fraction(1, 2**50)) ** 2 > 3
+        value = rho_lower(2)
+        assert value**2 <= 3
+        assert (value + Fraction(1, 2**50)) ** 2 > 3
 
     def test_dimension_three(self):
-        est = rho_lower(3)
-        assert not est.exact
-        assert est.value**3 <= 6
-        assert abs(float(est.value) - 6 ** (1 / 3)) < 1e-12
+        value = rho_lower(3)
+        assert value**3 <= 6
+        assert abs(float(value) - 6 ** (1 / 3)) < 1e-12
 
     def test_rejects_zero(self):
         with pytest.raises(ValidationError):
@@ -103,7 +102,7 @@ class TestRho:
 
     def test_monotone_start(self):
         # the estimate grows with dimension: 1, 1.73, 1.81, 2.21, ...
-        values = [float(rho_lower(d).value) for d in range(1, 6)]
+        values = [float(rho_lower(d)) for d in range(1, 6)]
         assert values == sorted(values)
 
 
@@ -162,3 +161,96 @@ class TestCheckBounds:
         assert gap <= report.upper_frobenius
         if report.lower_covering is not None:
             assert report.lower_covering <= gap
+
+
+@st.composite
+def bound_cases(draw):
+    """(instance, cost, gap) triples with n = 2..5.
+
+    Each cost entry is either a free rational or slope * a_j plus a reduced
+    cost from {0} and small fractions, so negative entries, ties in the
+    slope and zero reduced costs all come up often.  The gap is the exact
+    gap moved by a small offset, so all_satisfied takes both values.
+    """
+    a = draw(
+        st.lists(st.integers(min_value=1, max_value=24), min_size=2, max_size=5)
+        .filter(lambda a: math.gcd(*a) == 1)
+    )
+    slope = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4)))
+    free = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    reduced = st.one_of(
+        st.just(Fraction(0)), st.builds(Fraction, st.integers(0, 9), st.integers(1, 6))
+    )
+    cost = tuple(
+        draw(free) if draw(st.booleans()) else slope * aj + draw(reduced) for aj in a
+    )
+    inst = KnapsackInstance(tuple(a))
+    offset = draw(st.sampled_from([0, 0, Fraction(-1, 3), 5]))
+    return inst, cost, gap_exact(inst, cost).gap + offset
+
+
+def reference_covering(inst, c):
+    """The covering lower bound by Fraction products and sums."""
+    ratios = [Fraction(ci) / ai for ci, ai in zip(c, inst.a)]
+    slope = min(ratios)
+    if ratios.count(slope) > 1:
+        return None
+    tau = ratios.index(slope)
+    reduced = [Fraction(c[j]) - slope * inst.a[j] for j in range(inst.n) if j != tau]
+    d = inst.n - 1
+    prod = Fraction(inst.a[tau])
+    for lw in reduced:
+        prod *= lw
+    if d == 1:
+        rho = Fraction(1)
+    else:
+        rho = root_lower(Fraction(3 if d == 2 else math.factorial(d)), d)
+    return rho * root_lower(prod, d) - sum(reduced, Fraction(0))
+
+
+def reference_report(inst, c, gap):
+    """Every BoundReport field by Fraction formulas on the costs as given."""
+    costs = [Fraction(ci) for ci in c]
+    l1 = sum((abs(ci) for ci in costs), Fraction(0))
+    linf = max(abs(ci) for ci in costs)
+    big, small = max(inst.a), min(inst.a)
+    g = frobenius_sieve_oracle(inst)
+    fields = {
+        "schur": small * big - small - big,
+        "cook": inst.n * big * l1,
+        "upper_l1": (big - 1) * l1,
+        "upper_linf": 2 * (big - 1) * linf,
+        "upper_frobenius": Fraction(g + big) * l1 / small,
+        "lower_covering": reference_covering(inst, c),
+    }
+    uppers = ("cook", "upper_l1", "upper_linf", "upper_frobenius")
+    lower = fields["lower_covering"]
+    fields["all_satisfied"] = (
+        g <= fields["schur"]
+        and all(gap <= fields[k] for k in uppers)
+        and (lower is None or lower <= gap)
+    )
+    return fields
+
+
+class TestAgainstFractionFormulas:
+    @given(case=bound_cases())
+    @example(case=(KnapsackInstance((3, 5, 7)), (0, 0, 0), Fraction(0)))
+    @example(case=(KnapsackInstance((3, 5, 7)), (0, 0, 0), Fraction(-1, 3)))
+    @settings(max_examples=80)
+    def test_every_field(self, case):
+        inst, c, gap = case
+        report = check_bounds(inst, c, gap)
+        assert asdict(report) == reference_report(inst, c, gap)
+        uppers = (report.cook, report.upper_l1, report.upper_linf, report.upper_frobenius)
+        assert all(type(value) is Fraction for value in uppers)
+        assert gap_lower_bound_covering(inst, c) == reference_covering(inst, c)
+
+    @given(case=bound_cases())
+    @settings(max_examples=40)
+    def test_reduction_weights(self, case):
+        inst, c, _ = case
+        red = basis_reduction(inst, c)
+        assert red.scale == math.lcm(*(lw.denominator for lw in red.l))
+        assert red.weights == tuple(lw * red.scale for lw in red.l)
+        assert all(type(w) is int for w in red.weights)

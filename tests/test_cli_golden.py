@@ -99,6 +99,9 @@ CASES: list[tuple[tuple[str, ...], dict[str, str]]] = [
     (_MEAN_RAW + ("--jobs", "2", "--out", OUT, "--format", "json"), {}),
     (_MEAN, TINY_CAP),
     (("frobenius",), {}),
+    (("bounds", "--a", "61,97,131,173", "--c=-1,1/2,3/4,5"), {}),
+    (("bounds", "--a", "61,97,131,173", "--c=-1,1/2,3/4,5", "--format", "json"),
+     {}),
 ]
 
 

@@ -211,15 +211,18 @@ class TestGapExact:
     @pytest.mark.parametrize(
         "a, c", [((3, 5), (3, 0)), ((6, 9, 20), (6, 10, 21)), ((7, 11, 18), (1, 2, 3))]
     )
-    def test_guardrail_counts_only_the_residue_table(self, a, c):
+    def test_guardrail_counts_only_the_residue_table(self, a, c, monkeypatch):
         inst = KnapsackInstance(a)
         m = inst.a[basis_reduction(inst, c).tau]
-        report = gap_exact(inst, c, max_cells=m)
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", str(m))
+        report = gap_exact(inst, c)
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", str(m - 1))
+        with pytest.raises(BoundTooLarge):
+            gap_exact(inst, c)
+        monkeypatch.delenv("KNAPGAP_GUARDRAIL_CELLS")
         assert report.threshold > m
         b_max = report.threshold + 2 * m
         assert report.gap == gap_bruteforce(inst, c, b_max)
-        with pytest.raises(BoundTooLarge):
-            gap_exact(inst, c, max_cells=m - 1)
 
     @given(inst=tiny_instances, data=st.data())
     @settings(max_examples=40)

@@ -124,8 +124,9 @@ class TestGroupTable:
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "10")
         with pytest.raises(BoundTooLarge, match="KNAPGAP_GUARDRAIL_CELLS"):
             group_minima(KnapsackInstance((3, 50)), 1, (1,))
-        # explicit cap wins over the environment
-        group_minima(KnapsackInstance((3, 50)), 1, (1,), max_cells=100)
+        # the cap admits a table of exactly its size
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "50")
+        group_minima(KnapsackInstance((3, 50)), 1, (1,))
 
     @given(inst=small_instances, data=st.data())
     def test_witness_invariants(self, inst, data):
@@ -448,6 +449,44 @@ class TestRoundRobinKernel:
                         expected[(r + step) % m] = expected[r] + weight
                         changed = True
         assert list(_round_robin(m, arcs)) == expected
+
+    # after the step-2 pass residue 4 costs 14, so the step-4 pass of
+    # weight 14 is tied-dominated: each execution runs exactly one pass
+    def test_tied_pass_is_skipped_on_numpy(self, monkeypatch):
+        steps = []
+
+        def counting(labels, index, step, w):
+            steps.append(step)
+            return real(labels, index, step, w)
+
+        real = knapgap.group._cycle_pass
+        monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1)
+        monkeypatch.setattr(knapgap.group, "_cycle_pass", counting)
+        assert list(_round_robin(5, [(2, 7), (4, 14)])) == [0, 21, 7, 28, 14]
+        assert steps == [2]
+
+    def test_tied_pass_is_skipped_on_the_python_walk(self, monkeypatch):
+        # the walk takes one gcd per pass it runs
+        calls = []
+
+        class CountingMath:
+            def gcd(self, *args):
+                calls.append(args)
+                return math.gcd(*args)
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+        monkeypatch.setattr(knapgap.group, "math", CountingMath())
+        assert _round_robin(5, [(2, 7), (4, 14)]) == [0, 21, 7, 28, 14]
+        assert calls == [(2, 5)]
+
+    def test_numpy_takes_tables_from_192_residues(self):
+        arcs = [(1, 1)]
+        assert not knapgap.group._on_numpy(191, arcs)
+        assert knapgap.group._on_numpy(192, arcs)
+        assert isinstance(_round_robin(191, arcs), list)
+        assert not isinstance(_round_robin(192, arcs), list)
 
     @pytest.mark.parametrize("cutoff", [1, 1 << 62])
     def test_unreachable_residue_detected(self, cutoff, monkeypatch):
