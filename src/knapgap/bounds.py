@@ -9,8 +9,9 @@ stated inequality true, so comparing these values with exact gaps is sound.
 Costs become integers over a common denominator before any bound is
 formed: the norms of c over the lcm of its denominators (_norms), and the
 reduced costs as basis_reduction's integer weights over its scale.  Each
-bound computes an integer numerator and builds its one Fraction at its
-return.
+bound formula is written once and builds its one Fraction at its return;
+check_bounds coerces c, takes its norms and runs basis_reduction once, and
+reads the norm bounds through the helpers their public functions call.
 """
 
 from __future__ import annotations
@@ -43,20 +44,35 @@ def schur_bound(inst: KnapsackInstance) -> int:
     return lo * hi - lo - hi
 
 
-def _norms(inst: KnapsackInstance, c: Sequence[RationalLike]) -> tuple[int, int, int]:
+def _norms(costs: Sequence[Fraction]) -> tuple[int, int, int]:
     """(D, D * ||c||_1, D * ||c||_inf) as ints, D the lcm of c's denominators."""
-    costs = cost_vector(c, inst.n)
     scale = math.lcm(*(ci.denominator for ci in costs))
     sizes = [abs(ci.numerator) * (scale // ci.denominator) for ci in costs]
     return scale, sum(sizes), max(sizes)
+
+
+def _cook(inst: KnapsackInstance, scale: int, l1: int) -> Fraction:
+    return Fraction(inst.n * inst.norm_inf * l1, scale)
+
+
+def _upper_l1(inst: KnapsackInstance, scale: int, l1: int) -> Fraction:
+    return Fraction((inst.norm_inf - 1) * l1, scale)
+
+
+def _upper_linf(inst: KnapsackInstance, scale: int, linf: int) -> Fraction:
+    return Fraction(2 * (inst.norm_inf - 1) * linf, scale)
+
+
+def _upper_frobenius(inst: KnapsackInstance, scale: int, l1: int, g: int) -> Fraction:
+    return Fraction((g + inst.norm_inf) * l1, scale * inst.min_entry)
 
 
 def cook_gap_bound(
     inst: KnapsackInstance, c: Sequence[RationalLike]
 ) -> Fraction:
     """Proximity-type bound n * max(a) * ||c||_1, valid for every b."""
-    scale, l1, _ = _norms(inst, c)
-    return Fraction(inst.n * inst.norm_inf * l1, scale)
+    scale, l1, _ = _norms(cost_vector(c, inst.n))
+    return _cook(inst, scale, l1)
 
 
 def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
@@ -65,14 +81,14 @@ def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     Attained with equality on the family (k, ..., k, 1) with cost e_n, so
     the constant cannot be improved.
     """
-    scale, l1, _ = _norms(inst, c)
-    return Fraction((inst.norm_inf - 1) * l1, scale)
+    scale, l1, _ = _norms(cost_vector(c, inst.n))
+    return _upper_l1(inst, scale, l1)
 
 
 def gap_bound_linf(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     """Gap_c(a) <= 2 * (max(a) - 1) * ||c||_inf."""
-    scale, _, linf = _norms(inst, c)
-    return Fraction(2 * (inst.norm_inf - 1) * linf, scale)
+    scale, _, linf = _norms(cost_vector(c, inst.n))
+    return _upper_linf(inst, scale, linf)
 
 
 def gap_bound_frobenius(
@@ -82,10 +98,8 @@ def gap_bound_frobenius(
 
     Pass g to reuse an already computed Frobenius number.
     """
-    scale, l1, _ = _norms(inst, c)
-    if g is None:
-        g = frobenius(inst)
-    return Fraction((g + inst.norm_inf) * l1, scale * inst.min_entry)
+    scale, l1, _ = _norms(cost_vector(c, inst.n))
+    return _upper_frobenius(inst, scale, l1, frobenius(inst) if g is None else g)
 
 
 @cache
@@ -147,13 +161,15 @@ def check_bounds(
 ) -> BoundReport:
     """Evaluate all bounds against a supplied exact gap value."""
     gap = as_fraction(exact_gap, "exact_gap")
+    costs = cost_vector(c, inst.n)
+    scale, l1, linf = _norms(costs)
     g = frobenius(inst)
     schur = schur_bound(inst)
-    cook = cook_gap_bound(inst, c)
-    upper_l1 = gap_bound_l1(inst, c)
-    upper_linf = gap_bound_linf(inst, c)
-    upper_frob = gap_bound_frobenius(inst, c, g=g)
-    lower = gap_lower_bound_covering(inst, c)
+    cook = _cook(inst, scale, l1)
+    upper_l1 = _upper_l1(inst, scale, l1)
+    upper_linf = _upper_linf(inst, scale, linf)
+    upper_frob = _upper_frobenius(inst, scale, l1, g)
+    lower = gap_lower_bound_covering(inst, costs)
     ok = (
         g <= schur
         and gap <= cook

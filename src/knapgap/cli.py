@@ -197,13 +197,14 @@ def _cmd_group(args: argparse.Namespace) -> int:
     # are decoded; the guardrail still counts the whole witness table
     shown = min(table.modulus, limit)
     witness, load = table._rows(table.modulus if args.format == "json" else shown)
+    minima = table.minima
     doc = {
         "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text},
         "modulus": table.modulus,
-        "lattice_gap": str(max(table.minima)),
+        "lattice_gap": str(max(minima)),
         "threshold": tightness_threshold(table),
-        # only json reads the whole columns, so they are built there
-        "minima": map(str, table.minima),
+        # json renders the whole columns, text only the rows it prints
+        "minima": map(str, minima),
         "witness": map(list, witness),
         "load": load,
     }
@@ -211,7 +212,7 @@ def _cmd_group(args: argparse.Namespace) -> int:
     lines.append("r minima witness load")
     for r in range(shown):
         x = ",".join(map(str, witness[r]))
-        lines.append(f"{r} {table.minima[r]} ({x}) {load[r]}")
+        lines.append(f"{r} {minima[r]} ({x}) {load[r]}")
     if table.modulus > limit:
         more = table.modulus - limit
         lines.append(f"... {more} more rows, use --format json for all")

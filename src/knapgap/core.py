@@ -143,23 +143,33 @@ def basis_reduction(
     slope = c_tau / a_tau for the first minimizing position tau gives
     c.x = slope * b + sum_j l_j x_j on every solution of a.x = b, which is
     what the rest of the package exploits.
+
+    In integers: with C_i = D_c c_i over the lcm D_c of c's denominators,
+    tau is found by cross-multiplication, l_j = N_j / (D_c a_tau) with
+    N_j = C_j a_tau - C_tau a_j, and G = gcd(D_c a_tau, N_1, ...) gives
+    scale = D_c a_tau / G (the lcm of l's denominators) and weights N_j / G.
     """
     costs = cost_vector(c, inst.n)
-    ratios = [ci / ai for ci, ai in zip(costs, inst.a)]
-    slope = min(ratios)
-    tau = ratios.index(slope)
-    generic = ratios.count(slope) == 1
+    denom = math.lcm(*(ci.denominator for ci in costs))
+    ints = [ci.numerator * (denom // ci.denominator) for ci in costs]
+    tau = 0
+    for i in range(1, inst.n):
+        if ints[i] * inst.a[tau] < ints[tau] * inst.a[i]:
+            tau = i
     positions = tuple(j for j in range(inst.n) if j != tau)
-    reduced = tuple(costs[j] - slope * inst.a[j] for j in positions)
-    scale = math.lcm(*(lw.denominator for lw in reduced))
+    rise = [ints[j] * inst.a[tau] - ints[tau] * inst.a[j] for j in positions]
+    whole = denom * inst.a[tau]
+    shared = math.gcd(whole, *rise)
+    weights = tuple(v // shared for v in rise)
+    scale = whole // shared
     return BasisReduction(
         tau=tau,
-        slope=slope,
-        l=reduced,
-        generic=generic,
+        slope=Fraction(ints[tau], whole),
+        l=tuple(Fraction(v, scale) for v in weights),
+        generic=0 not in weights,
         positions=positions,
         scale=scale,
-        weights=tuple(lw.numerator * (scale // lw.denominator) for lw in reduced),
+        weights=weights,
     )
 
 

@@ -39,7 +39,8 @@ from .core import (
     cost_vector,
     lp_value,
 )
-from .group import _packed_maxima, _round_robin, group_minima, tightness_threshold
+from .group import _largest, _packed_maxima, _round_robin
+from .group import group_minima, tightness_threshold
 from .guardrail import check_cells
 
 
@@ -140,7 +141,8 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
     self-loop.
     threshold and tail_gap come from the reduced-cost table, which runs on
     the integer weights D * l_j: scaling every weight by D keeps the same
-    tight arcs and multiplies each minimum by D.  Both tables have a_tau
+    tight arcs and multiplies each minimum by D.  tail_gap is read off the
+    largest label, which carries the largest minimum.  Both tables have a_tau
     cells, which group_minima checks against the guardrail; the witness
     counts behind B* add a few times (n - 1) * a_tau array entries, which
     it does not count.
@@ -157,7 +159,7 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
         gap=Fraction(gap, red.scale),
         witness_b=first // k,
         threshold=bstar,
-        tail_gap=Fraction(max(table.minima), red.scale),
+        tail_gap=Fraction(_largest(table._labels) // table._unit, red.scale),
         scan_gap=Fraction(scan, red.scale),
         tau=red.tau,
         generic=red.generic,

@@ -31,10 +31,12 @@ v_0, ..., v_{L-1}
 since t = k - i for i <= k and t = k - i + L otherwise; more than one lap
 never helps because w >= 0.  Starting a cycle at its smallest label makes
 the wrap term lose, and the recurrence becomes the running minimum
-new_k = min(v_k, new_{k-1} + w).
+new_k = min(v_k, new_{k-1} + w).  The first pass, which always runs, starts
+from residue 0 alone: it is one scatter, labels[t s mod m] = t w for t < L,
+and leaves the other cycles unreached.
 
 Rational weights are scaled by the lcm of their denominators, so all
-arithmetic is exact integer arithmetic, and the labels come back as
+arithmetic is exact integer arithmetic, and the minima come back as
 Fractions.  Two executions of the one recurrence are chosen from the input.
 Tables of at least _NUMPY_MIN_MODULUS residues evaluate the prefix-minimum
 form for all cycles at once on numpy int64 arrays, provided m * (max w + 1)
@@ -61,11 +63,12 @@ any m of them contain a nonempty subsum divisible by m, whose removal keeps
 the class and, x* being optimal and the weights nonnegative, the cost,
 while lowering c_1.  So every digit of x* is below m, a solution that is
 lexicographically larger has a larger packed sum whatever its digits, and
-the kernel's label for r is x*'s packed sum.  minima[r] is the label // m^k,
-the digits give x_i = c_i - c_{i+1}, and load = sum_j x_j gen_j.  On the
-Python execution the load is appended as the lowest component, with radix
-m max gen: the digits fix it, so the order is unchanged, and the loads cost
-one % per residue.  The numpy execution runs only when the packed keys
+the kernel's label for r is x*'s packed sum.  GroupTable decodes from
+the labels on every access: minima[r] is the label // m^k (so the largest
+label carries the largest minimum), the digits give x_i = c_i - c_{i+1},
+and load = sum_j x_j gen_j.  On the Python execution the load is appended
+as the lowest component, with radix m max gen: the digits fix it, so the
+order is unchanged, and the loads cost one % per residue.  The numpy execution runs only when the packed keys
 themselves pass the int64 guard: a table whose keys break it takes the
 Python execution even where its weights alone would fit.
 
@@ -178,11 +181,11 @@ class GroupTable:
     comparing sorted sequences of equal length favours more copies of
     generator 1, then of generator 2, ...  Zero weights need no care.
 
-    group_minima reads these counts off the labels of its kernel run
-    (module docstring): `_labels` carries c_1, ..., c_k as radix-m digits
-    in order, and on the Python execution `_load_radix` is the radix of the
-    load, their lowest component (0 on the numpy execution).  Loads and
-    witnesses are decoded from them on every access.
+    group_minima keeps the labels of its kernel run (module docstring):
+    `_labels` carries the scaled cost w.x, then c_1, ..., c_k as radix-m
+    digits, and on the Python execution `_load_radix` is the radix of the
+    load, their lowest component (0 on the numpy execution).  Minima, loads
+    and witnesses are decoded from them on every access.
     """
 
     modulus: int
@@ -190,9 +193,22 @@ class GroupTable:
     positions: tuple[int, ...]
     generators: tuple[int, ...]
     weights: tuple[Weight, ...]
-    minima: list[Weight]
     _labels: object = field(repr=False)
     _load_radix: int = field(repr=False)
+    _unit: int = field(repr=False)  # label // _unit: the minimum, scaled
+
+    @property
+    def minima(self) -> list[Weight]:
+        """The optimum per residue."""
+        unit, labels = self._unit, self._labels
+        if isinstance(labels, list):
+            values = [v // unit for v in labels]
+        else:
+            values = (labels // unit).tolist()
+        if isinstance(self.weights[0], Fraction):
+            scale = math.lcm(*(w.denominator for w in self.weights))
+            return [Fraction(v, scale) for v in values]
+        return values
 
     def _decode(self, rows: int) -> tuple:
         """(loads, counts) of residues 0..rows-1: loads as a list or int64
@@ -303,19 +319,22 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]):
     arcs = sorted(arcs, key=itemgetter(1))
     top = arcs[-1][1] if arcs else 0
     unreached = m * (top + 1)
+    step, w = arcs[0] if arcs else (0, 0)
+    length = m // math.gcd(step, m)
     if _on_numpy(m, arcs):
         import numpy as np
 
         minima = np.full(m, unreached, dtype=np.int64)
-        minima[0] = 0
         index = np.arange(m, dtype=np.int64)
-        for step, w in arcs:
+        minima[index[:length] * step % m] = index[:length] * w
+        for step, w in arcs[1:]:
             if minima[step] > w:
                 _cycle_pass(minima, index, step, w)
     else:
         minima = [unreached] * m
-        minima[0] = 0
-        for step, w in arcs:
+        for t in range(length):
+            minima[t * step % m] = t * w
+        for step, w in arcs[1:]:
             if minima[step] <= w:
                 continue
             spread = math.gcd(step, m)
@@ -368,7 +387,7 @@ def group_minima(
     m = inst.a[tau]
     check_cells(m, f"residue table modulo {m}")
 
-    # Scale rational weights to integers; labels come back divided by scale.
+    # Scale rational weights to integers; minima divides by scale again.
     scale = math.lcm(*(x.denominator for x in w))
     k = len(generators)
     keys = [int(wj * scale) * m**k + d for wj, d in zip(w, _digit_keys(m, k))]
@@ -379,27 +398,21 @@ def group_minima(
     if _on_numpy(m, arcs):
         radix = 0
         labels = _round_robin(m, arcs)
-        values = (labels // m**k).tolist()
     else:
         # Python execution: the load rides as the lowest component; a witness
         # has fewer than m generators, so its load is below radix.  These
         # keys are larger still, so _round_robin walks them too.
         radix = m * max(generators)
         labels = _round_robin(m, [(g % m, key * radix + g) for g, key in live])
-        top = m**k * radix
-        values = [v // top for v in labels]
-    minima: list[Weight] = values
-    if isinstance(w[0], Fraction):
-        minima = [Fraction(v, scale) for v in values]
     return GroupTable(
         modulus=m,
         tau=tau,
         positions=positions,
         generators=generators,
         weights=w,
-        minima=minima,
         _labels=labels,
         _load_radix=radix,
+        _unit=m**k * (radix or 1),
     )
 
 

@@ -115,16 +115,3 @@ def pow_bounds(
     lo = root_lower(powered, exponent.denominator, bits)
     hi = root_upper(powered, exponent.denominator, bits)
     return lo, hi
-
-
-def dyadic_floor(x: Fraction, bits: int = DEFAULT_BITS) -> Fraction:
-    """Largest multiple of 2**-bits that is <= x."""
-    scaled = (x.numerator << bits) // x.denominator
-    return Fraction(scaled, 1 << bits)
-
-
-def dyadic_ceil(x: Fraction, bits: int = DEFAULT_BITS) -> Fraction:
-    """Smallest multiple of 2**-bits that is >= x."""
-    num = x.numerator << bits
-    scaled = -((-num) // x.denominator)
-    return Fraction(scaled, 1 << bits)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import knapgap.bounds
 from knapgap import (
     KnapsackInstance,
     ValidationError,
@@ -147,6 +148,34 @@ class TestCheckBounds:
         report = check_bounds(KnapsackInstance((3, 5)), (3, 5), 0)
         assert report.lower_covering is None
         assert report.all_satisfied
+
+    @pytest.mark.parametrize(
+        "a, c, gap",
+        [
+            ((6, 9, 20), (3, 5, 7), Fraction(199, 20)),
+            ((61, 97, 131, 173), (-1, "1/2", "3/4", 5), Fraction(6583, 244)),
+        ],
+    )
+    def test_shares_its_work(self, a, c, gap, monkeypatch):
+        # one coercion of c, one set of norms and one reduction per call,
+        # and the same values as the public bound functions
+        calls = []
+        for name in ("cost_vector", "_norms", "basis_reduction"):
+
+            def counting(*args, _real=getattr(knapgap.bounds, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(knapgap.bounds, name, counting)
+        inst = KnapsackInstance(a)
+        report = check_bounds(inst, c, gap)
+        assert sorted(calls) == ["_norms", "basis_reduction", "cost_vector"]
+        assert report.all_satisfied
+        assert report.cook == cook_gap_bound(inst, c)
+        assert report.upper_l1 == gap_bound_l1(inst, c)
+        assert report.upper_linf == gap_bound_linf(inst, c)
+        assert report.upper_frobenius == gap_bound_frobenius(inst, c)
+        assert report.lower_covering == gap_lower_bound_covering(inst, c)
 
     @given(inst=tiny_instances, data=st.data())
     @settings(max_examples=40)

@@ -284,6 +284,22 @@ class TestTextOutput:
         assert len(json.loads(out)["witness"]) == 61
         assert builds == [50, 61]
 
+    def test_group_reads_the_minima_once(self, capsys, monkeypatch):
+        # the minima are decoded from the labels on every read
+        reads = []
+        real = knapgap.group.GroupTable.minima
+
+        def counting(table):
+            reads.append(table.modulus)
+            return real.fget(table)
+
+        monkeypatch.setattr(knapgap.group.GroupTable, "minima", property(counting))
+        for fmt in ("text", "json"):
+            reads.clear()
+            code, _, _ = _run(capsys, "group", "--a", "61,97,131", "--format", fmt)
+            assert code == 0
+            assert reads == [61]
+
     def test_group_json_with_a_huge_self_loop_weight(self, capsys):
         code, out, _ = _run(
             capsys, "group", "--a", "200,400,301", "--w", "6000000000000000,1",

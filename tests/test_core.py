@@ -4,10 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from knapgap import (
+    BasisReduction,
     DimensionTooSmall,
     KnapsackInstance,
     NegativeRhs,
@@ -159,6 +160,66 @@ class TestBasisReduction:
         assert scaled.slope == lam * base.slope
         assert scaled.l == tuple(lam * lj for lj in base.l)
         assert scaled.generic == base.generic
+
+
+def fraction_reduction(inst, c):
+    """basis_reduction by its Fraction formulas, the reference for the
+    integer route."""
+    costs = [Fraction(ci) for ci in c]
+    ratios = [ci / ai for ci, ai in zip(costs, inst.a)]
+    slope = min(ratios)
+    tau = ratios.index(slope)
+    positions = tuple(j for j in range(inst.n) if j != tau)
+    reduced = tuple(costs[j] - slope * inst.a[j] for j in positions)
+    scale = math.lcm(*(lj.denominator for lj in reduced))
+    return BasisReduction(
+        tau=tau,
+        slope=slope,
+        l=reduced,
+        generic=ratios.count(slope) == 1,
+        positions=positions,
+        scale=scale,
+        weights=tuple(int(lj * scale) for lj in reduced),
+    )
+
+
+@st.composite
+def reduction_cases(draw):
+    """n = 2..6 with rational, zero, negative and tied costs: an entry is
+    any rational, 0, or slope * a_i plus a small nonnegative rational,
+    which ties with slope * a_i when that is 0."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    a = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=n, max_size=n))
+    assume(math.gcd(*a) == 1)
+    slope = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+    rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
+    lift = st.sampled_from([0, 0, Fraction(1, 2), 1, Fraction(5, 3)])
+    c = []
+    for ai in a:
+        kind = draw(st.sampled_from(["rational", "zero", "tie"]))
+        if kind == "rational":
+            c.append(draw(rational))
+        elif kind == "zero":
+            c.append(0)
+        else:
+            c.append(slope * ai + draw(lift))
+    return KnapsackInstance(tuple(a)), c
+
+
+class TestIntegerReduction:
+    @given(case=reduction_cases())
+    # c / a = (1, 1, 1/2, 1/2): tau is the first of two tied minima
+    @example(case=(KnapsackInstance((2, 3, 4, 6)), [2, 3, 2, 3]))
+    # every reduced cost is zero
+    @example(case=(KnapsackInstance((2, 3)), [Fraction(-2, 3), -1]))
+    def test_matches_the_fraction_formulas(self, case):
+        inst, c = case
+        red = basis_reduction(inst, c)
+        assert red == fraction_reduction(inst, c)
+        assert type(red.slope) is Fraction
+        assert all(type(lj) is Fraction for lj in red.l)
+        assert all(type(w) is int for w in red.weights)
+        assert type(red.scale) is int
 
 
 class TestLpValue:

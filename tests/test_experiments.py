@@ -40,7 +40,17 @@ from knapgap.experiments import (
     summary_json_dict,
 )
 from knapgap.instances import draw_instance
-from knapgap.rounding import DEFAULT_BITS, dyadic_ceil, dyadic_floor, pow_bounds
+from knapgap.rounding import DEFAULT_BITS, pow_bounds
+
+
+def dyadic_floor(x: Fraction, bits: int) -> Fraction:
+    """Largest multiple of 2**-bits that is <= x."""
+    return Fraction((x.numerator << bits) // x.denominator, 1 << bits)
+
+
+def dyadic_ceil(x: Fraction, bits: int) -> Fraction:
+    """Smallest multiple of 2**-bits that is >= x."""
+    return Fraction(-((-x.numerator << bits) // x.denominator), 1 << bits)
 
 
 class TestTailExponent:

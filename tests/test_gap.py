@@ -411,6 +411,24 @@ class TestWork:
         gap_exact(inst, c)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((6, 9, 20), (3, 5, 7)),  # Python walk
+            ((1234, 1789, 1999), (Fraction(3, 2), -1, 7)),  # numpy
+            ((61, 97, 131, 173), (-1, Fraction(1, 2), Fraction(3, 4), 5)),
+        ],
+    )
+    def test_gap_exact_never_builds_the_minima(self, a, c, monkeypatch):
+        # tail_gap is the cost of the table's largest label
+        inst = KnapsackInstance(a)
+        report = gap_exact(inst, c)
+        red = basis_reduction(inst, c)
+        minima = group_minima(inst, red.tau, red.l).minima
+        assert report.tail_gap == max(minima)
+        monkeypatch.delattr(knapgap.group.GroupTable, "minima")
+        assert gap_exact(inst, c) == report
+
 
 class TestFamilies:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13])

@@ -450,9 +450,9 @@ class TestRoundRobinKernel:
                         changed = True
         assert list(_round_robin(m, arcs)) == expected
 
-    # after the step-2 pass residue 4 costs 14, so the step-4 pass of
-    # weight 14 is tied-dominated: each execution runs exactly one pass
-    def test_tied_pass_is_skipped_on_numpy(self, monkeypatch):
+    @staticmethod
+    def _cycle_pass_steps(monkeypatch):
+        """Steps of the numpy cycle passes _round_robin runs from now on."""
         steps = []
 
         def counting(labels, index, step, w):
@@ -462,11 +462,47 @@ class TestRoundRobinKernel:
         real = knapgap.group._cycle_pass
         monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1)
         monkeypatch.setattr(knapgap.group, "_cycle_pass", counting)
+        return steps
+
+    # after the step-2 pass residue 4 costs 14, so the step-4 pass of
+    # weight 14 is tied-dominated: each execution runs exactly one pass,
+    # the first, which is a scatter
+    def test_tied_pass_is_skipped_on_numpy(self, monkeypatch):
+        steps = self._cycle_pass_steps(monkeypatch)
         assert list(_round_robin(5, [(2, 7), (4, 14)])) == [0, 21, 7, 28, 14]
-        assert steps == [2]
+        assert steps == []
+
+    # the lightest arc (4, 1) comes first and scatters over 0's cycle
+    # {0, 4, 8}; the other two passes run as cycle passes
+    _PASSES = (12, [(1, 5), (3, 2), (4, 1)], [0, 5, 6, 2, 1, 6, 4, 3, 2, 6, 5, 4])
+
+    def test_first_pass_is_a_scatter(self, monkeypatch):
+        m, arcs, expected = self._PASSES
+        steps = self._cycle_pass_steps(monkeypatch)
+        assert list(_round_robin(m, arcs)) == expected
+        assert steps == [3, 1]
+        # one arc: the scatter is the whole run
+        assert list(_round_robin(5, [(2, 7)])) == [0, 21, 7, 28, 14]
+        assert steps == [3, 1]
+
+    def test_python_walk_steps(self, monkeypatch):
+        # a pass the walk runs takes m - gcd(s, m) steps: gcd(s, m) cycles
+        # of m / gcd(s, m) residues, each walked on from its minimum
+        lengths = []
+
+        def counting(*args):
+            lengths.append(len(range(*args)))
+            return range(*args)
+
+        m, arcs, expected = self._PASSES
+        monkeypatch.setattr(knapgap.group, "range", counting, raising=False)
+        assert _round_robin(m, arcs) == expected
+        # the scatter over 3 residues; step 3: 3 starts, 3 cycles of 3
+        # steps (12 - 3); step 1: 1 start, one cycle of 11 steps (12 - 1)
+        assert lengths == [3, 3, 3, 3, 3, 1, 11]
 
     def test_tied_pass_is_skipped_on_the_python_walk(self, monkeypatch):
-        # the walk takes one gcd per pass it runs
+        # the scatter and the walk take one gcd per pass they run
         calls = []
 
         class CountingMath:

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from knapgap.rounding import (
     DEFAULT_BITS,
-    dyadic_ceil,
-    dyadic_floor,
     iroot,
     pow_bounds,
     pow_numerators,
@@ -133,25 +131,3 @@ class TestPowNumerators:
         assert Fraction(hi, 1 << bits) == root_upper(powered, q, bits)
         expected = (Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
         assert pow_bounds(base, Fraction(p, q), bits) == expected
-
-
-class TestDyadic:
-    @given(
-        x=st.builds(
-            Fraction,
-            st.integers(min_value=-(10**12), max_value=10**12),
-            st.integers(min_value=1, max_value=10**9),
-        ),
-        bits=st.integers(min_value=4, max_value=80),
-    )
-    def test_floor_ceil_sandwich(self, x, bits):
-        lo = dyadic_floor(x, bits)
-        hi = dyadic_ceil(x, bits)
-        assert lo <= x <= hi
-        assert (lo * 2**bits).denominator == 1
-        assert (hi * 2**bits).denominator == 1
-        assert hi - lo <= Fraction(1, 2**bits)
-
-    def test_dyadic_input_unchanged(self):
-        x = Fraction(13, 2**10)
-        assert dyadic_floor(x, 12) == x == dyadic_ceil(x, 12)
