@@ -91,15 +91,10 @@ def gap_bound_linf(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fractio
     return _upper_linf(inst, scale, linf)
 
 
-def gap_bound_frobenius(
-    inst: KnapsackInstance, c: Sequence[RationalLike], *, g: int | None = None
-) -> Fraction:
-    """Gap_c(a) <= (g(a) + max(a)) * ||c||_1 / min(a).
-
-    Pass g to reuse an already computed Frobenius number.
-    """
+def gap_bound_frobenius(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
+    """Gap_c(a) <= (g(a) + max(a)) * ||c||_1 / min(a)."""
     scale, l1, _ = _norms(cost_vector(c, inst.n))
-    return _upper_frobenius(inst, scale, l1, frobenius(inst) if g is None else g)
+    return _upper_frobenius(inst, scale, l1, frobenius(inst))
 
 
 @cache

@@ -193,15 +193,14 @@ def _cmd_group(args: argparse.Namespace) -> int:
         w_text = args.w.split(",")
     table = group_minima(inst, tau, weights)
     limit = 50
-    # text prints the first limit rows, so only their witnesses and loads
-    # are decoded; the guardrail still counts the whole witness table
+    # text prints the first limit rows, so only their minima, witnesses and
+    # loads are decoded; the guardrail still counts the whole witness table
     shown = min(table.modulus, limit)
-    witness, load = table._rows(table.modulus if args.format == "json" else shown)
-    minima = table.minima
+    witness, load, minima = table._rows(table.modulus if args.format == "json" else shown)
     doc = {
         "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text},
         "modulus": table.modulus,
-        "lattice_gap": str(max(minima)),
+        "lattice_gap": str(table.largest_minimum),
         "threshold": tightness_threshold(table),
         # json renders the whole columns, text only the rows it prints
         "minima": map(str, minima),
@@ -288,7 +287,7 @@ def _cmd_lovasz(args: argparse.Namespace) -> int:
     example = lovasz_example(args.n, args.delta, args.beta)
     doc = {
         "config": {"n": example.n, "delta": example.delta, "beta": str(example.beta)},
-        "matrix": [list(row) for row in example.matrix],
+        "matrix": map(list, example.matrix),
         "rhs": [str(v) for v in example.rhs],
         "cost": list(example.cost),
         "lp_solution": [str(v) for v in example.lp_solution],

@@ -184,7 +184,7 @@ def check_rhs(b: int) -> None:
 def lp_value(
     inst: KnapsackInstance, c: Sequence[RationalLike], b: int
 ) -> Fraction:
-    """Exact optimum of the continuous relaxation, b * min_i c_i / a_i."""
+    """Exact optimum of the continuous relaxation, b * min_i c_i / a_i,
+    the minimum being basis_reduction's slope."""
     check_rhs(b)
-    costs = cost_vector(c, inst.n)
-    return b * min(ci / ai for ci, ai in zip(costs, inst.a))
+    return b * basis_reduction(inst, c).slope

@@ -185,7 +185,8 @@ class GroupTable:
     `_labels` carries the scaled cost w.x, then c_1, ..., c_k as radix-m
     digits, and on the Python execution `_load_radix` is the radix of the
     load, their lowest component (0 on the numpy execution).  Minima, loads
-    and witnesses are decoded from them on every access.
+    and witnesses are decoded from them on every access, by this class
+    alone.
     """
 
     modulus: int
@@ -197,10 +198,9 @@ class GroupTable:
     _load_radix: int = field(repr=False)
     _unit: int = field(repr=False)  # label // _unit: the minimum, scaled
 
-    @property
-    def minima(self) -> list[Weight]:
-        """The optimum per residue."""
-        unit, labels = self._unit, self._labels
+    def _costs(self, labels) -> list[Weight]:
+        """The minima that labels (a list or int64 array) carry."""
+        unit = self._unit
         if isinstance(labels, list):
             values = [v // unit for v in labels]
         else:
@@ -209,6 +209,16 @@ class GroupTable:
             scale = math.lcm(*(w.denominator for w in self.weights))
             return [Fraction(v, scale) for v in values]
         return values
+
+    @property
+    def minima(self) -> list[Weight]:
+        """The optimum per residue."""
+        return self._costs(self._labels)
+
+    @property
+    def largest_minimum(self) -> Weight:
+        """max(minima), read off the largest label, which carries it."""
+        return self._costs([_largest(self._labels)])[0]
 
     def _decode(self, rows: int) -> tuple:
         """(loads, counts) of residues 0..rows-1: loads as a list or int64
@@ -238,25 +248,27 @@ class GroupTable:
         """One optimal solution per residue."""
         return self._rows(self.modulus)[0]
 
-    def _rows(self, rows: int) -> tuple[list[tuple[int, ...]], list[int]]:
-        """(witness[:rows], load[:rows]); the guardrail counts the whole
-        witness table all the same."""
+    def _rows(self, rows: int) -> tuple:
+        """(witness[:rows], load[:rows], minima[:rows]); the guardrail counts
+        the whole witness table all the same."""
         m, k = self.modulus, len(self.generators)
         check_cells(m * k, f"witness table of {m} rows")
         loads, counts = self._decode(rows)
+        labels = self._labels[:rows]
+        minima = self._costs(labels)
         if counts is not None:
             x = counts.copy()
             x[:-1] -= counts[1:]  # x_i = c_i - c_{i+1}
-            return list(map(tuple, x.T.tolist())), loads.tolist()
+            return list(map(tuple, x.T.tolist())), loads.tolist(), minima
         out = []
-        for label in self._labels[:rows]:
+        for label in labels:
             rest, above, x = label // self._load_radix, 0, []
             for _ in range(k):  # c_k first
                 rest, c = divmod(rest, m)
                 x.append(c - above)
                 above = c
             out.append(tuple(reversed(x)))
-        return out, loads
+        return out, loads, minima
 
 
 def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:

@@ -284,21 +284,22 @@ class TestTextOutput:
         assert len(json.loads(out)["witness"]) == 61
         assert builds == [50, 61]
 
-    def test_group_reads_the_minima_once(self, capsys, monkeypatch):
-        # the minima are decoded from the labels on every read
-        reads = []
-        real = knapgap.group.GroupTable.minima
+    def test_group_decodes_each_row_once(self, capsys, monkeypatch):
+        # text decodes the minima of the 50 rows it prints and lattice_gap
+        # from the largest label alone; json decodes every row once
+        decoded = []
+        real = knapgap.group.GroupTable._costs
 
-        def counting(table):
-            reads.append(table.modulus)
-            return real.fget(table)
+        def counting(table, labels):
+            decoded.append(len(labels))
+            return real(table, labels)
 
-        monkeypatch.setattr(knapgap.group.GroupTable, "minima", property(counting))
-        for fmt in ("text", "json"):
-            reads.clear()
+        monkeypatch.setattr(knapgap.group.GroupTable, "_costs", counting)
+        for fmt, rows in [("text", 50), ("json", 61)]:
+            decoded.clear()
             code, _, _ = _run(capsys, "group", "--a", "61,97,131", "--format", fmt)
             assert code == 0
-            assert reads == [61]
+            assert sorted(decoded) == [1, rows]
 
     def test_group_json_with_a_huge_self_loop_weight(self, capsys):
         code, out, _ = _run(
@@ -335,6 +336,19 @@ class TestTextOutput:
         _, out, _ = _run(capsys, "lovasz", "--n", "5", "--delta", "3", "--beta", "1/2")
         assert "lp_solution = 1/2,1,3/2,2,13/2" in out
         assert "distance = 13/2" in out
+
+    def test_lovasz_text_builds_no_row_lists(self):
+        # text prints no matrix, so the document never lists its rows:
+        # the peak is about 8 MiB at n = 1000, against 16 MiB with the lists
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = run(["lovasz", "--n", "1000", "--delta", "3", "--beta", "1/2"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 12 << 20
 
 
 class TestJsonOutput:

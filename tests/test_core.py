@@ -238,3 +238,15 @@ class TestLpValue:
         c = data.draw(rational_costs(inst.n))
         red = basis_reduction(inst, c)
         assert lp_value(inst, c, b) == red.slope * b
+
+    @given(inst=coprime_instances(), data=st.data(), b=st.integers(min_value=0, max_value=500))
+    def test_matches_the_ratio_minimum(self, inst, data, b):
+        # lp_value reads the reduction's slope; check it against the minimum
+        c = data.draw(rational_costs(inst.n))
+        assert lp_value(inst, c, b) == b * min(ci / ai for ci, ai in zip(c, inst.a))
+
+    def test_checks_the_rhs_before_the_costs(self):
+        with pytest.raises(NegativeRhs):
+            lp_value(KnapsackInstance((2, 3)), ("0.5", 1), -1)
+        with pytest.raises(ValidationError, match="c\\[1\\]"):
+            lp_value(KnapsackInstance((2, 3)), ("0.5", 1), 1)

@@ -429,6 +429,28 @@ class TestWork:
         monkeypatch.delattr(knapgap.group.GroupTable, "minima")
         assert gap_exact(inst, c) == report
 
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((6, 9, 20), (3, 5, 7)),  # Python walk
+            ((1234, 1789, 1999), (Fraction(3, 2), -1, 7)),  # numpy
+            ((20011, 30011, 40009, 50021), (Fraction(3, 2), -1, 7, 2)),  # Python
+        ],
+    )
+    def test_gap_exact_decodes_the_loads_once(self, a, c, monkeypatch):
+        # B* is the one load decode; tail_gap reads no row
+        decodes = []
+        real = knapgap.group.GroupTable._decode
+
+        def counting(table, rows):
+            decodes.append(rows)
+            return real(table, rows)
+
+        monkeypatch.setattr(knapgap.group.GroupTable, "_decode", counting)
+        inst = KnapsackInstance(a)
+        gap_exact(inst, c)
+        assert decodes == [inst.a[basis_reduction(inst, c).tau]]
+
 
 class TestFamilies:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 13])

@@ -619,8 +619,8 @@ def _executions(inst, tau, weights):
             yield name, table, _decoded(table)
 
 
-class TestTightTree:
-    # the witnesses are those of a breadth-first search over tight arcs
+class TestWitnessDecode:
+    # the decoded witnesses are those of a breadth-first search over tight arcs
     @given(case=tree_cases())
     @settings(max_examples=150)
     def test_matches_deque_search(self, case):
@@ -642,7 +642,7 @@ class TestTightTree:
             ((1999, 2503, 3001, 3511, 4007, 4513), (0, 0, 0, 0, 0, 1)),
         ],
     )
-    def test_blocked_runs_at_the_real_guard(self, a, c):
+    def test_keys_past_the_guard_take_the_python_walk(self, a, c):
         # the reduced costs fit the int64 guard but their packed keys do
         # not, so the table takes the Python walk
         inst = KnapsackInstance(a)

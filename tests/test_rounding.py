@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,22 @@ from knapgap.rounding import (
     pow_bounds,
     pow_numerators,
     root_lower,
-    root_upper,
 )
+
+
+def root_upper(q: Fraction, r: int, bits: int = DEFAULT_BITS) -> Fraction:
+    """Reference: dyadic rational upper approximation of q**(1/r), q >= 0."""
+    if q < 0:
+        raise ValueError("root of a negative rational")
+    if r == 1:
+        return q
+    num = q.numerator << (r * bits)
+    scaled = -((-num) // q.denominator)
+    x = iroot(scaled, r)
+    if x**r < scaled:
+        x += 1
+    return Fraction(x, 1 << bits)
+
 
 positive_fractions = st.builds(
     Fraction,
@@ -110,6 +125,11 @@ class TestPowBounds:
         lo, hi = pow_bounds(20, Fraction(4, 5))
         assert abs(float(lo) - 10.985605) < 1e-5  # 20**0.8
         assert abs(float(hi) - 10.985605) < 1e-5
+
+    @pytest.mark.parametrize("base", [Fraction(20), Fraction(3, 2), True, 20.0])
+    def test_base_must_be_an_int(self, base):
+        with pytest.raises(TypeError, match="base must be an int"):
+            pow_bounds(base, Fraction(4, 5))
 
 
 class TestPowNumerators:
