@@ -9,9 +9,12 @@ stated inequality true, so comparing these values with exact gaps is sound.
 Costs become integers over a common denominator before any bound is
 formed: the norms of c over the lcm of its denominators (_norms), and the
 reduced costs as basis_reduction's integer weights over its scale.  Each
-bound formula is written once and builds its one Fraction at its return;
-check_bounds coerces c, takes its norms and runs basis_reduction once, and
-reads the norm bounds through the helpers their public functions call.
+bound formula is written once, as a pair of integers (numerator,
+denominator > 0), and the covering bound's root is an integer root of its
+radicand scaled by 2**(d * DEFAULT_BITS).  check_bounds coerces c, takes
+its norms and runs basis_reduction once, reads every bound through the
+helpers their public functions call, and compares them with the gap by
+cross-multiplying: the only Fractions it builds are the report's fields.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import cache
 from typing import Sequence
 
 from .core import (
+    BasisReduction,
     KnapsackInstance,
     RationalLike,
     as_fraction,
@@ -31,7 +35,7 @@ from .core import (
 )
 from .errors import ValidationError
 from .group import frobenius
-from .rounding import root_lower
+from .rounding import DEFAULT_BITS, iroot, root_lower
 
 
 def schur_bound(inst: KnapsackInstance) -> int:
@@ -51,20 +55,23 @@ def _norms(costs: Sequence[Fraction]) -> tuple[int, int, int]:
     return scale, sum(sizes), max(sizes)
 
 
-def _cook(inst: KnapsackInstance, scale: int, l1: int) -> Fraction:
-    return Fraction(inst.n * inst.norm_inf * l1, scale)
+# Each bound formula as an integer fraction (numerator, denominator > 0).
+def _cook(inst: KnapsackInstance, scale: int, l1: int) -> tuple[int, int]:
+    return inst.n * inst.norm_inf * l1, scale
 
 
-def _upper_l1(inst: KnapsackInstance, scale: int, l1: int) -> Fraction:
-    return Fraction((inst.norm_inf - 1) * l1, scale)
+def _upper_l1(inst: KnapsackInstance, scale: int, l1: int) -> tuple[int, int]:
+    return (inst.norm_inf - 1) * l1, scale
 
 
-def _upper_linf(inst: KnapsackInstance, scale: int, linf: int) -> Fraction:
-    return Fraction(2 * (inst.norm_inf - 1) * linf, scale)
+def _upper_linf(inst: KnapsackInstance, scale: int, linf: int) -> tuple[int, int]:
+    return 2 * (inst.norm_inf - 1) * linf, scale
 
 
-def _upper_frobenius(inst: KnapsackInstance, scale: int, l1: int, g: int) -> Fraction:
-    return Fraction((g + inst.norm_inf) * l1, scale * inst.min_entry)
+def _upper_frobenius(
+    inst: KnapsackInstance, scale: int, l1: int, g: int
+) -> tuple[int, int]:
+    return (g + inst.norm_inf) * l1, scale * inst.min_entry
 
 
 def cook_gap_bound(
@@ -72,7 +79,7 @@ def cook_gap_bound(
 ) -> Fraction:
     """Proximity-type bound n * max(a) * ||c||_1, valid for every b."""
     scale, l1, _ = _norms(cost_vector(c, inst.n))
-    return _cook(inst, scale, l1)
+    return Fraction(*_cook(inst, scale, l1))
 
 
 def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
@@ -82,19 +89,19 @@ def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     the constant cannot be improved.
     """
     scale, l1, _ = _norms(cost_vector(c, inst.n))
-    return _upper_l1(inst, scale, l1)
+    return Fraction(*_upper_l1(inst, scale, l1))
 
 
 def gap_bound_linf(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     """Gap_c(a) <= 2 * (max(a) - 1) * ||c||_inf."""
     scale, _, linf = _norms(cost_vector(c, inst.n))
-    return _upper_linf(inst, scale, linf)
+    return Fraction(*_upper_linf(inst, scale, linf))
 
 
 def gap_bound_frobenius(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     """Gap_c(a) <= (g(a) + max(a)) * ||c||_1 / min(a)."""
     scale, l1, _ = _norms(cost_vector(c, inst.n))
-    return _upper_frobenius(inst, scale, l1, frobenius(inst))
+    return Fraction(*_upper_frobenius(inst, scale, l1, frobenius(inst)))
 
 
 @cache
@@ -113,24 +120,36 @@ def rho_lower(d: int) -> Fraction:
     return root_lower(Fraction(3 if d == 2 else math.factorial(d)), d)
 
 
+def _covering(inst: KnapsackInstance, red: BasisReduction) -> tuple[int, int] | None:
+    """gap_lower_bound_covering as an integer fraction, on a reduction."""
+    if not red.generic:
+        return None
+    d = inst.n - 1
+    rho = rho_lower(d)
+    prod, scale = inst.a[red.tau] * math.prod(red.weights), red.scale
+    if d == 1:  # the root of prod / scale is exact
+        root, below = prod, scale
+    else:
+        root = iroot((prod << d * DEFAULT_BITS) // scale**d, d)
+        below = 1 << DEFAULT_BITS
+    num = rho.numerator * root * scale - sum(red.weights) * rho.denominator * below
+    return num, rho.denominator * below * scale
+
+
 def gap_lower_bound_covering(
     inst: KnapsackInstance, c: Sequence[RationalLike]
 ) -> Fraction | None:
     """Lower bound rho * (a_tau * l_1 * ... * l_{n-1})^(1/(n-1)) - ||l||_1.
 
     Applies to generic costs only (returns None otherwise).  rho and the
-    root are both rounded down, and both factors are nonnegative, so the
-    product still bounds the gap from below.  For n = 2 every quantity is
-    exact and the bound equals the gap itself.  The product and the sum
-    are taken on the reduction's integer weights D * l_j.
+    root are both rounded down, the root to DEFAULT_BITS binary places, and
+    both factors are nonnegative, so the product still bounds the gap from
+    below.  For n = 2 every quantity is exact and the bound equals the gap
+    itself.  The product and the sum are taken on the reduction's integer
+    weights D * l_j.
     """
-    red = basis_reduction(inst, c)
-    if not red.generic:
-        return None
-    d = inst.n - 1
-    prod = inst.a[red.tau] * math.prod(red.weights)
-    root = root_lower(Fraction(prod, red.scale**d), d)
-    return rho_lower(d) * root - Fraction(sum(red.weights), red.scale)
+    bound = _covering(inst, basis_reduction(inst, c))
+    return None if bound is None else Fraction(*bound)
 
 
 @dataclass(frozen=True)
@@ -151,34 +170,40 @@ class BoundReport:
     all_satisfied: bool
 
 
+def _at_most(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """x <= y for integer fractions with positive denominators."""
+    return x[0] * y[1] <= y[0] * x[1]
+
+
 def check_bounds(
     inst: KnapsackInstance, c: Sequence[RationalLike], exact_gap: RationalLike
 ) -> BoundReport:
     """Evaluate all bounds against a supplied exact gap value."""
-    gap = as_fraction(exact_gap, "exact_gap")
+    value = as_fraction(exact_gap, "exact_gap")
+    gap = value.numerator, value.denominator
     costs = cost_vector(c, inst.n)
     scale, l1, linf = _norms(costs)
     g = frobenius(inst)
     schur = schur_bound(inst)
-    cook = _cook(inst, scale, l1)
-    upper_l1 = _upper_l1(inst, scale, l1)
-    upper_linf = _upper_linf(inst, scale, linf)
-    upper_frob = _upper_frobenius(inst, scale, l1, g)
-    lower = gap_lower_bound_covering(inst, costs)
+    uppers = (
+        _cook(inst, scale, l1),
+        _upper_l1(inst, scale, l1),
+        _upper_linf(inst, scale, linf),
+        _upper_frobenius(inst, scale, l1, g),
+    )
+    lower = _covering(inst, basis_reduction(inst, costs))
     ok = (
         g <= schur
-        and gap <= cook
-        and gap <= upper_l1
-        and gap <= upper_linf
-        and gap <= upper_frob
-        and (lower is None or lower <= gap)
+        and all(_at_most(gap, upper) for upper in uppers)
+        and (lower is None or _at_most(lower, gap))
     )
+    cook, upper_l1, upper_linf, upper_frob = (Fraction(*u) for u in uppers)
     return BoundReport(
         schur=schur,
         cook=cook,
         upper_l1=upper_l1,
         upper_linf=upper_linf,
         upper_frobenius=upper_frob,
-        lower_covering=lower,
+        lower_covering=None if lower is None else Fraction(*lower),
         all_satisfied=ok,
     )

@@ -17,8 +17,9 @@ gets compared exactly ever passes through floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import (
@@ -122,15 +123,26 @@ class BasisReduction:
     ratio was unique, which is equivalent to all reduced costs being > 0.
     scale is the lcm D of the denominators of l and weights lists the
     integers D * l_j, the form in which the gap and the bounds use them.
+
+    The reduction holds integers only.  slope and l are Fractions derived
+    on first read: slope from _slope = (C_tau, D_c a_tau) in
+    basis_reduction's terms, and l as weights over scale.
     """
 
     tau: int
-    slope: Fraction
-    l: tuple[Fraction, ...]
     generic: bool
     positions: tuple[int, ...]
     scale: int
     weights: tuple[int, ...]
+    _slope: tuple[int, int] = field(repr=False)
+
+    @cached_property
+    def slope(self) -> Fraction:
+        return Fraction(*self._slope)
+
+    @cached_property
+    def l(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.weights)
 
 
 def basis_reduction(
@@ -161,15 +173,13 @@ def basis_reduction(
     whole = denom * inst.a[tau]
     shared = math.gcd(whole, *rise)
     weights = tuple(v // shared for v in rise)
-    scale = whole // shared
     return BasisReduction(
         tau=tau,
-        slope=Fraction(ints[tau], whole),
-        l=tuple(Fraction(v, scale) for v in weights),
         generic=0 not in weights,
         positions=positions,
-        scale=scale,
+        scale=whole // shared,
         weights=weights,
+        _slope=(ints[tau], whole),
     )
 
 

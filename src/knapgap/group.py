@@ -42,8 +42,11 @@ Tables of at least _NUMPY_MIN_MODULUS residues evaluate the prefix-minimum
 form for all cycles at once on numpy int64 arrays, provided m * (max w + 1)
 and m * m are below 2**60: every label is at most (m - 1) max w, the
 unreached sentinel is m (max w + 1), a lap adds at most m max w, and the
-cycle indices j // L + j s stay below m + m**2, so every intermediate stays
-below 2**62 and int64 cannot overflow.
+products t s behind the cycle indices stay below m**2, so every
+intermediate stays below 2**62 and int64 cannot overflow.  A pass lays the
+cycles out as rows: the cycle through 0 is t s mod m for t < L, which
+lists the multiples of gcd(s, m) below m, and the cycle through
+p < gcd(s, m) is that row plus p, so no other row needs a reduction.
 Smaller tables, and weights without that headroom, walk each cycle from its
 minimum with Python integers: a numpy pass costs about ten fixed calls per
 generator, which small tables never earn back.  numpy is imported by the
@@ -68,9 +71,15 @@ the labels on every access: minima[r] is the label // m^k (so the largest
 label carries the largest minimum), the digits give x_i = c_i - c_{i+1},
 and load = sum_j x_j gen_j.  On the Python execution the load is appended
 as the lowest component, with radix m max gen: the digits fix it, so the
-order is unchanged, and the loads cost one % per residue.  The numpy execution runs only when the packed keys
-themselves pass the int64 guard: a table whose keys break it takes the
-Python execution even where its weights alone would fit.
+order is unchanged, and the loads cost one % per residue.  On the numpy
+execution the loads (and so B*) take one remainder rest = label mod m^k
+and k - 1 floor divisions q_i = rest // m^(k-i), which hold the first i
+digits, so c_i = q_i - m q_{i-1}; the loads are summed as
+sum_i c_i (gen_i - gen_{i-1}) while the digits come, and every partial sum
+lies in [0, m max gen).  The witnesses stack the k digit arrays instead.
+The numpy execution runs only when the packed keys themselves pass the
+int64 guard: a table whose keys break it takes the Python execution even
+where its weights alone would fit.
 
 Taking the weights to be the coefficients themselves makes minima[r] the
 smallest integer congruent to r mod m that is representable without using
@@ -143,7 +152,8 @@ def _normalize_weights(
     values: list[Weight] = list(weights)
     # Plain ints need no coercion; bools and everything else go through
     # as_fraction, which refuses what is not an exact rational.
-    if not all(type(w) is int for w in values):
+    ints = all(type(w) is int for w in values)
+    if not ints:
         values = [as_fraction(w, f"w[{i + 1}]") for i, w in enumerate(values)]
     if len(values) != count:
         raise ValidationError(
@@ -153,8 +163,8 @@ def _normalize_weights(
     for i, w in enumerate(values):
         if w < 0:
             raise NegativeWeight(f"w[{i + 1}] = {w} < 0, weights must be nonnegative")
-    if all(w.denominator == 1 for w in values):
-        return tuple(int(w) for w in values)
+    if not ints and all(w.denominator == 1 for w in values):
+        return tuple(w.numerator for w in values)
     return tuple(values)
 
 
@@ -220,27 +230,31 @@ class GroupTable:
         """max(minima), read off the largest label, which carries it."""
         return self._costs([_largest(self._labels)])[0]
 
-    def _decode(self, rows: int) -> tuple:
-        """(loads, counts) of residues 0..rows-1: loads as a list or int64
-        array, and on the numpy execution the (k, rows) array of counts c_i
-        (None on the Python one)."""
+    def _loads(self, rows: int):
+        """Loads of residues 0..rows-1, as a list or, on the numpy
+        execution, an int64 array (object when the guard below fails)."""
         labels = self._labels[:rows]
         if self._load_radix:
-            return [v % self._load_radix for v in labels], None
-        import numpy as np
-
+            return [v % self._load_radix for v in labels]
         m, gens = self.modulus, self.generators
-        places = reversed(range(len(gens)))
-        counts = np.array([labels // m**p % m for p in places], dtype=np.int64)
+        k = len(gens)
+        rest = labels % m**k
         # sum_j gen_j x_j = sum_i c_i (gen_i - gen_{i-1}); every partial
         # sum lies in [0, m * max gen), so int64 holds it below the guard
         if m * max(gens) >= _INT64_HEADROOM:
-            counts = counts.astype(object)
-        return sum(c * (g - h) for c, g, h in zip(counts, gens, (0,) + gens)), counts
+            rest = rest.astype(object)
+        # q_i = rest // m^(k-i) holds the digits c_1..c_i, so
+        # c_i = q_i - m q_{i-1}
+        loads = above = 0
+        for i, (g, h) in enumerate(zip(gens, (0,) + gens), 1):
+            q = rest // m ** (k - i) if i < k else rest
+            loads = loads + (q - m * above) * (g - h)
+            above = q
+        return loads
 
     @property
     def load(self) -> list[int]:
-        loads = self._decode(self.modulus)[0]
+        loads = self._loads(self.modulus)
         return loads if isinstance(loads, list) else loads.tolist()
 
     @property
@@ -253,10 +267,13 @@ class GroupTable:
         the whole witness table all the same."""
         m, k = self.modulus, len(self.generators)
         check_cells(m * k, f"witness table of {m} rows")
-        loads, counts = self._decode(rows)
+        loads = self._loads(rows)
         labels = self._labels[:rows]
         minima = self._costs(labels)
-        if counts is not None:
+        if not self._load_radix:
+            import numpy as np
+
+            counts = np.array([labels // m**p % m for p in reversed(range(k))])
             x = counts.copy()
             x[:-1] -= counts[1:]  # x_i = c_i - c_{i+1}
             return list(map(tuple, x.T.tolist())), loads.tolist(), minima
@@ -280,7 +297,11 @@ def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:
 
 def _largest(labels) -> int:
     """Largest entry of a _round_robin result, as a Python int."""
-    return max(labels) if isinstance(labels, list) else int(labels.max())
+    if isinstance(labels, list):
+        return max(labels)
+    import numpy as np
+
+    return int(np.maximum.reduce(labels))
 
 
 def _packed_maxima(labels, k: int, limit: int) -> tuple[int, int, int]:
@@ -297,10 +318,12 @@ def _packed_maxima(labels, k: int, limit: int) -> tuple[int, int, int]:
             if lo > below and label < limit:
                 below = lo
         return top, first, below
+    import numpy as np
+
     lows = labels % k
-    top = int(lows.max())
-    below = lows[labels < limit]
-    return top, int(labels[lows == top].min()), int(below.max()) if below.size else 0
+    top = int(np.maximum.reduce(lows))
+    first = int(np.minimum.reduce(labels[lows == top]))
+    return top, first, int(np.maximum.reduce(lows[labels < limit], initial=0))
 
 
 def _cycle_pass(labels, index, step: int, w: int) -> None:
@@ -308,13 +331,21 @@ def _cycle_pass(labels, index, step: int, w: int) -> None:
     import numpy as np
 
     m = len(labels)
-    length = m // math.gcd(step, m)
-    # Row p lists p, p + step, p + 2 step, ... since length * step is 0
-    # mod m.  index * step < m**2 fits by the guard.
-    cycles = ((index // length + index * step) % m).reshape(-1, length)
-    offsets = np.arange(length, dtype=np.int64) * w
-    prefix = np.minimum.accumulate(labels[cycles] - offsets, axis=1)
-    labels[cycles] = np.minimum(prefix, prefix[:, -1:] + length * w) + offsets
+    spread = math.gcd(step, m)
+    length = m // spread
+    # The cycle through 0 lists t step mod m for t < length, the multiples
+    # of spread below m, so row p of cycles + p is the cycle through p and
+    # needs no reduction.  index * step < m**2 fits by the guard.
+    cycles = index[:length] * step % m
+    if spread > 1:
+        cycles = cycles + index[:spread, None]
+    offsets = index[:length] * w
+    values = labels[cycles]
+    values -= offsets
+    np.minimum.accumulate(values, axis=-1, out=values)
+    np.minimum(values, values[..., -1:] + length * w, out=values)
+    values += offsets
+    labels[cycles] = values
 
 
 def _round_robin(m: int, arcs: list[tuple[int, int]]):
@@ -336,7 +367,8 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]):
     if _on_numpy(m, arcs):
         import numpy as np
 
-        minima = np.full(m, unreached, dtype=np.int64)
+        minima = np.empty(m, dtype=np.int64)
+        minima.fill(unreached)
         index = np.arange(m, dtype=np.int64)
         minima[index[:length] * step % m] = index[:length] * w
         for step, w in arcs[1:]:
@@ -437,7 +469,7 @@ def tightness_threshold(table: GroupTable) -> int:
     threshold is valid but not always the smallest one: other optimal
     solutions may have smaller loads than the fewest-generator witnesses.
     """
-    return _largest(table._decode(table.modulus)[0])
+    return _largest(table._loads(table.modulus))
 
 
 def _frobenius3(a: tuple[int, int, int]) -> int:

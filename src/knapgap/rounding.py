@@ -64,7 +64,7 @@ def iroot(m: int, r: int) -> int:
 
 def root_lower(q: Fraction, r: int, bits: int = DEFAULT_BITS) -> Fraction:
     """Dyadic rational lower approximation of q**(1/r), q >= 0."""
-    if q < 0:
+    if q.numerator < 0:
         raise ValueError("root of a negative rational")
     if r == 1:
         return q

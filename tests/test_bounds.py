@@ -192,6 +192,42 @@ class TestCheckBounds:
             assert report.lower_covering <= gap
 
 
+class TestIntegerBoundary:
+    # the gap pass compares and sums in integers; Fractions are built for
+    # the report fields only
+    REFUSED = ("__le__", "__lt__", "__ge__", "__gt__", "__add__", "__radd__",
+               "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+               "__rtruediv__")
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((3, 5), (3, 0)),  # n = 2: the covering bound is exact
+            ((6, 9, 20), (3, 5, 7)),  # Python walk
+            ((61, 97, 131, 173), (-1, "1/2", "3/4", 5)),  # n = 4, rational
+            ((1234, 1789, 1999), ("3/2", -1, 7)),  # numpy table
+            ((1234, 1789, 1999, 2311), ("3/2", -1, 7, 2)),  # numpy frobenius
+            ((1234, 1789, 1999), (1234, 1789, 1999)),  # not generic
+        ],
+    )
+    def test_gap_pass_runs_no_fraction_arithmetic(self, a, c, monkeypatch):
+        inst = KnapsackInstance(a)
+        costs = tuple(Fraction(ci) for ci in c)
+        report = gap_exact(inst, costs)
+        # all_satisfied takes both values over the shifted gaps
+        gaps = [report.gap + shift for shift in (0, 10**9, -(10**9))]
+        bounds = [check_bounds(inst, costs, gap) for gap in gaps]
+
+        def refuse(*args):
+            raise AssertionError("Fraction arithmetic in the gap pass")
+
+        for name in self.REFUSED:
+            monkeypatch.setattr(Fraction, name, refuse)
+        assert gap_exact(inst, costs) == report
+        assert [check_bounds(inst, costs, gap) for gap in gaps] == bounds
+        assert not bounds[1].all_satisfied
+
+
 @st.composite
 def bound_cases(draw):
     """(instance, cost, gap) triples with n = 2..5.

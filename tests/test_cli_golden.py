@@ -102,6 +102,15 @@ CASES: list[tuple[tuple[str, ...], dict[str, str]]] = [
     (("bounds", "--a", "61,97,131,173", "--c=-1,1/2,3/4,5"), {}),
     (("bounds", "--a", "61,97,131,173", "--c=-1,1/2,3/4,5", "--format", "json"),
      {}),
+    (("gap", "--a", "1234,1789,1999,2311", "--c", "3/2,-1,7,2"), {}),
+    (("gap", "--a", "1234,1789,1999,2311", "--c", "3/2,-1,7,2", "--format", "json"),
+     {}),
+    (("bounds", "--a", "1234,1789,1999,2311", "--c", "3/2,-1,7,2"), {}),
+    (("bounds", "--a", "1234,1789,1999,2311", "--c", "3/2,-1,7,2", "--format",
+      "json"), {}),
+    (("bounds", "--a", "1234,1789,1999", "--c", "1234,1789,1999"), {}),
+    (("bounds", "--a", "1234,1789,1999", "--c", "1234,1789,1999", "--format",
+      "json"), {}),
 ]
 
 

@@ -163,8 +163,8 @@ class TestBasisReduction:
 
 
 def fraction_reduction(inst, c):
-    """basis_reduction by its Fraction formulas, the reference for the
-    integer route."""
+    """basis_reduction's attributes by their Fraction formulas, the
+    reference for the integer route."""
     costs = [Fraction(ci) for ci in c]
     ratios = [ci / ai for ci, ai in zip(costs, inst.a)]
     slope = min(ratios)
@@ -172,7 +172,7 @@ def fraction_reduction(inst, c):
     positions = tuple(j for j in range(inst.n) if j != tau)
     reduced = tuple(costs[j] - slope * inst.a[j] for j in positions)
     scale = math.lcm(*(lj.denominator for lj in reduced))
-    return BasisReduction(
+    return dict(
         tau=tau,
         slope=slope,
         l=reduced,
@@ -215,11 +215,33 @@ class TestIntegerReduction:
     def test_matches_the_fraction_formulas(self, case):
         inst, c = case
         red = basis_reduction(inst, c)
-        assert red == fraction_reduction(inst, c)
+        for name, value in fraction_reduction(inst, c).items():
+            assert getattr(red, name) == value, name
         assert type(red.slope) is Fraction
         assert all(type(lj) is Fraction for lj in red.l)
         assert all(type(w) is int for w in red.weights)
         assert type(red.scale) is int
+
+    def test_builds_no_fraction_until_read(self, monkeypatch):
+        # the reduction holds integers; slope and l are built on first read
+        built = []
+        real = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return real(cls, *args, **kwargs)
+
+        inst = KnapsackInstance((61, 97, 131, 173))
+        c = (Fraction(-1), Fraction(1, 2), Fraction(3, 4), Fraction(5))
+        want = fraction_reduction(inst, c)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        red = basis_reduction(inst, c)
+        assert red.weights == want["weights"] and built == []
+        assert red.slope == want["slope"] and red.slope is red.slope
+        assert len(built) == 1
+        assert red.l == want["l"] and red.l is red.l
+        assert len(built) == inst.n
+        assert type(red) is BasisReduction
 
 
 class TestLpValue:

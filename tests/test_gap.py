@@ -440,13 +440,13 @@ class TestWork:
     def test_gap_exact_decodes_the_loads_once(self, a, c, monkeypatch):
         # B* is the one load decode; tail_gap reads no row
         decodes = []
-        real = knapgap.group.GroupTable._decode
+        real = knapgap.group.GroupTable._loads
 
         def counting(table, rows):
             decodes.append(rows)
             return real(table, rows)
 
-        monkeypatch.setattr(knapgap.group.GroupTable, "_decode", counting)
+        monkeypatch.setattr(knapgap.group.GroupTable, "_loads", counting)
         inst = KnapsackInstance(a)
         gap_exact(inst, c)
         assert decodes == [inst.a[basis_reduction(inst, c).tau]]

@@ -7,7 +7,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import knapgap.group
@@ -24,7 +24,7 @@ from knapgap import (
     group_minima,
     tightness_threshold,
 )
-from knapgap.group import _round_robin
+from knapgap.group import _packed_maxima, _round_robin
 
 small_instances = (
     st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=4)
@@ -355,13 +355,13 @@ def kernel_cases(draw, max_modulus=300, max_generators=3, max_dominated=2):
     return inst, tau, weights
 
 
-def _both_executions(inst, tau, weights):
-    """Minima with the numpy cutoff at 1 and out of reach."""
+def _both_executions(inst, tau, weights, read=lambda table: table.minima):
+    """read(table) with the numpy cutoff at 1 and out of reach."""
     out = []
     for cutoff in (1, 1 << 62):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", cutoff)
-            out.append(group_minima(inst, tau, weights).minima)
+            out.append(read(group_minima(inst, tau, weights)))
     return out
 
 
@@ -678,3 +678,82 @@ class TestGuardrails:
             table.witness
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "12")
         assert table.witness[1] == (1, 2)
+
+
+def _readout(table):
+    return table.minima, table.load, tightness_threshold(table)
+
+
+# The lightest generator's step s1 is a unit mod m = d e, so its scatter
+# reaches s2 = t s1 mod m, a multiple of d, at cost t w1 with t >= 2; with
+# w1 <= w2 < t w1 the second pass runs on a step sharing the factor d with
+# m.  Further generators weigh at least w2 and have any step.
+@st.composite
+def shared_step_cases(draw):
+    d = draw(st.integers(min_value=2, max_value=12))
+    m = d * draw(st.integers(min_value=2, max_value=60))
+    s1 = draw(st.integers(1, m - 1).filter(lambda s: math.gcd(s, m) == 1))
+    s2 = d * draw(st.integers(min_value=1, max_value=m // d - 1))
+    t = s2 * pow(s1, -1, m) % m
+    w1 = draw(st.integers(min_value=1, max_value=40))
+    w2 = draw(st.integers(min_value=w1, max_value=t * w1 - 1))
+    lap = st.integers(min_value=0, max_value=2)
+    gens, weights = [s1 + m * draw(lap), s2 + m * draw(lap)], [w1, w2]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        gens.append(draw(st.integers(min_value=1, max_value=3 * m)))
+        weights.append(draw(st.integers(min_value=w2, max_value=w2 + 60)))
+    return KnapsackInstance((m, *gens)), 0, weights
+
+
+class TestNumpyReadouts:
+    """The numpy kernel and readouts against the Python walk and lists."""
+
+    @given(case=tree_cases())
+    def test_threshold_decode(self, case):
+        fast, scalar = _both_executions(*case, read=_readout)
+        assert fast == scalar
+
+    @given(case=tree_cases())
+    @settings(max_examples=40)
+    def test_threshold_decode_on_python_ints(self, case):
+        # past the guard the numpy decode sums the loads as Python ints;
+        # lowering the guard after the kernel has run forces that branch
+        def read(table):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(knapgap.group, "_INT64_HEADROOM", 1)
+                if not table._load_radix:
+                    assert table._loads(table.modulus).dtype == object
+                return _readout(table)
+
+        fast, scalar = _both_executions(*case, read=read)
+        assert fast == scalar
+        assert type(fast[2]) is int and all(type(v) is int for v in fast[1])
+
+    @given(case=shared_step_cases())
+    def test_cycle_pass_on_shared_factors(self, case):
+        spreads = []
+
+        def counting(labels, index, step, w):
+            spreads.append(math.gcd(step, len(labels)))
+            return real(labels, index, step, w)
+
+        real = knapgap.group._cycle_pass
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knapgap.group, "_cycle_pass", counting)
+            fast, scalar = _both_executions(*case, read=_readout)
+        assert fast == scalar
+        assert spreads[0] > 1
+
+    @given(
+        labels=st.lists(st.integers(0, 1 << 50), min_size=1, max_size=60),
+        k=st.integers(min_value=1, max_value=1 << 20),
+        limit=st.integers(min_value=0, max_value=1 << 51),
+    )
+    @example(labels=[5, 9, 13], k=4, limit=5)  # no label below the limit
+    @example(labels=[7, 3, 11], k=4, limit=1 << 51)  # tied remainders
+    def test_packed_maxima(self, labels, k, limit):
+        import numpy as np
+
+        got = _packed_maxima(np.array(labels, dtype=np.int64), k, limit)
+        assert got == _packed_maxima(labels, k, limit)
+        assert all(type(v) is int for v in got)
