@@ -457,7 +457,8 @@ class TestExperimentCommands:
             "--out", str(target),
         )
         assert code == 0
-        rows = list(csv.DictReader(target.open()))
+        with target.open() as handle:
+            rows = list(csv.DictReader(handle))
         assert len(rows) == 300
         assert rows[0]["T"] == "50"
         assert "fitted_slope" in out
@@ -484,7 +485,8 @@ class TestExperimentCommands:
         )
         assert code == 0
         assert "T = 10" in out and "T = 20" in out
-        rows = list(csv.DictReader(target.open()))
+        with target.open() as handle:
+            rows = list(csv.DictReader(handle))
         assert len(rows) == 80
         assert {row["T"] for row in rows} == {"10", "20"}
 
@@ -601,3 +603,12 @@ class TestNumpyFreeStartup:
         assert (code, at_import, after) == (0, False, True)
         g = frobenius_sieve_oracle(KnapsackInstance(a))
         assert f"g = {g}" in out.splitlines()
+
+    def test_three_coefficient_gap_loads_no_numpy(self):
+        # a_tau = 1789 would take the numpy kernel; the staircase route runs
+        # no table at all
+        code, out, at_import, after = _fresh_run(
+            "gap", "--a", "1234,1789,1999", "--c", "3/2,-1,7"
+        )
+        assert (code, at_import, after) == (0, False, False)
+        assert "gap = 617013/1789" in out.splitlines()

@@ -111,6 +111,10 @@ CASES: list[tuple[tuple[str, ...], dict[str, str]]] = [
     (("bounds", "--a", "1234,1789,1999", "--c", "1234,1789,1999"), {}),
     (("bounds", "--a", "1234,1789,1999", "--c", "1234,1789,1999", "--format",
       "json"), {}),
+    # a_tau = 3000016: the staircase route, recorded from the table route
+    (("gap", "--a", "1000003,2000009,3000016", "--c", "3,5,7"), {}),
+    (("gap", "--a", "1000003,2000009,3000016", "--c", "3,5,7", "--format", "json"),
+     {}),
 ]
 
 

@@ -1,6 +1,8 @@
 """Exact additive gaps: single right-hand sides and the global maximum."""
 
+import itertools
 import math
+import weakref
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -316,10 +318,15 @@ def numpy_gap_cases(draw):
     return inst, (slope * m, *(slope * g + r for g, r in zip(gens, reduced)))
 
 
+def _table_route(inst, c):
+    """gap_exact's route through two residue tables, which n = 3 skips."""
+    return knapgap.gap._gap_from_tables(inst, basis_reduction(inst, c))
+
+
 def _python_readout(inst, c):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1 << 62)
-        return gap_exact(inst, c)
+        return _table_route(inst, c)
 
 
 class TestPackedReadout:
@@ -327,9 +334,9 @@ class TestPackedReadout:
     @settings(max_examples=40)
     def test_numpy_readout_matches_python(self, case):
         inst, c = case
-        report = gap_exact(inst, c)
+        report = _table_route(inst, c)
         assert inst.a[report.tau] >= knapgap.group._NUMPY_MIN_MODULUS
-        assert report == _python_readout(inst, c)
+        assert report == _python_readout(inst, c) == gap_exact(inst, c)
 
     @pytest.mark.parametrize(
         "a, c",
@@ -345,16 +352,15 @@ class TestPackedReadout:
         inst = KnapsackInstance(a)
         expected = _python_readout(inst, c)
         monkeypatch.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1)
-        assert gap_exact(inst, c) == expected
-
+        assert _table_route(inst, c) == expected == gap_exact(inst, c)
 
     def test_self_loop_weight_keeps_the_threshold_exact(self):
         # the self-loop generator 400 carries the largest reduced cost; B*
         # stays a Python int, so B* * K does not wrap around in int64
         inst, c = KnapsackInstance((200, 400, 301)), (0, 6 * 10**15, 1)
-        report = gap_exact(inst, c)
+        report = _table_route(inst, c)
         assert type(report.threshold) is int
-        assert report == _python_readout(inst, c)
+        assert report == _python_readout(inst, c) == gap_exact(inst, c)
         assert report.scan_gap == 198
         assert report.gap == gap_bruteforce(inst, c, report.threshold + 200)
 
@@ -371,7 +377,7 @@ class TestPackedReadout:
 
         real = knapgap.gap._round_robin
         monkeypatch.setattr(knapgap.gap, "_round_robin", recording)
-        assert gap_exact(inst, c) == expected
+        assert _table_route(inst, c) == expected
         assert on_numpy == [True]
 
 
@@ -408,7 +414,7 @@ class TestWork:
         # one numpy pass per generator at most, none for the decode
         assert len(passes) <= inst.n - 1
         calls.clear()
-        gap_exact(inst, c)
+        _table_route(inst, c)
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
@@ -448,8 +454,204 @@ class TestWork:
 
         monkeypatch.setattr(knapgap.group.GroupTable, "_loads", counting)
         inst = KnapsackInstance(a)
-        gap_exact(inst, c)
+        _table_route(inst, c)
         assert decodes == [inst.a[basis_reduction(inst, c).tau]]
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [((6, 9, 20), (3, 5, 7)), ((1234, 1789, 1999), (Fraction(3, 2), -1, 7))],
+    )
+    def test_three_coefficients_build_no_table(self, a, c, monkeypatch):
+        inst = KnapsackInstance(a)
+        expected = _table_route(inst, c)
+
+        def refuse(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(knapgap.gap, "group_minima", refuse)
+        monkeypatch.setattr(knapgap.gap, "_round_robin", refuse)
+        monkeypatch.setattr(knapgap.group, "_round_robin", refuse)
+        assert gap_exact(inst, c) == expected
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((1234, 1789, 1999, 2311), (Fraction(3, 2), -1, 7, 2)),  # numpy
+            ((61, 97, 131, 173), (-1, Fraction(1, 2), Fraction(3, 4), 5)),  # Python
+        ],
+    )
+    def test_one_table_at_a_time(self, a, c, monkeypatch):
+        # the reduced-cost table is gone before the packed run starts
+        tables, alive = [], []
+        real_minima, real_run = knapgap.gap.group_minima, knapgap.gap._round_robin
+
+        def recording(*args):
+            table = real_minima(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        def running(m, arcs):
+            alive.append(tables[0]() is not None)
+            return real_run(m, arcs)
+
+        inst = KnapsackInstance(a)
+        expected = gap_exact(inst, c)
+        monkeypatch.setattr(knapgap.gap, "group_minima", recording)
+        monkeypatch.setattr(knapgap.gap, "_round_robin", running)
+        assert gap_exact(inst, c) == expected
+        assert (len(tables), alive) == (1, [False])
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            # packed boxes 26 x 765 and 11 x 776, so the short side is first
+            ((20011, 30011, 40009), (3, 5, 7)),
+            # packed boxes 1852 x 31 and 1843 x 47, so it is second
+            ((86900, 60537, 17139), (-4, 9, 3)),
+        ],
+    )
+    def test_scan_walks_the_shorter_side(self, a, c, monkeypatch):
+        # only the short sides keep the walk below sqrt(a_tau) steps
+        inst = KnapsackInstance(a)
+        expected = _table_route(inst, c)
+        lengths = []
+
+        def counting(*args):
+            lengths.append(args[-1])
+            return range(*args)
+
+        monkeypatch.setattr(knapgap.gap, "range", counting, raising=False)
+        assert gap_exact(inst, c) == expected
+        assert lengths and max(lengths) <= math.isqrt(inst.a[expected.tau]) + 1
+
+# n = 3 cases for the staircase route: the pivot m from 1 to 40, generators
+# that may share a factor with m or be a multiple of it (a self-loop), and
+# costs that are the coefficients, arbitrary rationals, or slope * a plus
+# reduced costs from {0, 1/2, 1, 7/3}, so that slopes and maxima tie.
+@st.composite
+def triple_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=40))
+    gens = [draw(st.integers(min_value=1, max_value=120)) for _ in range(2)]
+    if draw(st.booleans()):
+        gens[draw(st.integers(0, 1))] = m * draw(st.integers(min_value=1, max_value=3))
+    assume(math.gcd(m, *gens) == 1)
+    a = [m, *gens]
+    order = draw(st.permutations(range(3)))
+    a = tuple(a[i] for i in order)
+    kind = draw(st.sampled_from(["a", "free", "shaped"]))
+    if kind == "a":
+        return KnapsackInstance(a), a
+    if kind == "free":
+        return KnapsackInstance(a), draw(tiny_costs(3))
+    slope = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    reduced = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)])
+    pivot = order.index(0)
+    cost = tuple(slope * aj + (0 if j == pivot else draw(reduced)) for j, aj in enumerate(a))
+    return KnapsackInstance(a), cost
+
+
+def _record_lows(big, s):
+    """(j, s j mod big) for each j >= 1 whose value is below all earlier ones,
+    up to the first zero."""
+    lows, low = [], big
+    for j in range(1, big + 1):
+        t = s * j % big
+        if t < low:
+            lows.append((j, t))
+            low = t
+        if t == 0:
+            return lows
+
+
+def _ceiling_fraction(big, s):
+    """(p_i, s_i) for i >= 0 of the ceiling continued fraction of big / s."""
+    (p_prev, s_prev), (p, t) = (0, big), (1, s)
+    points = [(p, t)]
+    while t:
+        q = -(-s_prev // t)
+        (p_prev, s_prev), (p, t) = (p, t), (q * p - p_prev, q * t - s_prev)
+        points.append((p, t))
+    return points
+
+
+# coefficients of triples, each listed by position
+_COST_PATTERNS = [
+    lambda a: a,
+    lambda a: (0, 0, 0),
+    lambda a: (3, 5, 7),
+    lambda a: (-1, -1, -1),
+    lambda a: (Fraction(3, 2), -1, 7),
+    lambda a: (a[0], 0, 0),
+    lambda a: (2 * a[0], 2 * a[1] + 1, 2 * a[2]),
+    lambda a: (Fraction(1, 3), Fraction(-2, 5), 4),
+]
+
+
+class TestStaircase:
+    @given(case=triple_cases())
+    @example(case=(KnapsackInstance((1, 4, 6)), (-2, 1, 3)))  # a_tau = 1
+    @example(case=(KnapsackInstance((6, 10, 15)), (6, 10, 15)))  # gcds > 1
+    @example(case=(KnapsackInstance((200, 400, 301)), (0, 6 * 10**15, 1)))
+    @example(case=(KnapsackInstance((5, 10, 7)), (5, 3, 8)))  # self-loop 10
+    @settings(max_examples=300)
+    def test_matches_the_table_route(self, case):
+        inst, c = case
+        assert gap_exact(inst, c) == _table_route(inst, c)
+
+    def test_every_small_triple(self):
+        # every coprime triple with entries <= 12, against fixed costs
+        count = 0
+        for a in itertools.product(range(1, 13), repeat=3):
+            if math.gcd(*a) != 1:
+                continue
+            inst = KnapsackInstance(a)
+            for pattern in _COST_PATTERNS:
+                c = pattern(a)
+                assert gap_exact(inst, c) == _table_route(inst, c), (a, c)
+                count += 1
+        assert count == 1447 * len(_COST_PATTERNS)
+
+    def test_ceiling_fraction_lists_the_record_lows(self):
+        for big in range(1, 201):
+            for s in range(big):
+                assert _ceiling_fraction(big, s) == _record_lows(big, s), (big, s)
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            ((6, 9, 20), (3, 5, 7)),
+            ((1, 4, 6), (-2, 1, 3)),  # a_tau = 1
+            ((5, 10, 7), (5, 3, 8)),  # the self-loop 10
+            ((6, 10, 15), (Fraction(1, 2), 1, Fraction(-1, 3))),  # gcds > 1
+            ((7, 4, 9), (7, 4, 10)),  # tied slope
+        ],
+    )
+    def test_every_field_matches_sweep(self, a, c):
+        inst = KnapsackInstance(a)
+        report = gap_exact(inst, c)
+        assert asdict(report) == swept_fields(inst, c, report.threshold)
+        b_max = report.threshold + 2 * inst.a[report.tau]
+        assert report.gap == gap_bruteforce(inst, c, b_max)
+
+    def test_long_quotient_two_run_is_bisected(self):
+        # s = M - 1 gives M - 1 quotients 2 in a row; the answer sits halfway
+        m = 10**6 + 3
+        calls = []
+
+        def ahead(k, t):
+            calls.append(k)
+            return k > t
+
+        assert knapgap.gap._axis(m, m - 1, 1, ahead) == (m // 2 + 1, m // 2)
+        assert len(calls) <= 2 * m.bit_length()
+
+    def test_broken_area_is_refused(self, monkeypatch):
+        real = knapgap.gap._axis
+        monkeypatch.setattr(
+            knapgap.gap, "_axis", lambda *args: (real(*args)[0] + 1, real(*args)[1])
+        )
+        with pytest.raises(AssertionError, match="staircase area"):
+            gap_exact(KnapsackInstance((6, 9, 20)), (3, 5, 7))
 
 
 class TestFamilies:
