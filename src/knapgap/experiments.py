@@ -23,8 +23,16 @@ threshold t becomes the integer cut floor(t * 2**bits), since an integer N
 satisfies N / 2**bits > t exactly when N exceeds that cut.  Fractions are
 built only at the output boundary: the `ratio_lower` / `ratio_upper`
 properties and the exact means and survival fractions of a summary.  The
-exact CSV columns print N / 2**bits in lowest terms by shifting the common
-power of two out of N, which gives the same string as the Fraction.
+exact CSV columns print N / 2**bits in lowest terms by dividing out
+gcd(N, 2**bits), which gives the same string as the Fraction.
+
+Each record takes one pass: the drawn coefficient tuple, then g, then the
+bracket numerators, then, when a CSV is wanted, its row.  The pass builds
+no KnapsackInstance (the drawer has already made the tuple positive and
+coprime) and calls no frobenius wrapper: it reads the guardrail cap once
+per range, compares each record's m = min(a) with it, and hands the tuple
+to group._frobenius, the body frobenius runs after its own check.  Only
+sample_records wraps each tuple in a KnapsackInstance, for its records.
 
 tail_experiment and mean_experiment stream.  Each config's index range is
 cut into ranges of at most _CHUNK indices, which run in index order, in
@@ -60,9 +68,9 @@ from .errors import (
     InsufficientSamples,
     ValidationError,
 )
-from .group import frobenius
-from .guardrail import cell_cap
-from .instances import SamplerConfig, draw_range
+from .group import _frobenius, frobenius
+from .guardrail import cell_cap, check_cells
+from .instances import SamplerConfig, _draw_tuples
 from .rounding import DEFAULT_BITS, pow_numerators
 
 # Not called here: _norm_power works on ints and _sampled draws whole
@@ -143,21 +151,19 @@ def _norm_power(norm: int, p: int, q: int, bits: int) -> tuple[int, int]:
 
 
 def _bracket_numerators(
-    inst: KnapsackInstance, epsilon: Fraction, bits: int, g: int
+    a: tuple[int, ...], p: int, q: int, bits: int, g: int
 ) -> tuple[int, int]:
-    """Numerators over 2**bits of the outward-rounded bracket.
+    """Numerators over 2**bits of the outward-rounded bracket of the
+    coefficients a at epsilon = p / q.
 
     With ||a||_inf^epsilon in [P_lo, P_hi] / 2**bits, the lower bracket is
     floor((g + a_n) * 4**bits / (P_hi * head)) and the upper one
     ceil(f * 4**bits / (min(a) * P_lo)), both over 2**bits.
     """
-    total = sum(inst.a)
-    p_lo, p_hi = _norm_power(
-        inst.norm_inf, epsilon.numerator, epsilon.denominator, bits
-    )
-    head = total - inst.a[-1]
-    lower = ((g + inst.a[-1]) << 2 * bits) // (p_hi * head)
-    upper = -((-(g + total) << 2 * bits) // (inst.min_entry * p_lo))
+    total, last = sum(a), a[-1]
+    p_lo, p_hi = _norm_power(max(a), p, q, bits)
+    lower = ((g + last) << 2 * bits) // (p_hi * (total - last))
+    upper = -((-(g + total) << 2 * bits) // (min(a) * p_lo))
     return lower, upper
 
 
@@ -177,31 +183,40 @@ def bracket_ratios(
     """
     if g is None:
         g = frobenius(inst)
-    lower, upper = _bracket_numerators(inst, epsilon, bits, g)
+    lower, upper = _bracket_numerators(
+        inst.a, epsilon.numerator, epsilon.denominator, bits, g
+    )
     return Fraction(lower, 1 << bits), Fraction(upper, 1 << bits)
 
 
 def _sampled(config: ExperimentConfig, start: int, stop: int):
-    """(index, instance, g, lower, upper) for each index in [start, stop).
+    """(index, a, g, lower, upper) for each index in [start, stop), with a
+    the drawn coefficient tuple: the one pass every record takes.
 
-    The range's instances come from one draw_range call.  The guardrail cap
-    is read once per range: reading the environment costs more than
-    checking a record's table against the cap.
+    The range's tuples come from one _draw_tuples call, and the drawer
+    guarantees positive coprime coefficients, so no record builds a
+    KnapsackInstance or goes through frobenius.  The guardrail cap is read
+    once per range, and each record compares its table's m = min(a) cells
+    with it; a refusal raises the text frobenius raises.
     """
     cap = cell_cap()
-    draws = draw_range(config.seed, start, stop, config.n, config.T)
-    for index, (inst, _) in zip(range(start, stop), draws):
-        g = frobenius(inst, max_cells=cap)
-        lower, upper = _bracket_numerators(inst, config.epsilon, config.bits, g)
-        yield index, inst, g, lower, upper
+    p, q, bits = config.epsilon.numerator, config.epsilon.denominator, config.bits
+    draws = _draw_tuples(config.seed, start, stop, config.n, config.T)
+    for index, (a, _) in zip(range(start, stop), draws):
+        m = min(a)
+        if m > cap:
+            check_cells(m, f"residue table modulo {m}", cap)
+        g = _frobenius(a, m)
+        lower, upper = _bracket_numerators(a, p, q, bits, g)
+        yield index, a, g, lower, upper
 
 
 def sample_records(config: ExperimentConfig) -> list[SampleRecord]:
     """All records for a config, in index order, from the generator the
     streaming workers read."""
     return [
-        SampleRecord(index, inst, g, g + sum(inst.a), lower, upper, config.bits)
-        for index, inst, g, lower, upper in _sampled(config, 0, config.count)
+        SampleRecord(index, KnapsackInstance(a), g, g + sum(a), lower, upper, config.bits)
+        for index, a, g, lower, upper in _sampled(config, 0, config.count)
     ]
 
 
@@ -215,13 +230,12 @@ def _stream_chunk(
     lowers: list[int] = []
     uppers: list[int] = []
     rows: list[str] = []
-    head = f"{config.n},{config.T},{config.seed}"
-    for index, inst, g, lower, upper in _sampled(config, start, stop):
+    head, bits = f"{config.n},{config.T},{config.seed}", config.bits
+    for index, a, g, lower, upper in _sampled(config, start, stop):
         lowers.append(lower)
         uppers.append(upper)
         if want_csv:
-            f = g + sum(inst.a)
-            rows.append(_csv_row(head, index, inst.a, g, f, lower, upper, config.bits))
+            rows.append(_csv_row(head, index, a, g, g + sum(a), lower, upper, bits))
     return lowers, uppers, "".join(rows) if want_csv else None
 
 
@@ -492,28 +506,22 @@ def _decimal12(x: Fraction) -> str:
     return format(float(x), ".12g")
 
 
-def _dyadic_str(numerator: int, bits: int) -> str:
-    """str(Fraction(numerator, 2**bits)) without a gcd: the gcd is the
-    power of two that divides numerator, capped at 2**bits."""
-    shift = min(bits, (numerator & -numerator).bit_length() - 1)
-    if shift < 0:  # numerator == 0
-        return "0"
-    if shift == bits:
-        return str(numerator >> bits)
-    return f"{numerator >> shift}/{1 << (bits - shift)}"
-
-
 def _csv_row(
-    head: str, index: int, a: Sequence[int], g: int, f: int,
+    head: str, index: int, a: tuple[int, ...], g: int, f: int,
     lower: int, upper: int, bits: int,
 ) -> str:
     """One record's CSV line; head is its "n,T,seed" prefix.  No field ever
-    needs quoting, so a row is one formatted line."""
+    needs quoting, so a row is one formatted line.  An exact column prints
+    N / 2**bits in lowest terms: dividing both by gcd(N, 2**bits), the
+    power of two that N shares with 2**bits, gives str(Fraction(N, 2**bits)),
+    whose denominator 1 prints as no "/1"."""
     scale = 1 << bits
+    lo, up = math.gcd(lower, scale), math.gcd(upper, scale)
     return (
-        f"{head},{index},{','.join(map(str, a))},{g},{f},"
+        f"{head},{index},{'%d,' * len(a) % a}{g},{f},"
         f"{lower / scale:.12g},{upper / scale:.12g},"
-        f"{_dyadic_str(lower, bits)},{_dyadic_str(upper, bits)}\n"
+        f"{lower // lo}{'' if lo == scale else f'/{scale // lo}'},"
+        f"{upper // up}{'' if up == scale else f'/{scale // up}'}\n"
     )
 
 

@@ -39,19 +39,25 @@ Rational weights are scaled by the lcm of their denominators, so all
 arithmetic is exact integer arithmetic, and the minima come back as
 Fractions.  Two executions of the one recurrence are chosen from the input.
 Tables of at least _NUMPY_MIN_MODULUS residues evaluate the prefix-minimum
-form for all cycles at once on numpy int64 arrays, provided m * (max w + 1)
-and m * m are below 2**60: every label is at most (m - 1) max w, the
-unreached sentinel is m (max w + 1), a lap adds at most m max w, and the
-products t s behind the cycle indices stay below m**2, so every
-intermediate stays below 2**62 and int64 cannot overflow.  A pass lays the
-cycles out as rows: the cycle through 0 is t s mod m for t < L, which
-lists the multiples of gcd(s, m) below m, and the cycle through
+form for all cycles at once on numpy int64 arrays, provided
+U = m * (max w + 1) and m * m are below 2**62.  Every label is at most
+(m - 1) max w < U and the unreached sentinel is U, so a label minus its
+offset t w (t < L <= m) lies in (-U, U], and the products t s behind the
+cycle indices stay below m**2.  The largest intermediate is the lap term
+P_{L-1} + L w, at most U + m max w < 2 U < 2**63, and every other one is
+at most U, so int64 cannot overflow.  The readouts stay below 2**62 too:
+the loads stay on int64 only when m max gen is below it as well, and
+gap.py's limit B* K is below m times its table's largest key.  A pass
+lays the cycles out as rows: the cycle through 0 is t s mod m for t < L,
+which lists the multiples of gcd(s, m) below m, and the cycle through
 p < gcd(s, m) is that row plus p, so no other row needs a reduction.
-Smaller tables, and weights without that headroom, walk each cycle from its
-minimum with Python integers: a numpy pass costs about ten fixed calls per
-generator, which small tables never earn back.  numpy is imported by the
-first table that takes the int64 execution, so a process that builds none
-never loads it.
+Smaller tables, and weights without that headroom, walk each cycle from
+its minimum with Python integers: a numpy pass costs about ten fixed calls
+per generator, which small tables never earn back.  The walk steps
+r -> r + s with one comparison and one addition or subtraction, and
+starts the cycle through 0 at residue 0 without a search, since its
+label 0 is the least of all.  numpy is imported by the first table that
+takes the int64 execution, so a process that builds none never loads it.
 
 group_minima gets the witnesses (GroupTable) from the same kernel run.
 Numbering the generators 1..k, arc j carries the key (w_j, 1, [j >= 2],
@@ -93,6 +99,9 @@ with the convention g = -1 when some coefficient equals 1 (every b >= 0 is
 then representable, and the formula above lands on -1 by itself).  The
 coefficients are validated integers already, so frobenius hands the arcs
 (gen_j mod m, gen_j) to the kernel directly and builds no GroupTable.
+Its body after the guardrail check is _frobenius, which takes the plain
+coefficient tuple; the sampler calls it on drawn tuples, having compared
+m with the cap it reads once per range.
 
 For three coefficients frobenius builds no table.  Johnson's reduction
 (Canad. J. Math. 12, 1960) divides out a common factor d of a pair,
@@ -142,7 +151,7 @@ _NUMPY_MIN_MODULUS = 192
 
 # Bound on m * (max w + 1) and on m * m for the int64 execution (module
 # docstring).
-_INT64_HEADROOM = 1 << 60
+_INT64_HEADROOM = 1 << 62
 
 
 def _normalize_weights(
@@ -291,8 +300,10 @@ class GroupTable:
 def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:
     """Whether _round_robin(m, arcs) takes the numpy int64 execution
     (module docstring)."""
+    if m < _NUMPY_MIN_MODULUS:
+        return False
     top = max((w for _, w in arcs), default=0)
-    return m >= _NUMPY_MIN_MODULUS and max(m * (top + 1), m * m) < _INT64_HEADROOM
+    return max(m * (top + 1), m * m) < _INT64_HEADROOM
 
 
 def _largest(labels) -> int:
@@ -375,22 +386,29 @@ def _round_robin(m: int, arcs: list[tuple[int, int]]):
             if minima[step] > w:
                 _cycle_pass(minima, index, step, w)
     else:
+        # r + step wraps by subtracting back = m - step
         minima = [unreached] * m
+        r, back = 0, m - step
         for t in range(length):
-            minima[t * step % m] = t * w
+            minima[r] = t * w
+            r = r - back if r >= back else r + step
         for step, w in arcs[1:]:
             if minima[step] <= w:
                 continue
             spread = math.gcd(step, m)
+            back, laps = m - step, range(m // spread - 1)
             for start in range(spread):
                 # The cycle through start is the class start mod spread.
-                members = minima[start::spread]
-                label = min(members)
-                r = start + members.index(label) * spread
-                for _ in range(m // spread - 1):
-                    r += step
-                    if r >= m:
-                        r -= m
+                # Residue 0 keeps label 0, the least of all, so the cycle
+                # through 0 starts there without a search.
+                if start:
+                    members = minima[start::spread]
+                    label = min(members)
+                    r = start + members.index(label) * spread
+                else:
+                    r = label = 0
+                for _ in laps:
+                    r = r - back if r >= back else r + step
                     label += w
                     old = minima[r]
                     if old < label:
@@ -511,7 +529,17 @@ def _frobenius3(a: tuple[int, int, int]) -> int:
     return scale * g + shift
 
 
-def frobenius(inst: KnapsackInstance, *, max_cells: int | None = None) -> int:
+def _frobenius(a: tuple[int, ...], m: int) -> int:
+    """g(a) for validated coefficients a with m = min(a), once the caller
+    has checked the m cells of the residue table modulo m against the
+    guardrail: Roedseth's formula for three coefficients, otherwise the
+    kernel on the arcs (a_j mod m, a_j)."""
+    if len(a) == 3:
+        return _frobenius3(a)
+    return _largest(_round_robin(m, [(g % m, g) for g in a if g % m])) - m
+
+
+def frobenius(inst: KnapsackInstance) -> int:
     """Frobenius number: the largest integer not representable as a.x.
 
     Returns -1 when some coefficient equals 1 and every b >= 0 is
@@ -523,10 +551,8 @@ def frobenius(inst: KnapsackInstance, *, max_cells: int | None = None) -> int:
     coefficient that smaller ones already represent (module docstring).
     """
     m = inst.min_entry
-    check_cells(m, f"residue table modulo {m}", max_cells)
-    if inst.n == 3:
-        return _frobenius3(inst.a)
-    return _largest(_round_robin(m, [(g % m, g) for g in inst.a if g % m])) - m
+    check_cells(m, f"residue table modulo {m}")
+    return _frobenius(inst.a, m)
 
 
 def frobenius_sieve_oracle(inst: KnapsackInstance) -> int:

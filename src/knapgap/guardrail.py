@@ -3,9 +3,10 @@
 Residue tables, representability sieves and exhaustive enumerations all
 allocate one cell per lattice point or residue.  Every such allocation is
 checked against a cap, by default 10**8 cells, overridable globally
-through the KNAPGAP_GUARDRAIL_CELLS environment variable.  frobenius
-(knapgap.group) also takes a max_cells argument, which wins over both: the
-sampler reads the cap once per range and passes it to every record's call,
+through the KNAPGAP_GUARDRAIL_CELLS environment variable.  check_cells
+also takes an explicit cap, which wins over both: the sampler
+(knapgap.experiments) reads the cap once per range, compares each record's
+table with it, and calls check_cells with that cap only to refuse one,
 since reading the environment costs more than checking one record's table.
 """
 

@@ -37,6 +37,13 @@ still reads its own blocks in order and every word is kept or rejected by
 the same test, so the stream and each drawn tuple are those of a
 one-index draw; only the order in which the indices' blocks are computed
 changes.
+
+Tuples.  The lanes yield each index's coefficients as a plain tuple, which
+the draw has made positive, at most T and coprime.  draw_range wraps each
+in a KnapsackInstance, the one constructor, which validates it once; the
+sampler (knapgap.experiments) reads the tuples themselves through
+_draw_tuples, which checks the range as draw_range does and builds no
+instance.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .core import KnapsackInstance, RationalLike, as_fraction
@@ -201,6 +208,16 @@ def draw_range(
     are drawn _LANES at a time, each batch in waves of lanes (module
     docstring).
     """
+    drawn = _draw_tuples(seed, start, stop, n, T)
+    return ((KnapsackInstance(a), attempts) for a, attempts in drawn)
+
+
+def _draw_tuples(
+    seed: int, start: int, stop: int, n: int, T: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """draw_range with each instance as its coefficient tuple, for callers
+    that read only the coefficients; the arguments are checked at the
+    call."""
     _check_stream(seed, start, stop)
     if n < 2:
         raise DimensionTooSmall(f"n = {n} < 2")
@@ -210,7 +227,7 @@ def draw_range(
 
 def _draw_lanes(
     seed: int, start: int, stop: int, n: int, T: int
-) -> Iterator[tuple[KnapsackInstance, int]]:
+) -> Iterator[tuple[tuple[int, ...], int]]:
     mask = (1 << (T - 1).bit_length()) - 1
     gcd = math.gcd
     for base in range(start, stop, _LANES):
@@ -237,7 +254,7 @@ def _draw_lanes(
                         if len(kept) == n:
                             attempts[j] += 1
                             if gcd(*kept) == 1:
-                                drawn[j] = (KnapsackInstance(tuple(kept)), attempts[j])
+                                drawn[j] = (tuple(kept), attempts[j])
                                 break
                             kept.clear()
                 else:
@@ -269,19 +286,42 @@ def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:
     return (inst for inst, _ in drawn)
 
 
+# mu(d) + 1 as a byte, and the map that negates mu(d) on such bytes.
+_NEGATE_MU = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")
+
+
 def count_instances(n: int, T: int) -> int:
     """Exact count of valid instances with coefficients in {1..T}.
 
-    Plain enumeration over T**n tuples, guarded by the cell cap.
+    The tuples of {1..T}**n whose gcd is a multiple of d are the
+    floor(T/d)**n tuples of multiples of d, so Moebius inversion gives the
+    count with gcd 1 as the sum over d <= T of mu(d) floor(T/d)**n.  A
+    sieve over 1..T holds mu(d) + 1 in one byte per d, T cells checked
+    against the guardrail: each prime p negates mu at its multiples and
+    zeroes it at the multiples of p**2, all by slices.  The d with one
+    quotient floor(T/d) form a run, so the sum takes about 2 sqrt(T) terms,
+    each run's sum of mu read off by counting bytes.
     """
     if n < 2:
         raise ValidationError(f"n = {n} < 2")
     if T < 1:
         raise ValidationError(f"T = {T} < 1")
-    check_cells(T**n, f"enumeration of {T}**{n} tuples")
-    return sum(
-        1 for tup in product(range(1, T + 1), repeat=n) if math.gcd(*tup) == 1
-    )
+    check_cells(T, f"Moebius sieve up to {T}")
+    mu = bytearray(b"\x02") * (T + 1)
+    composite = bytearray(T + 1)
+    p = 2
+    while 0 < p <= T:
+        composite[p::p] = b"\x01" * len(range(p, T + 1, p))
+        mu[p::p] = mu[p::p].translate(_NEGATE_MU)
+        mu[p * p :: p * p] = b"\x01" * len(range(p * p, T + 1, p * p))
+        p = composite.find(0, p + 1)
+    total, d = 0, 1
+    while d <= T:
+        q = T // d
+        run = mu[d : T // q + 1]
+        total += (run.count(2) - run.count(0)) * q**n
+        d = T // q + 1
+    return total
 
 
 def tightness_family(

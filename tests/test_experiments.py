@@ -3,16 +3,21 @@
 import csv
 import io
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import knapgap.guardrail
+import knapgap.instances
 from knapgap import (
     BadEpsilon,
+    BoundTooLarge,
     DimensionTooSmall,
     ExperimentConfig,
     InsufficientSamples,
@@ -35,10 +40,13 @@ from knapgap import (
 from knapgap.experiments import (
     MIN_TAIL_SAMPLES,
     _CHUNK,
-    _dyadic_str,
+    _csv_row,
+    _sampled,
+    _stream_chunk,
     csv_header,
     summary_json_dict,
 )
+from knapgap.guardrail import ENV_VAR
 from knapgap.instances import draw_instance
 from knapgap.rounding import DEFAULT_BITS, pow_bounds
 
@@ -215,6 +223,103 @@ class TestRecords:
         config = ExperimentConfig(n=3, T=50, count=30, seed=5, epsilon="4/5")
         records = sample_records(config)
         assert [r.index for r in records] == list(range(30))
+
+
+class TestRecordLoop:
+    """_stream_chunk, one pass per record from the drawn tuple to the CSV
+    row, against the public route draw_instance -> frobenius ->
+    bracket_ratios -> write_records_csv."""
+
+    @given(
+        n=st.integers(3, 6),
+        seed=st.integers(0, 2**64 - 1),
+        epsilon=st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(4, 5), Fraction(1, 7)]),
+        bits=st.sampled_from([8, 33, 60, 80]),
+        lanes=st.integers(1, 4),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_route(self, n, seed, epsilon, bits, lanes, data):
+        # n = 3 builds no table, so it takes any T up to 2**64 under a
+        # lifted cap; other n keep their tables small.  A few lanes per
+        # batch make every range of more than `lanes` indices cross batches.
+        T = data.draw(st.integers(1, 2**64) if n == 3 else st.integers(1, 400), label="T")
+        start = data.draw(st.integers(0, 2**64), label="start")
+        stop = start + data.draw(st.integers(1, 9), label="size")
+        config = ExperimentConfig(n=n, T=T, count=1, seed=seed, epsilon=epsilon, bits=bits)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(knapgap.instances, "_LANES", lanes)
+            mp.setenv(ENV_VAR, str(1 << 64))
+            lowers, uppers, rows = _stream_chunk((config, start, stop, True))
+            assert _stream_chunk((config, start, stop, False)) == (lowers, uppers, None)
+            records = []
+            for index in range(start, stop):
+                inst, _ = draw_instance(seed, index, n, T)
+                g = frobenius(inst)
+                lo, up = bracket_ratios(inst, epsilon, bits, g=g)
+                records.append(
+                    SampleRecord(
+                        index, inst, g, g + sum(inst.a),
+                        int(lo * (1 << bits)), int(up * (1 << bits)), bits,
+                    )
+                )
+        assert lowers == [r.lower for r in records]
+        assert uppers == [r.upper for r in records]
+        buf = io.StringIO()
+        write_records_csv(buf, [(config, records)])
+        assert buf.getvalue() == ",".join(csv_header(n)) + "\n" + rows
+
+    def test_refusal_matches_frobenius(self, monkeypatch):
+        # with the cap one below the range's largest m, the loop refuses the
+        # first record of that m, with the text frobenius raises for it;
+        # with the cap at that m every record passes
+        config = ExperimentConfig(n=3, T=2000, count=60, seed=1, epsilon="4/5")
+        drawn = [draw_instance(1, index, 3, 2000)[0] for index in range(60)]
+        largest = max(inst.min_entry for inst in drawn)
+        refused = [inst.min_entry for inst in drawn].index(largest)
+        monkeypatch.setenv(ENV_VAR, str(largest - 1))
+        with pytest.raises(BoundTooLarge) as expected:
+            frobenius(drawn[refused])
+        assert f"residue table modulo {largest} " in str(expected.value)
+        reached = []
+        with pytest.raises(BoundTooLarge) as got:
+            for index, *_ in _sampled(config, 0, 60):
+                reached.append(index)
+        assert str(got.value) == str(expected.value)
+        assert reached == list(range(refused))
+        with pytest.raises(BoundTooLarge) as got:
+            _stream_chunk((config, 0, 60, True))
+        assert str(got.value) == str(expected.value)
+        monkeypatch.setenv(ENV_VAR, str(largest))
+        assert len(_stream_chunk((config, 0, 60, False))[0]) == 60
+
+    def test_range_builds_no_instance_and_reads_the_cap_once(self, monkeypatch):
+        built = []
+        real = KnapsackInstance.__post_init__
+
+        def counting(inst):
+            built.append(inst.a)
+            real(inst)
+
+        reads = []
+
+        class Environment(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(KnapsackInstance, "__post_init__", counting)
+        env = SimpleNamespace(environ=Environment(os.environ))
+        monkeypatch.setattr(knapgap.guardrail, "os", env)
+        config = ExperimentConfig(n=4, T=300, count=200, seed=3, epsilon="1/2")
+        lowers, _, _ = _stream_chunk((config, 0, 200, True))
+        assert len(lowers) == 200
+        assert built == []
+        assert reads == [ENV_VAR]
+        # sample_records wraps each record's tuple in one instance
+        records = sample_records(config)
+        assert built == [r.instance.a for r in records]
+        assert reads == [ENV_VAR] * 2
 
 
 def _fake_records(values, bits=DEFAULT_BITS):
@@ -467,7 +572,10 @@ class TestCsv:
         bits=st.integers(0, 80),
     )
     def test_exact_column_is_str_of_fraction(self, numerator, bits):
-        assert _dyadic_str(numerator, bits) == str(Fraction(numerator, 1 << bits))
+        row = _csv_row("3,9,1", 0, (2, 3, 5), 1, 11, numerator, 1 << bits, bits)
+        lower_exact, upper_exact = row.rstrip("\n").split(",")[-2:]
+        assert lower_exact == str(Fraction(numerator, 1 << bits))
+        assert upper_exact == "1"
 
     @given(
         n=st.integers(2, 6),

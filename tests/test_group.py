@@ -264,11 +264,13 @@ class TestThreeCoefficients:
         for order in itertools.permutations(a):
             assert frobenius(KnapsackInstance(order)) == expected
 
-    def test_guardrail_still_counts_the_table(self):
+    def test_guardrail_still_counts_the_table(self, monkeypatch):
         inst = KnapsackInstance((20, 9, 6))
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "5")
         with pytest.raises(BoundTooLarge, match="residue table modulo 6"):
-            frobenius(inst, max_cells=5)
-        assert frobenius(inst, max_cells=6) == 43
+            frobenius(inst)
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "6")
+        assert frobenius(inst) == 43
 
 
 class TestCoveringRadii:
@@ -355,6 +357,13 @@ def kernel_cases(draw, max_modulus=300, max_generators=3, max_dominated=2):
     return inst, tau, weights
 
 
+def _walked(m, arcs):
+    """_round_robin(m, arcs) on the Python walk."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(knapgap.group, "_NUMPY_MIN_MODULUS", 1 << 62)
+        return _round_robin(m, arcs)
+
+
 def _both_executions(inst, tau, weights, read=lambda table: table.minima):
     """read(table) with the numpy cutoff at 1 and out of reach."""
     out = []
@@ -413,12 +422,33 @@ class TestRoundRobinKernel:
         # largest weights the numpy execution accepts, and one more
         m = 200
         inst = KnapsackInstance((m, 3 * m + 1, 7 * m + 3))
-        top = (1 << 60) // m - 1
-        assert m * (top + 1) < 1 << 60 <= m * (top + 2)
+        headroom = knapgap.group._INT64_HEADROOM
+        top = headroom // m - 1
+        assert m * (top + 1) < headroom <= m * (top + 2)
         for w in ([top, top - 5], [top + 1, top]):
             fast, scalar = _both_executions(inst, 0, w)
             assert fast == scalar
             assert max(fast) > 1 << 55
+        # the same weights as plain kernel arcs: the first table runs on
+        # numpy, the second walks, and both match the walk
+        for arcs, walks in (([(1, top), (3, top - 5)], False), ([(1, top + 1), (3, top)], True)):
+            labels = _round_robin(m, arcs)
+            assert isinstance(labels, list) is walks
+            assert list(labels) == _walked(m, arcs)
+
+    def test_lap_term_past_two_to_the_62(self):
+        # the step-2 pass reaches the even residues only, so the step-4
+        # pass meets odd cycles that hold nothing but the sentinel
+        # U = m (top + 1), just below the headroom; their lap term U + w
+        # passes 2**62 and must still fit int64
+        m = 200
+        top = knapgap.group._INT64_HEADROOM // m - 1
+        w1, w2 = top // 3, top // 2  # minima[4] = 2 w1 > w2: the pass runs
+        arcs = [(2, w1), (4, w2), (1, top)]
+        assert m * (top + 1) + w2 > 1 << 62
+        labels = _round_robin(m, arcs)
+        assert not isinstance(labels, list)
+        assert labels.tolist() == _walked(m, arcs)
 
     def test_index_headroom_edge(self, monkeypatch):
         # cycle indices reach m**2, so a table with small weights but m * m
@@ -487,12 +517,18 @@ class TestRoundRobinKernel:
 
     def test_python_walk_steps(self, monkeypatch):
         # a pass the walk runs takes m - gcd(s, m) steps: gcd(s, m) cycles
-        # of m / gcd(s, m) residues, each walked on from its minimum
+        # of m / gcd(s, m) residues, each walked on from its minimum.  A
+        # range is counted each time a loop runs over it, since the walk
+        # runs every cycle of a pass over one range.
         lengths = []
 
-        def counting(*args):
-            lengths.append(len(range(*args)))
-            return range(*args)
+        class counting:
+            def __init__(self, *args):
+                self.steps = range(*args)
+
+            def __iter__(self):
+                lengths.append(len(self.steps))
+                return iter(self.steps)
 
         m, arcs, expected = self._PASSES
         monkeypatch.setattr(knapgap.group, "range", counting, raising=False)

@@ -1,5 +1,6 @@
 """Named families, the coprime sampler, and the fractional-vertex examples."""
 
+import itertools
 import math
 import time
 from collections import Counter
@@ -25,6 +26,7 @@ from knapgap import (
     sample_instances,
     tightness_family,
 )
+from knapgap.guardrail import DEFAULT_MAX_CELLS, ENV_VAR
 from knapgap.instances import _lane_keys, _philox_lanes, draw_range
 
 _MASK64 = (1 << 64) - 1
@@ -327,9 +329,29 @@ class TestCountInstances:
         expected = 2 * sum(_totient(k) for k in range(1, T + 1)) - 1
         assert count_instances(2, T) == expected
 
-    def test_guardrail(self):
+    @given(n=st.integers(2, 4), T=st.integers(1, 14))
+    @settings(max_examples=40)
+    def test_against_enumeration(self, n, T):
+        expected = sum(
+            1 for tup in itertools.product(range(1, T + 1), repeat=n) if math.gcd(*tup) == 1
+        )
+        assert count_instances(n, T) == expected
+
+    def test_large_box_answers(self):
+        # 20000**2 tuples, past the cell cap as an enumeration; the sieve
+        # counts T cells.  Coprime pairs tend to 6/pi**2 of all pairs.
+        count = count_instances(2, 20_000)
+        assert abs(count / 20_000**2 - 6 / math.pi**2) < 1e-3
+
+    def test_guardrail(self, monkeypatch):
+        # the sieve's T cells count against the cap
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        with pytest.raises(BoundTooLarge, match="Moebius sieve up to 100000001"):
+            count_instances(2, DEFAULT_MAX_CELLS + 1)
+        monkeypatch.setenv(ENV_VAR, "1000")
+        assert count_instances(3, 1000) > 0
         with pytest.raises(BoundTooLarge):
-            count_instances(2, 20_000)
+            count_instances(3, 1001)
 
 
 def _totient(k: int) -> int:
