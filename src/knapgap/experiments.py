@@ -54,6 +54,7 @@ bounded away from zero.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
@@ -117,6 +118,16 @@ class ExperimentConfig(SamplerConfig):
                 raise ValidationError(f"threshold t = {t} must be positive")
         if self.bits < 8:
             raise ValidationError(f"bits = {self.bits} too small for sound rounding")
+        # Every exact value printed is an int <= count (n + 1) T 2**bits
+        # (Schur's bound on g gives ratio_upper <= (n + 1) T), which must fit
+        # the digit limit on int strings: 2**(limit * 3321928 // 10**6) <= 10**limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        head = (self.count * (self.n + 1) * self.T).bit_length()
+        if limit and self.bits + head > limit * 3321928 // 10**6:
+            raise ValidationError(
+                f"bits = {self.bits} too large: exact values would exceed "
+                f"the {limit}-digit limit on integer strings"
+            )
 
 
 @dataclass(frozen=True)

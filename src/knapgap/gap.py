@@ -19,35 +19,14 @@ Past the tightness threshold B* the class minimum is reached outright:
 
     IG_c(a, b) = minima[b mod a_tau]        for every b >= B*.
 
-For n = 3 gap_exact builds neither table.  Write g = (g_1, g_2) and
-w = (w_1, w_2) for the generators and integer reduced costs, and L for the
-lattice {v in Z^2 : g.v = 0 mod a_tau}, of index a_tau.  Each table keeps
-per class its smallest point in a lexicographic order of linear keys:
-(w.v, v_1 + v_2, v_2) for the reduced-cost table, (g.v, w.v, v_2) for the
-packed one (ties there share the label, so the last key only makes the
-order total).  Both orders are compatible with addition, so the kept
-points form a down-closed staircase of a_tau lattice points, and in two
-dimensions it is an L: the minimum-distance diagram of a double-loop
-network (Fiol, Yebra, Alegre and Valero, IEEE Trans. Comput. C-36, 1987).
-Let A be the smallest k >= 1 such that some (k, -t), t >= 0, lies in L
-and is positive in the order, c the smallest such t, and B, d the same
-with the axes swapped.  Then (A, 0), (0, B) and (A - d, B - c) lead, so
-the staircase lies in [0, A) x [0, B) less [A - d, A) x [B - c, B).
-Having a_tau points, it is that L exactly when
-
-    A B - c d = a_tau,
-
-which is checked (an AssertionError otherwise, as for a broken gcd).  Its
-outer corners are (A - 1, B - c - 1) and (A - d - 1, B - 1), or
-(A - 1, B - 1) alone when c d = 0.  (k, -t) lies in L only for k = e j,
-e = gcd(g_2, a_tau), with t = s j mod M, M = a_tau / e and
-s = g_1 (g_2 / e)^-1 mod M.  The smallest qualifying j is a strict record
-low of s j mod M (were t_i <= t_j for some i < j, j - i would qualify
-too), the record lows are the points of the ceiling continued fraction of
-M / s that _frobenius3 walks (Roedseth), and the order test is monotone
-along them, their differences being positive lattice vectors.  So A and c
-take O(log a_tau) integer steps.  B*, tail_gap and gap are maxima of
-nonnegative linear forms over a staircase, read off its outer corners.
+For n = 3 gap_exact builds neither table.  Per class of
+{v in Z^2 : g.v = 0 mod a_tau}, g the two generators and w their integer
+reduced costs, each table keeps its smallest point in a lexicographic
+order of linear keys: (w.v, v_1 + v_2, v_2) for the reduced-cost table,
+(g.v, w.v, v_2) for the packed one (ties there share the label).  So
+each is the L-shaped staircase that group._corners reads off one walk of
+a continued fraction (group.py's module docstring), and B*, tail_gap and
+gap are maxima of nonnegative linear forms over its outer corners.
 
 ip_value, integrality_gap and gap_bruteforce read one direct dynamic
 program over right hand sides (_value_table), off the residue table, so
@@ -57,7 +36,6 @@ Everything here is exact rational arithmetic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -71,7 +49,7 @@ from .core import (
     cost_vector,
     lp_value,
 )
-from .group import _packed_maxima, _round_robin
+from .group import _corners, _dot, _packed_maxima, _round_robin
 from .group import group_minima, tightness_threshold
 from .guardrail import check_cells
 
@@ -144,64 +122,6 @@ class GapReport:
     generic: bool
 
 
-def _axis(m: int, ga: int, gb: int, ahead) -> tuple[int, int]:
-    """The smallest k >= 1 for which some t >= 0 has ga k = gb t (mod m)
-    and ahead(k, t), and the smallest such t for that k (module docstring).
-
-    k runs over the multiples e j of e = gcd(gb, m), each with the smallest
-    solution t_j = s j mod M, M = m / e.  The answer is a strict record low
-    of t_j, and those are the points of the ceiling continued fraction of
-    M / s, which the loop walks as _frobenius3 does; a run of quotient 2 is
-    an arithmetic progression, taken whole and bisected.
-    """
-    e = math.gcd(gb, m)
-    big = m // e
-    t = ga * pow(gb // e, -1, big) % big
-    j_prev, t_prev, j = 0, big, 1
-    while not ahead(e * j, t):
-        q = -(-t_prev // t)
-        if q > 2:
-            j_prev, t_prev, j, t = j, t, q * j - j_prev, q * t - t_prev
-            continue
-        dj, dt = j - j_prev, t_prev - t
-        lo, hi = 0, t // dt
-        if ahead(e * (j + hi * dj), t - hi * dt):
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if ahead(e * (j + mid * dj), t - mid * dt):
-                    hi = mid
-                else:
-                    lo = mid
-            return e * (j + hi * dj), t - hi * dt
-        j_prev, t_prev = j + (hi - 1) * dj, t - (hi - 1) * dt
-        j, t = j + hi * dj, t - hi * dt
-    return e * j, t
-
-
-def _corners(m: int, g: Sequence[int], order) -> list[tuple[int, int]]:
-    """Outer corners of the staircase of {x : g.x = 0 mod m} in the
-    lexicographic order of the linear keys in order (module docstring)."""
-
-    def ahead(x, y):
-        for u in order:
-            key = u[0] * x + u[1] * y
-            if key:
-                return key > 0
-        return False
-
-    a, c = _axis(m, g[0], g[1], lambda k, t: ahead(k, -t))
-    b, d = _axis(m, g[1], g[0], lambda k, t: ahead(-t, k))
-    if a * b - c * d != m:
-        raise AssertionError("staircase area is not a_tau, lattice broken")
-    if c * d:
-        return [(a - 1, b - c - 1), (a - d - 1, b - 1)]
-    return [(a - 1, b - 1)]
-
-
-def _dot(u: Sequence[int], x: Sequence[int]) -> int:
-    return u[0] * x[0] + u[1] * x[1]
-
-
 def _gap_from_tables(inst: KnapsackInstance, red: BasisReduction) -> GapReport:
     """gap_exact from two residue tables of a_tau cells.
 
@@ -268,8 +188,8 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
     points each keeps, in the orders (w.v, v_1 + v_2, v_2) and
     (g.v, w.v, v_2), form an L-shaped staircase (Fiol, Yebra, Alegre and
     Valero, IEEE Trans. Comput. C-36, 1987) whose sides A, B and notch
-    c, d come from a walk of a ceiling continued fraction (as in Roedseth's
-    formula) and satisfy A B - c d = a_tau (module docstring).  B*,
+    c, d come from one walk of a ceiling continued fraction, the one
+    frobenius takes for three coefficients (module docstring).  B*,
     tail_gap and gap are maxima over its outer corners, witness_b is the
     smallest load of an attaining corner with its zero-cost coordinates
     cleared, and scan_gap walks the shorter side of each corner's box, at

@@ -103,19 +103,40 @@ Its body after the guardrail check is _frobenius, which takes the plain
 coefficient tuple; the sampler calls it on drawn tuples, having compared
 m with the cap it reads once per range.
 
-For three coefficients frobenius builds no table.  Johnson's reduction
-(Canad. J. Math. 12, 1960) divides out a common factor d of a pair,
+For three coefficients frobenius builds no table.  Write g = (g_1, g_2)
+for two generators and L = {v in Z^2 : g.v = 0 mod m}, of index m, and
+fix a lexicographic order of linear keys on Z^2, total and compatible
+with addition, in which every nonzero v >= 0 is positive.  The smallest
+point of N^2 in each class of Z^2 / L is kept.  The m kept points are
+down-closed (were y <= x not kept, some y - l >= 0 with l in L positive
+would beat y, and x - l would beat x): in two dimensions an L, the
+minimum-distance diagram of a double-loop network (Fiol, Yebra, Alegre
+and Valero, IEEE Trans. Comput. C-36, 1987).  (k, -t) lies in L only for
+k = e j, e = gcd(g_2, m), and t = s j mod M, M = m / e,
+s = g_1 (g_2 / e)^-1 mod M, so the smallest k >= 1 with a positive
+(k, -t) in L sits at a strict record low t_j of s j mod M.  _axis walks
+the record lows, the points of the ceiling continued fraction of M / s,
+along which the order test is monotone (their differences, as (k, -t),
+are nonnegative), and bisects each run of quotient 2, an arithmetic
+progression, in O(log m) steps.  Let (A, c) = (e j, t_j) be the first
+positive one and (d, B) = (e j', t_j') the one before it (j' = 0,
+t_j' = M at the start), which is not.  The walk keeps the determinant
+j t_j' - t_j j' = M, so the positive vectors u = (A, -c) and v = (-d, B)
+have A B - c d = m: consecutive record lows are a basis of L.
+(A, 0) = u + (0, c), (0, B) = v + (d, 0) and (A - d, B - c) = u + v are
+each beaten in their class, so the staircase lies in the m points of
+[0, A) x [0, B) less [A - d, A) x [B - c, B), and is that L; for the
+order of loads this is Roedseth's theorem (J. reine angew. Math. 301,
+1978).  A linear form nonnegative on N^2 peaks on it at an outer corner,
+(A - 1, B - c - 1) or (A - d - 1, B - 1), or (A - 1, B - 1) when c d = 0.
+With m = min(a), the other two coefficients as g and the order
+(g.v, v_2), the staircase holds the smallest load of each class, so
 
-    g(a_1, a_2, a_3) = d g(a_1 / d, a_2 / d, a_3) + (d - 1) a_3,
+    g(a) = g_1 (A - 1) + g_2 (B - 1) - min(g_2 c, g_1 d) - m,
 
-until the triple is pairwise coprime, and Roedseth's formula (J. reine
-angew. Math. 301, 1978) then gives g from a continued fraction with ceiling
-quotients in O(log min a) integer steps (_frobenius3 states it).  This is
-the route Beihoffer, Hendry, Nijenhuis and Wagon ("Faster algorithms for
-Frobenius numbers", Electron. J. Combin. 12, 2005) take for n = 3, keeping
-table methods for n >= 4.  The guardrail checks the a_tau cells the table
-would take all the same, so a cap refuses the same inputs for every n; the
-tests check the n = 3 result against the table and the sieve.
+the largest load at an outer corner less m.  The guardrail checks the m
+cells the table would take all the same, so a cap refuses the same inputs
+for every n.
 
 Two identities connect g(a) to lattice covering radii of the simplex
 conv{0, a_1 e_1, ..., a_n e_n} scaled by the corresponding lattice: the
@@ -490,52 +511,79 @@ def tightness_threshold(table: GroupTable) -> int:
     return _largest(table._loads(table.modulus))
 
 
-def _frobenius3(a: tuple[int, int, int]) -> int:
-    """Frobenius number of a coprime triple (module docstring).
+def _axis(m: int, ga: int, gb: int, ahead) -> tuple[int, int, int, int]:
+    """(A, c, d, B) from one walk of the record lows of the lattice
+    {(x, y) : ga x + gb y = 0 mod m} (module docstring).  (A, c) is the
+    first record low at which ahead(A, c) holds, that is (A, -c) is
+    positive, and (d, B) the one before it, at which ahead fails.  So A is
+    the smallest k >= 1 for which some t >= 0 has ga k = gb t (mod m) and
+    ahead(k, t), c the smallest such t, and (A, -c), (-d, B) are a basis
+    of the lattice.
 
-    After the Johnson reduction, with a_1 < a_2 < a_3 pairwise coprime, let
-    s_0 = a_3 a_2^-1 mod a_1 and expand a_1 / s_0 with ceiling quotients:
-    s_-1 = a_1, p_-1 = 0, p_0 = 1, q = ceil(s_{i-1} / s_i),
-    s_{i+1} = q s_i - s_{i-1}, p_{i+1} = q p_i - p_{i-1}.  For the first
-    v >= -1 with a_2 s_{v+1} <= a_3 p_{v+1},
-
-        g = -a_1 + a_2 (s_v - 1) + a_3 (p_{v+1} - 1)
-            - min(a_2 s_{v+1}, a_3 p_v).
-
-    v = -1 is the case a_3 = a_2 s_0 + k a_1 with k >= 0: a_3 is redundant
-    and g = a_1 a_2 - a_1 - a_2.
+    k runs over the multiples e j of e = gcd(gb, m), each with the smallest
+    solution t_j = s j mod M, M = m / e.  The loop walks the ceiling
+    continued fraction of M / s; a run of quotient 2 is an arithmetic
+    progression, taken whole and bisected, and the predecessor of an
+    answer inside it is the point one step back.
     """
-    # g(a) = scale * g(reduced) + shift.  Dividing a pair by its gcd leaves
-    # it coprime and only lowers the other gcds, so one pass suffices.
-    values = list(a)
-    scale, shift = 1, 0
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        d = math.gcd(values[i], values[j])
-        if d > 1:
-            shift += scale * (d - 1) * values[k]
-            scale *= d
-            values[i] //= d
-            values[j] //= d
-    a1, a2, a3 = sorted(values)
-    if a1 == 1:
-        return shift - scale
-    s_prev, s = a1, a3 * pow(a2, -1, a1) % a1
-    p_prev, p = 0, 1
-    while a2 * s > a3 * p:
-        q = -(-s_prev // s)
-        s_prev, s = s, q * s - s_prev
-        p_prev, p = p, q * p - p_prev
-    g = -a1 + a2 * (s_prev - 1) + a3 * (p - 1) - min(a2 * s, a3 * p_prev)
-    return scale * g + shift
+    e = math.gcd(gb, m)
+    big = m // e
+    t = ga * pow(gb // e, -1, big) % big
+    j_prev, t_prev, j = 0, big, 1
+    while not ahead(e * j, t):
+        q = -(-t_prev // t)
+        if q > 2:
+            j_prev, t_prev, j, t = j, t, q * j - j_prev, q * t - t_prev
+            continue
+        dj, dt = j - j_prev, t_prev - t
+        lo, hi = 0, t // dt
+        if ahead(e * (j + hi * dj), t - hi * dt):
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if ahead(e * (j + mid * dj), t - mid * dt):
+                    hi = mid
+                else:
+                    lo = mid
+            return e * (j + hi * dj), t - hi * dt, e * (j + lo * dj), t - lo * dt
+        j_prev, t_prev = j + (hi - 1) * dj, t - (hi - 1) * dt
+        j, t = j + hi * dj, t - hi * dt
+    return e * j, t, e * j_prev, t_prev
+
+
+def _corners(m: int, g: Sequence[int], order) -> list[tuple[int, int]]:
+    """Outer corners of the staircase of {x : g.x = 0 mod m} in the
+    lexicographic order of the linear keys in order (module docstring).
+    The area check catches a wrong predecessor from the walk."""
+
+    def ahead(x, y):
+        for u in order:
+            key = u[0] * x + u[1] * y
+            if key:
+                return key > 0
+        return False
+
+    a, c, d, b = _axis(m, g[0], g[1], lambda k, t: ahead(k, -t))
+    if a * b - c * d != m:
+        raise AssertionError("staircase area is not a_tau, lattice broken")
+    if c * d:
+        return [(a - 1, b - c - 1), (a - d - 1, b - 1)]
+    return [(a - 1, b - 1)]
+
+
+def _dot(u: Sequence[int], x: Sequence[int]) -> int:
+    return u[0] * x[0] + u[1] * x[1]
 
 
 def _frobenius(a: tuple[int, ...], m: int) -> int:
     """g(a) for validated coefficients a with m = min(a), once the caller
     has checked the m cells of the residue table modulo m against the
-    guardrail: Roedseth's formula for three coefficients, otherwise the
-    kernel on the arcs (a_j mod m, a_j)."""
+    guardrail: one _axis walk for three coefficients, otherwise the kernel
+    on the arcs (a_j mod m, a_j) (module docstring)."""
     if len(a) == 3:
-        return _frobenius3(a)
+        a0, a1, a2 = a
+        g1, g2 = (a1, a2) if a0 == m else (a0, a2) if a1 == m else (a0, a1)
+        A, c, d, B = _axis(m, g1, g2, lambda k, t: g1 * k > g2 * t)
+        return g1 * (A - 1) + g2 * (B - 1) - min(g2 * c, g1 * d) - m
     return _largest(_round_robin(m, [(g % m, g) for g in a if g % m])) - m
 
 
@@ -545,10 +593,11 @@ def frobenius(inst: KnapsackInstance) -> int:
     Returns -1 when some coefficient equals 1 and every b >= 0 is
     representable.  Both routes first check the m = min(a) cells of the
     residue table modulo m against the guardrail.  Three coefficients then
-    take Roedseth's formula after Johnson's reduction.  Any other n runs
-    _round_robin on the arcs (a_j mod m, a_j), the coefficients being their
-    own weights; its passes go in ascending coefficient and skip every
-    coefficient that smaller ones already represent (module docstring).
+    read g off the L-shaped staircase of the smallest loads, which one
+    _axis walk finds in O(log m) steps.  Any other n runs _round_robin on
+    the arcs (a_j mod m, a_j), the coefficients being their own weights;
+    its passes go in ascending coefficient and skip every coefficient that
+    smaller ones already represent (module docstring).
     """
     m = inst.min_entry
     check_cells(m, f"residue table modulo {m}")

@@ -70,6 +70,43 @@ class TestExitCodes:
     def test_no_subcommand_is_64(self, capsys):
         assert run([]) == 64
 
+    def test_bits_past_the_int_string_limit_is_2(self, capsys, monkeypatch):
+        # refused before anything is drawn, not after the whole run
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no limit on int strings")
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+
+        def refuse(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(knapgap.experiments, "_draw_tuples", refuse)
+        argv = ("--n", "3", "--t", "2000", "--count", "200", "--seed", "1",
+                "--epsilon", "4/5", "--bits", "20000")
+        for command in ("mean", "tail"):
+            code, out, err = _run(capsys, command, *argv)
+            assert (code, out) == (2, "")
+            assert "bits = 20000 too large" in err
+
+    def test_largest_admitted_bits_prints(self, capsys, tmp_path):
+        # at the ceiling every exact string of the run fits the limit
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no limit on int strings")
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            # count (n + 1) T = 20000 takes 15 bits: 2126 - 15 = 2111
+            argv = ["--n", "3", "--t", "50", "--count", "100", "--seed", "9",
+                    "--epsilon", "1/2", "--out", str(tmp_path / "r.csv")]
+            for command in ("tail", "mean"):
+                for fmt in ("text", "json"):
+                    code, out, err = _run(capsys, command, *argv, "--bits", "2111",
+                                          "--format", fmt)
+                    assert (code, err) == (0, ""), err
+                code, _, err = _run(capsys, command, *argv, "--bits", "2112")
+                assert code == 2 and "640-digit limit" in err
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_group_witness_guardrail_is_3(self, capsys, monkeypatch):
         # the 6-row table fits under the cap, its 12 witness cells do not
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "10")
@@ -612,3 +649,77 @@ class TestNumpyFreeStartup:
         )
         assert (code, at_import, after) == (0, False, False)
         assert "gap = 617013/1789" in out.splitlines()
+
+
+# argv for the subcommands on the residue routes: n = 2..5 small
+# coefficients, rational weights and rational or negative costs.  One list
+# in four is spoilt: an entry swapped for a malformed token (or for a zero,
+# negative or fractional coefficient, or a negative weight), or the list one
+# entry short.  Flags other than --c may be left out, or get an invalid
+# value, and a list that starts with "-" needs the --flag=value form, which
+# it gets only sometimes.
+_MALFORMED = st.sampled_from(["", "x", "1.5", "1/0", "3/-2", "1e3", "0x1f", "--", "½"])
+_COEFFICIENT = st.integers(min_value=1, max_value=40).map(str)
+_BAD_COEFFICIENT = st.one_of(_MALFORMED, st.sampled_from(["0", "-3", "3/2"]))
+_WEIGHT = st.fractions(min_value=0, max_value=6, max_denominator=5).map(str)
+_COST = st.fractions(min_value=-6, max_value=6, max_denominator=5).map(str)
+
+
+@st.composite
+def _listed(draw, token, bad, size):
+    items = [draw(token) for _ in range(size)]
+    spoil = draw(st.integers(0, 7))
+    if spoil == 0:
+        items[draw(st.integers(0, size - 1))] = draw(bad)
+    elif spoil == 1:
+        items.pop()
+    return ",".join(items)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["frobenius", "group", "gap", "bounds"]))
+    n = draw(st.integers(2, 5))
+    argv = [command, "--a", draw(_listed(_COEFFICIENT, _BAD_COEFFICIENT, n))]
+    options = []
+    if command == "group":
+        bad = st.one_of(_MALFORMED, st.just("-1/2"))
+        options += [("--tau", str(draw(st.integers(-1, n + 1)))),
+                    ("--w", draw(_listed(_WEIGHT, bad, n - 1)))]
+    if command in ("gap", "bounds"):
+        options.append(("--c", draw(_listed(_COST, _MALFORMED, n))))
+    if command == "gap":
+        options.append(("--b", str(draw(st.integers(-2, 60)))))
+    formats = st.sampled_from(["text", "json", "text", "json", "csv"])
+    options.append(("--format", draw(formats)))
+    for flag, value in options:
+        if flag != "--c" and draw(st.booleans()):
+            continue
+        if draw(st.booleans()):
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag, value]
+    return argv
+
+
+class TestFuzz:
+    @given(argv=_argv())
+    @settings(max_examples=300, deadline=None)
+    def test_every_run_exits_cleanly(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        saved = os.environ.get("KNAPGAP_GUARDRAIL_CELLS")
+        os.environ["KNAPGAP_GUARDRAIL_CELLS"] = "30"
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            if saved is None:
+                del os.environ["KNAPGAP_GUARDRAIL_CELLS"]
+            else:
+                os.environ["KNAPGAP_GUARDRAIL_CELLS"] = saved
+        assert code in (0, 2, 3, 64), (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        assert bool(err.getvalue()) == (code != 0), (argv, err.getvalue())

@@ -115,6 +115,13 @@ CASES: list[tuple[tuple[str, ...], dict[str, str]]] = [
     (("gap", "--a", "1000003,2000009,3000016", "--c", "3,5,7"), {}),
     (("gap", "--a", "1000003,2000009,3000016", "--c", "3,5,7", "--format", "json"),
      {}),
+    # (m, m + 1, 2m - 1) at m = 3 * 10**7: one long run of quotient 2 in
+    # the record-low walk
+    (("frobenius", "--a", "30000000,30000001,59999999"), {}),
+    (("frobenius", "--a", "30000000,30000001,59999999", "--format", "json"), {}),
+    (("bounds", "--a", "30000000,30000001,59999999", "--c", "3,5,7"), {}),
+    (("bounds", "--a", "30000000,30000001,59999999", "--c", "3,5,7", "--format",
+      "json"), {}),
 ]
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -183,6 +184,17 @@ class TestConfig:
         assert config.T == 2**64
         with pytest.raises(ValidationError, match=r"T = 18446744073709551617 > 2\*\*64"):
             ExperimentConfig(n=3, T=2**64 + 1, count=5, seed=0, epsilon="1/2")
+
+    def test_bits_ceiling_follows_the_int_string_limit(self, monkeypatch):
+        # count (n + 1) T = 160000 takes 18 bits, and 640 digits admit
+        # 640 * 3321928 // 10**6 = 2126 bits
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640, raising=False)
+        fields = dict(n=3, T=2000, count=20, seed=1, epsilon="4/5")
+        assert ExperimentConfig(**fields, bits=2108).bits == 2108
+        with pytest.raises(ValidationError, match="640-digit limit"):
+            ExperimentConfig(**fields, bits=2109)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert ExperimentConfig(**fields, bits=10**6).bits == 10**6
 
     def test_threshold_coercion(self):
         config = ExperimentConfig(

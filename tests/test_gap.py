@@ -593,6 +593,12 @@ class TestStaircase:
     @example(case=(KnapsackInstance((6, 10, 15)), (6, 10, 15)))  # gcds > 1
     @example(case=(KnapsackInstance((200, 400, 301)), (0, 6 * 10**15, 1)))
     @example(case=(KnapsackInstance((5, 10, 7)), (5, 3, 8)))  # self-loop 10
+    # s = M - 1 (g_1 = -g_2 / e mod M): both walks end mid-way through one
+    # long run of quotients 2, so the answer and its predecessor come from
+    # the bisection; in the last one e = gcd(g_2, a_tau) = 2
+    @example(case=(KnapsackInstance((10007, 10008, 20013)), (1, 2, 3)))
+    @example(case=(KnapsackInstance((10007, 10008, 20013)), (10007, 10008, 20013)))
+    @example(case=(KnapsackInstance((10006, 10005, 10008)), (1, 3, 2)))
     @settings(max_examples=300)
     def test_matches_the_table_route(self, case):
         inst, c = case
@@ -634,7 +640,8 @@ class TestStaircase:
         assert report.gap == gap_bruteforce(inst, c, b_max)
 
     def test_long_quotient_two_run_is_bisected(self):
-        # s = M - 1 gives M - 1 quotients 2 in a row; the answer sits halfway
+        # s = M - 1 gives M - 1 quotients 2 in a row; the answer sits
+        # halfway, and its predecessor one step back in the run
         m = 10**6 + 3
         calls = []
 
@@ -642,14 +649,69 @@ class TestStaircase:
             calls.append(k)
             return k > t
 
-        assert knapgap.gap._axis(m, m - 1, 1, ahead) == (m // 2 + 1, m // 2)
+        assert knapgap.group._axis(m, m - 1, 1, ahead) == (
+            m // 2 + 1, m // 2, m // 2, m // 2 + 1
+        )
         assert len(calls) <= 2 * m.bit_length()
 
+    def test_both_sides_by_definition(self):
+        # for every modulus up to 60: (A, c) is the smallest k >= 1 with some
+        # t >= 0 for which (k, -t) lies in the lattice and is positive, and
+        # the smallest such t; the predecessor (d, B) is the same with the
+        # axes swapped, (-d, B) the vector.  A t >= m is never needed: the
+        # vector at t - m is in the lattice and larger.
+        def side(m, f, ts, vector, positive):
+            for k in range(1, m + 1):
+                for t in ts.get(f * k % m, ()):
+                    if positive(*vector(k, t)):
+                        return k, t
+
+        for m in range(1, 61):
+            # per h: h t mod m -> [t, ...] ascending, over 0 <= t < m
+            solutions = [{} for _ in range(m)]
+            for h, t in itertools.product(range(m), repeat=2):
+                solutions[h].setdefault(h * t % m, []).append(t)
+            for ga, gb in itertools.product(range(m), repeat=2):
+                if math.gcd(m, ga, gb) != 1:
+                    continue
+                for order in (((ga + m, gb + m), (0, 1)), ((gb, ga), (1, 1), (0, 1))):
+
+                    def positive(x, y):
+                        for u in order:
+                            key = u[0] * x + u[1] * y
+                            if key:
+                                return key > 0
+                        return False
+
+                    a, c = side(m, ga, solutions[gb], lambda k, t: (k, -t), positive)
+                    b, d = side(m, gb, solutions[ga], lambda k, t: (-t, k), positive)
+                    walk = knapgap.group._axis(
+                        m, ga, gb, lambda k, t: positive(k, -t)
+                    )
+                    assert walk == (a, c, d, b), (m, ga, gb, order)
+
+    def test_two_walks_per_call(self, monkeypatch):
+        walks = []
+        real = knapgap.group._axis
+
+        def counting(*args):
+            walks.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(knapgap.group, "_axis", counting)
+        inst = KnapsackInstance((1234, 1789, 1999))
+        c = (Fraction(3, 2), -1, 7)
+        assert gap_exact(inst, c) == _table_route(inst, c)
+        assert walks == [inst.a[basis_reduction(inst, c).tau]] * 2
+
     def test_broken_area_is_refused(self, monkeypatch):
-        real = knapgap.gap._axis
-        monkeypatch.setattr(
-            knapgap.gap, "_axis", lambda *args: (real(*args)[0] + 1, real(*args)[1])
-        )
+        real = knapgap.group._axis
+
+        def perturbed(*args):
+            a, c, d, b = real(*args)
+            return a + 1, c, d, b
+
+        monkeypatch.setattr(knapgap.group, "_axis", perturbed)
         with pytest.raises(AssertionError, match="staircase area"):
             gap_exact(KnapsackInstance((6, 9, 20)), (3, 5, 7))
 

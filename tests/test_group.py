@@ -221,10 +221,10 @@ class TestFrobenius:
         assert all(representable(b) for b in range(g + 1, g + 1 + max(inst.a)))
 
 
-# Triples for the n = 3 route: random ones, a pair sharing a factor (Johnson
-# reduction), a third coefficient representable by the other two (the v = -1
-# case of Roedseth's formula), a coefficient 1 and duplicates, each in a
-# random order.
+# Triples for the n = 3 route: random ones, a pair sharing a factor (so a
+# generator shares one with m, or with the other), a third coefficient
+# representable by the other two (a staircase with no notch), a coefficient
+# 1 and duplicates, each in a random order.
 @st.composite
 def triples(draw):
     entry = st.integers(min_value=1, max_value=80)
@@ -263,6 +263,32 @@ class TestThreeCoefficients:
         expected = frobenius_sieve_oracle(KnapsackInstance(a))
         for order in itertools.permutations(a):
             assert frobenius(KnapsackInstance(order)) == expected
+
+    def test_one_walk_of_logarithmic_length(self, monkeypatch):
+        # (m, m + 1, 2m - 1) puts the answer in a run of about m quotients 2,
+        # which the walk bisects
+        inst = KnapsackInstance((30000000, 30000001, 59999999))
+        walks, calls = [], []
+        real = knapgap.group._axis
+
+        def counting(m, ga, gb, ahead):
+            def counted(k, t):
+                calls.append(k)
+                return ahead(k, t)
+
+            walks.append(m)
+            return real(m, ga, gb, counted)
+
+        monkeypatch.setattr(knapgap.group, "_axis", counting)
+        assert frobenius(inst) == 599999960000000
+        assert walks == [inst.min_entry]
+        assert 1 <= len(calls) <= 2 * inst.min_entry.bit_length()
+
+    @pytest.mark.parametrize("m", [99991, 100000, 100003])
+    def test_long_run_family_against_the_table(self, m):
+        inst = KnapsackInstance((m, m + 1, 2 * m - 1))
+        table = group_minima(inst, 0, (m + 1, 2 * m - 1))
+        assert frobenius(inst) == table.largest_minimum - m
 
     def test_guardrail_still_counts_the_table(self, monkeypatch):
         inst = KnapsackInstance((20, 9, 6))
