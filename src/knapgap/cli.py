@@ -498,6 +498,11 @@ def build_parser() -> _Parser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Some argparse versions drop the value of --flag=-- and store an empty
+    # list; every option here takes exactly one value.
+    for key, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{key}: expected one argument")
     if not hasattr(args, "handler"):
         parser.print_help(sys.stderr)
         return USAGE_EXIT

@@ -23,21 +23,27 @@ threshold t becomes the integer cut floor(t * 2**bits), since an integer N
 satisfies N / 2**bits > t exactly when N exceeds that cut.  Fractions are
 built only at the output boundary: the `ratio_lower` / `ratio_upper`
 properties and the exact means and survival fractions of a summary.  The
-exact CSV columns print N / 2**bits in lowest terms by dividing out
-gcd(N, 2**bits), which gives the same string as the Fraction.
+exact CSV columns print N / 2**bits in lowest terms by dividing both by
+N & -N, the power of two that N shares with 2**bits while it is below
+2**bits, which gives the same string as the Fraction.
 
-Each record takes one pass: the drawn coefficient tuple, then g, then the
-bracket numerators, then, when a CSV is wanted, its row.  The pass builds
-no KnapsackInstance (the drawer has already made the tuple positive and
-coprime) and calls no frobenius wrapper: it reads the guardrail cap once
-per range, compares each record's m = min(a) with it, and hands the tuple
-to group._frobenius, the body frobenius runs after its own check.  Only
+A range's records are taken as columns.  Each record takes one pass from
+the drawn coefficient tuple to g and the bracket numerators.  The pass
+builds no KnapsackInstance (the drawer has already made the tuple positive
+and coprime) and calls no frobenius wrapper: it reads the guardrail cap
+once per range, compares each record's m = min(a) with it, and hands the
+tuple to group._frobenius, the body frobenius runs after its own check.
+The range's (index, a, g, lower, upper) records are then transposed into
+five columns.  When a CSV is wanted, _csv_rows formats each column once
+(the coefficients through one template, the decimals, the exact values)
+and joins each row with one f-string; write_records_csv calls the same
+formatter once per run, so every CSV row has one format.  Only
 sample_records wraps each tuple in a KnapsackInstance, for its records.
 
 tail_experiment and mean_experiment stream.  Each config's index range is
 cut into ranges of at most _CHUNK indices, which run in index order, in
 this process at jobs 1 and through one pool otherwise.  A range's worker
-sends back plain data: its lower and upper numerators as two int lists
+sends back plain data: its lower and upper numerators as two int tuples
 and, when a CSV is wanted, its rows as one string.  Each config keeps only
 running counts (the count, both numerator sums and the number of values
 above each threshold's cut), and the rows go to the output handle as each
@@ -60,6 +66,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import IO, Iterable, Sequence
 
 from .core import KnapsackInstance, RationalLike, as_fraction
@@ -233,25 +240,23 @@ def sample_records(config: ExperimentConfig) -> list[SampleRecord]:
 
 def _stream_chunk(
     task: tuple[ExperimentConfig, int, int, bool]
-) -> tuple[list[int], list[int], str | None]:
+) -> tuple[tuple[int, ...], tuple[int, ...], str | None]:
     """A range's lower and upper numerators, in index order, and its CSV
-    rows as one string when wanted.  Plain ints and one str are far cheaper
-    to send back from a pool worker than a record object per index."""
+    rows as one string when wanted, which _csv_rows formats from the
+    range's columns.  Plain ints and one str are far cheaper to send back
+    from a pool worker than a record object per index."""
     config, start, stop, want_csv = task
-    lowers: list[int] = []
-    uppers: list[int] = []
-    rows: list[str] = []
-    head, bits = f"{config.n},{config.T},{config.seed}", config.bits
-    for index, a, g, lower, upper in _sampled(config, start, stop):
-        lowers.append(lower)
-        uppers.append(upper)
-        if want_csv:
-            rows.append(_csv_row(head, index, a, g, g + sum(a), lower, upper, bits))
-    return lowers, uppers, "".join(rows) if want_csv else None
+    # _ranges never makes an empty range, so every column unpacks
+    index, a, g, lowers, uppers = zip(*_sampled(config, start, stop))
+    rows = None
+    if want_csv:
+        head = f"{config.n},{config.T},{config.seed}"
+        rows = _csv_rows(head, index, a, g, lowers, uppers, config.bits)
+    return lowers, uppers, rows
 
 
 # Most indices one range covers.  It bounds what a range holds in flight:
-# about 0.2 MB at 1000 indices (its CSV text and two numerator lists).
+# about 0.2 MB at 1000 indices (its CSV text and its columns).
 # Wall and CPU time did not move beyond noise for caps from 250 to 5000 on
 # the mean ladder at jobs 2 and the tail run at jobs 1 (CHANGES.md).
 _CHUNK = 1000
@@ -517,22 +522,50 @@ def _decimal12(x: Fraction) -> str:
     return format(float(x), ".12g")
 
 
-def _csv_row(
-    head: str, index: int, a: tuple[int, ...], g: int, f: int,
-    lower: int, upper: int, bits: int,
-) -> str:
-    """One record's CSV line; head is its "n,T,seed" prefix.  No field ever
-    needs quoting, so a row is one formatted line.  An exact column prints
-    N / 2**bits in lowest terms: dividing both by gcd(N, 2**bits), the
-    power of two that N shares with 2**bits, gives str(Fraction(N, 2**bits)),
-    whose denominator 1 prints as no "/1"."""
+def _exact_column(values: Sequence[int], bits: int) -> list[str]:
+    """Each N / 2**bits in lowest terms, as str(Fraction(N, 2**bits)).
+
+    low = N & -N is the largest power of two dividing N, so below 2**bits
+    it is gcd(N, 2**bits) and the lowest terms are (N / low) / (2**bits /
+    low); from 2**bits on, and at N = 0, the value is the integer
+    N >> bits, which prints with no "/1"."""
     scale = 1 << bits
-    lo, up = math.gcd(lower, scale), math.gcd(upper, scale)
-    return (
-        f"{head},{index},{'%d,' * len(a) % a}{g},{f},"
-        f"{lower / scale:.12g},{upper / scale:.12g},"
-        f"{lower // lo}{'' if lo == scale else f'/{scale // lo}'},"
-        f"{upper // up}{'' if up == scale else f'/{scale // up}'}\n"
+    return [
+        str(v >> bits)
+        if (low := v & -v) >= scale or not v
+        else f"{v // low}/{scale // low}"
+        for v in values
+    ]
+
+
+def _csv_rows(
+    head: str,
+    index: Sequence[int],
+    a: Sequence[tuple[int, ...]],
+    g: Sequence[int],
+    lowers: Sequence[int],
+    uppers: Sequence[int],
+    bits: int,
+) -> str:
+    """The CSV lines of records given as columns, all of one n; head is
+    their "n,T,seed" prefix.  Each column is formatted once: the
+    coefficients through one "%d," template, f = g + sum(a), the decimals
+    of N / 2**bits and the exact columns (_exact_column).  No field ever
+    needs quoting, so each row is one formatted line."""
+    scale = 1 << bits
+    template = "%d," * len(a[0])
+    return "".join(
+        f"{head},{i},{x}{gi},{fi},{dl},{du},{el},{eu}\n"
+        for i, x, gi, fi, dl, du, el, eu in zip(
+            index,
+            [template % x for x in a],
+            g,
+            map(add, g, map(sum, a)),
+            [f"{v / scale:.12g}" for v in lowers],
+            [f"{v / scale:.12g}" for v in uppers],
+            _exact_column(lowers, bits),
+            _exact_column(uppers, bits),
+        )
     )
 
 
@@ -549,18 +582,30 @@ def write_records_csv(
 ) -> None:
     """Write one or more (config, records) runs as a single CSV stream.
 
-    All runs must share the same n so the header is well defined.
+    All runs must share the same n so the header is well defined, and a
+    run's records must carry its config's bits.  Each run's rows come from
+    one _csv_rows call, which prints f as g + sum(a).
     """
     runs = list(runs)
     if not runs:
         raise ValidationError("nothing to export")
+    for config, records in runs:
+        if any(r.bits != config.bits for r in records):
+            raise ValidationError(f"records must all carry bits = {config.bits}")
     _write_header(handle, [config for config, _ in runs])
     for config, records in runs:
-        head = f"{config.n},{config.T},{config.seed}"
-        handle.writelines(
-            _csv_row(head, r.index, r.instance.a, r.g, r.f, r.lower, r.upper, r.bits)
-            for r in records
-        )
+        if records:
+            handle.write(
+                _csv_rows(
+                    f"{config.n},{config.T},{config.seed}",
+                    [r.index for r in records],
+                    [r.instance.a for r in records],
+                    [r.g for r in records],
+                    [r.lower for r in records],
+                    [r.upper for r in records],
+                    config.bits,
+                )
+            )
 
 
 def summary_json_dict(summary: ExperimentSummary) -> dict:

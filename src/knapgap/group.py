@@ -118,7 +118,13 @@ s = g_1 (g_2 / e)^-1 mod M, so the smallest k >= 1 with a positive
 the record lows, the points of the ceiling continued fraction of M / s,
 along which the order test is monotone (their differences, as (k, -t),
 are nonnegative), and bisects each run of quotient 2, an arithmetic
-progression, in O(log m) steps.  Let (A, c) = (e j, t_j) be the first
+progression, in O(log m) steps.  The walk tests one linear form u at a
+point (k, -t), u_0 k > u_1 t, inline.  An order of several keys is packed
+into one form, as the kernel packs its lexicographic keys: with radix
+R = 2 m max(|u_0| + |u_1|) + 1 over the keys, every key at a point the
+walk tests (0 <= k, t <= m) has size at most (R - 1) / 2, so the packed
+form is positive exactly when the first nonzero key is, and a point whose
+keys all vanish is not ahead.  Let (A, c) = (e j, t_j) be the first
 positive one and (d, B) = (e j', t_j') the one before it (j' = 0,
 t_j' = M at the start), which is not.  The walk keeps the determinant
 j t_j' - t_j j' = M, so the positive vectors u = (A, -c) and v = (-d, B)
@@ -511,58 +517,65 @@ def tightness_threshold(table: GroupTable) -> int:
     return _largest(table._loads(table.modulus))
 
 
-def _axis(m: int, ga: int, gb: int, ahead) -> tuple[int, int, int, int]:
+def _axis(m: int, ga: int, gb: int, u0: int, u1: int) -> tuple[int, int, int, int]:
     """(A, c, d, B) from one walk of the record lows of the lattice
     {(x, y) : ga x + gb y = 0 mod m} (module docstring).  (A, c) is the
-    first record low at which ahead(A, c) holds, that is (A, -c) is
-    positive, and (d, B) the one before it, at which ahead fails.  So A is
-    the smallest k >= 1 for which some t >= 0 has ga k = gb t (mod m) and
-    ahead(k, t), c the smallest such t, and (A, -c), (-d, B) are a basis
-    of the lattice.
+    first record low (k, t) at which the linear form u0 k - u1 t is
+    positive, that is (A, -c) is positive, and (d, B) the one before it,
+    at which the form is not.  So A is the smallest k >= 1 for which some
+    t >= 0 has ga k = gb t (mod m) and u0 k > u1 t, c the smallest such t,
+    and (A, -c), (-d, B) are a basis of the lattice.
 
     k runs over the multiples e j of e = gcd(gb, m), each with the smallest
     solution t_j = s j mod M, M = m / e.  The loop walks the ceiling
     continued fraction of M / s; a run of quotient 2 is an arithmetic
     progression, taken whole and bisected, and the predecessor of an
-    answer inside it is the point one step back.
+    answer inside it is the point one step back.  The recurrences are
+    linear, so the walk carries k = e j itself.  Every point it tests has
+    0 <= k <= m and 0 <= t <= m, which _pack relies on.
     """
     e = math.gcd(gb, m)
     big = m // e
     t = ga * pow(gb // e, -1, big) % big
-    j_prev, t_prev, j = 0, big, 1
-    while not ahead(e * j, t):
+    k_prev, t_prev, k = 0, big, e
+    while u0 * k <= u1 * t:
         q = -(-t_prev // t)
         if q > 2:
-            j_prev, t_prev, j, t = j, t, q * j - j_prev, q * t - t_prev
+            k_prev, t_prev, k, t = k, t, q * k - k_prev, q * t - t_prev
             continue
-        dj, dt = j - j_prev, t_prev - t
+        dk, dt = k - k_prev, t_prev - t
         lo, hi = 0, t // dt
-        if ahead(e * (j + hi * dj), t - hi * dt):
+        if u0 * (k + hi * dk) > u1 * (t - hi * dt):
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if ahead(e * (j + mid * dj), t - mid * dt):
+                if u0 * (k + mid * dk) > u1 * (t - mid * dt):
                     hi = mid
                 else:
                     lo = mid
-            return e * (j + hi * dj), t - hi * dt, e * (j + lo * dj), t - lo * dt
-        j_prev, t_prev = j + (hi - 1) * dj, t - (hi - 1) * dt
-        j, t = j + hi * dj, t - hi * dt
-    return e * j, t, e * j_prev, t_prev
+            return k + hi * dk, t - hi * dt, k + lo * dk, t - lo * dt
+        k_prev, t_prev = k + (hi - 1) * dk, t - (hi - 1) * dt
+        k, t = k + hi * dk, t - hi * dt
+    return k, t, k_prev, t_prev
+
+
+def _pack(m: int, order) -> tuple[int, int]:
+    """The lexicographic order of the linear keys in order as one linear
+    form (u_0, u_1), packed with radix R = 2 m max(|u_0| + |u_1|) + 1 over
+    the keys: exact at every point (k, -t), 0 <= k, t <= m, that _axis
+    tests (module docstring)."""
+    radix = 2 * m * max(abs(u0) + abs(u1) for u0, u1 in order) + 1
+    p0 = p1 = 0
+    for u0, u1 in order:
+        p0, p1 = p0 * radix + u0, p1 * radix + u1
+    return p0, p1
 
 
 def _corners(m: int, g: Sequence[int], order) -> list[tuple[int, int]]:
     """Outer corners of the staircase of {x : g.x = 0 mod m} in the
-    lexicographic order of the linear keys in order (module docstring).
-    The area check catches a wrong predecessor from the walk."""
-
-    def ahead(x, y):
-        for u in order:
-            key = u[0] * x + u[1] * y
-            if key:
-                return key > 0
-        return False
-
-    a, c, d, b = _axis(m, g[0], g[1], lambda k, t: ahead(k, -t))
+    lexicographic order of the linear keys in order (module docstring),
+    which one _axis walk tests as the packed form _pack(m, order).  The
+    area check catches a wrong predecessor from the walk."""
+    a, c, d, b = _axis(m, g[0], g[1], *_pack(m, order))
     if a * b - c * d != m:
         raise AssertionError("staircase area is not a_tau, lattice broken")
     if c * d:
@@ -582,7 +595,7 @@ def _frobenius(a: tuple[int, ...], m: int) -> int:
     if len(a) == 3:
         a0, a1, a2 = a
         g1, g2 = (a1, a2) if a0 == m else (a0, a2) if a1 == m else (a0, a1)
-        A, c, d, B = _axis(m, g1, g2, lambda k, t: g1 * k > g2 * t)
+        A, c, d, B = _axis(m, g1, g2, g1, g2)
         return g1 * (A - 1) + g2 * (B - 1) - min(g2 * c, g1 * d) - m
     return _largest(_round_robin(m, [(g % m, g) for g in a if g % m])) - m
 

@@ -1,4 +1,5 @@
 import hypothesis
+import pytest
 
 hypothesis.settings.register_profile(
     "ci",
@@ -7,3 +8,24 @@ hypothesis.settings.register_profile(
     max_examples=60,
 )
 hypothesis.settings.load_profile("ci")
+
+
+@pytest.fixture
+def counted_int():
+    """(Counted, products): an int subclass whose products count.
+
+    Every __mul__ or __rmul__ of a Counted appends its other factor to
+    products and returns a Counted.  Given to group._axis as its form's
+    u0, which every test of the walk multiplies exactly once, it counts
+    the tests the walk makes.
+    """
+    products = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            products.append(other)
+            return Counted(int(self) * int(other))
+
+        __rmul__ = __mul__
+
+    return Counted, products

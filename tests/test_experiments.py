@@ -41,7 +41,7 @@ from knapgap import (
 from knapgap.experiments import (
     MIN_TAIL_SAMPLES,
     _CHUNK,
-    _csv_row,
+    _csv_rows,
     _sampled,
     _stream_chunk,
     csv_header,
@@ -275,8 +275,8 @@ class TestRecordLoop:
                         int(lo * (1 << bits)), int(up * (1 << bits)), bits,
                     )
                 )
-        assert lowers == [r.lower for r in records]
-        assert uppers == [r.upper for r in records]
+        assert lowers == tuple(r.lower for r in records)
+        assert uppers == tuple(r.upper for r in records)
         buf = io.StringIO()
         write_records_csv(buf, [(config, records)])
         assert buf.getvalue() == ",".join(csv_header(n)) + "\n" + rows
@@ -584,10 +584,37 @@ class TestCsv:
         bits=st.integers(0, 80),
     )
     def test_exact_column_is_str_of_fraction(self, numerator, bits):
-        row = _csv_row("3,9,1", 0, (2, 3, 5), 1, 11, numerator, 1 << bits, bits)
-        lower_exact, upper_exact = row.rstrip("\n").split(",")[-2:]
-        assert lower_exact == str(Fraction(numerator, 1 << bits))
-        assert upper_exact == "1"
+        rows = _csv_rows(
+            "3,9,1", (0, 1), ((2, 3, 5), (2, 3, 7)), (1, 1),
+            (numerator, 1 << bits), (1 << bits, numerator), bits,
+        )
+        first, second = (row.split(",")[-2:] for row in rows.splitlines())
+        assert first == [str(Fraction(numerator, 1 << bits)), "1"]
+        assert second == ["1", str(Fraction(numerator, 1 << bits))]
+
+    @given(
+        n=st.integers(2, 6),
+        numerators=st.lists(
+            st.one_of(
+                st.just(0),
+                st.integers(0, 2**90),
+                st.builds(lambda v, k: v << k, st.integers(0, 2**20), st.integers(0, 90)),
+            ),
+            min_size=2,
+            max_size=8,
+        ),
+        bits=st.integers(0, 80),
+    )
+    def test_decimal_columns_are_the_float_of_the_fraction(self, n, numerators, bits):
+        count = len(numerators) // 2
+        lowers, uppers = numerators[:count], numerators[count : 2 * count]
+        a = [tuple(range(i + 1, i + n + 1)) for i in range(count)]
+        rows = _csv_rows("3,9,1", range(count), a, [-1] * count, lowers, uppers, bits)
+        for row, lower, upper in zip(rows.splitlines(), lowers, uppers, strict=True):
+            decimals = row.split(",")[-4:-2]
+            assert decimals == [
+                format(float(Fraction(v, 1 << bits)), ".12g") for v in (lower, upper)
+            ]
 
     @given(
         n=st.integers(2, 6),
@@ -690,6 +717,16 @@ class TestCsv:
             write_records_csv(
                 buf, [(c1, sample_records(c1)), (c2, sample_records(c2))]
             )
+
+    def test_records_of_other_bits_rejected(self):
+        # a run's rows take its config's bits, so records of other bits
+        # are refused before anything is written
+        config = ExperimentConfig(n=3, T=10, count=3, seed=1, epsilon="1/2")
+        records = sample_records(replace(config, bits=8))
+        buf = io.StringIO()
+        with pytest.raises(ValidationError, match="bits = 60"):
+            write_records_csv(buf, [(config, records)])
+        assert buf.getvalue() == ""
 
 
 class TestJson:

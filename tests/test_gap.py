@@ -28,6 +28,23 @@ from knapgap import (
     tightness_family,
     tightness_threshold,
 )
+from knapgap.group import _pack
+
+# entries of linear keys: small ones tie often, large ones test the radix
+keys = st.integers(min_value=-6, max_value=6) | st.integers(
+    min_value=-(2**70), max_value=2**70
+)
+
+
+def lexicographic_sign(order, x, y):
+    """Sign of the first nonzero key u.(x, y) over the keys in order, 0 when
+    every key vanishes: the order _pack encodes, tested key by key."""
+    for u in order:
+        key = u[0] * x + u[1] * y
+        if key:
+            return 1 if key > 0 else -1
+    return 0
+
 
 tiny_instances = (
     st.lists(st.integers(min_value=1, max_value=20), min_size=2, max_size=4)
@@ -639,27 +656,23 @@ class TestStaircase:
         b_max = report.threshold + 2 * inst.a[report.tau]
         assert report.gap == gap_bruteforce(inst, c, b_max)
 
-    def test_long_quotient_two_run_is_bisected(self):
-        # s = M - 1 gives M - 1 quotients 2 in a row; the answer sits
-        # halfway, and its predecessor one step back in the run
+    def test_long_quotient_two_run_is_bisected(self, counted_int):
+        # s = M - 1 gives M - 1 quotients 2 in a row; the answer, the first
+        # k > t, sits halfway, and its predecessor one step back in the run
         m = 10**6 + 3
-        calls = []
-
-        def ahead(k, t):
-            calls.append(k)
-            return k > t
-
-        assert knapgap.group._axis(m, m - 1, 1, ahead) == (
+        Counted, calls = counted_int
+        assert knapgap.group._axis(m, m - 1, 1, Counted(1), 1) == (
             m // 2 + 1, m // 2, m // 2, m // 2 + 1
         )
-        assert len(calls) <= 2 * m.bit_length()
+        assert 1 <= len(calls) <= 2 * m.bit_length()
 
     def test_both_sides_by_definition(self):
         # for every modulus up to 60: (A, c) is the smallest k >= 1 with some
         # t >= 0 for which (k, -t) lies in the lattice and is positive, and
         # the smallest such t; the predecessor (d, B) is the same with the
         # axes swapped, (-d, B) the vector.  A t >= m is never needed: the
-        # vector at t - m is in the lattice and larger.
+        # vector at t - m is in the lattice and larger.  The walk tests the
+        # form _corners packs the order into, so this checks the packing.
         def side(m, f, ts, vector, positive):
             for k in range(1, m + 1):
                 for t in ts.get(f * k % m, ()):
@@ -677,26 +690,42 @@ class TestStaircase:
                 for order in (((ga + m, gb + m), (0, 1)), ((gb, ga), (1, 1), (0, 1))):
 
                     def positive(x, y):
-                        for u in order:
-                            key = u[0] * x + u[1] * y
-                            if key:
-                                return key > 0
-                        return False
+                        return lexicographic_sign(order, x, y) > 0
 
                     a, c = side(m, ga, solutions[gb], lambda k, t: (k, -t), positive)
                     b, d = side(m, gb, solutions[ga], lambda k, t: (-t, k), positive)
-                    walk = knapgap.group._axis(
-                        m, ga, gb, lambda k, t: positive(k, -t)
-                    )
+                    walk = knapgap.group._axis(m, ga, gb, *_pack(m, order))
                     assert walk == (a, c, d, b), (m, ga, gb, order)
+
+    @given(
+        m=st.integers(min_value=1, max_value=60),
+        order=st.lists(st.tuples(keys, keys), min_size=1, max_size=3),
+        k=st.integers(min_value=0, max_value=80),
+        t=st.integers(min_value=0, max_value=80),
+    )
+    @example(m=7, order=[(0, 0)], k=7, t=7)  # an all-zero form
+    @example(m=7, order=[(0, 0), (0, 0), (0, 0)], k=3, t=0)
+    @example(m=5, order=[(2, 3), (0, 1)], k=3, t=2)  # a tie, then t
+    @example(m=5, order=[(2, 3), (1, 1), (0, 1)], k=3, t=2)
+    @example(m=9, order=[(1, 1), (1, 1)], k=9, t=9)  # tied to the end
+    @example(m=4, order=[(-3, -5), (2, -1)], k=4, t=4)
+    @example(m=6, order=[(-6, 6), (6, -6), (1, 0)], k=6, t=6)
+    @example(m=6, order=[(0, 1), (-6, 6)], k=6, t=0)
+    def test_packed_sign_is_the_lexicographic_test(self, m, order, k, t):
+        # draws past m stand for m, so points at k = m and t = m come up often
+        k, t = min(k, m), min(t, m)
+        p0, p1 = _pack(m, order)
+        assert (p0 * k > p1 * t) == (lexicographic_sign(order, k, -t) > 0)
+        assert (p0 * k == p1 * t) == (lexicographic_sign(order, k, -t) == 0)
 
     def test_two_walks_per_call(self, monkeypatch):
         walks = []
         real = knapgap.group._axis
 
-        def counting(*args):
-            walks.append(args[0])
-            return real(*args)
+        def counting(m, ga, gb, u0, u1):
+            assert type(u0) is int and type(u1) is int
+            walks.append(m)
+            return real(m, ga, gb, u0, u1)
 
         monkeypatch.setattr(knapgap.group, "_axis", counting)
         inst = KnapsackInstance((1234, 1789, 1999))
@@ -707,8 +736,8 @@ class TestStaircase:
     def test_broken_area_is_refused(self, monkeypatch):
         real = knapgap.group._axis
 
-        def perturbed(*args):
-            a, c, d, b = real(*args)
+        def perturbed(m, ga, gb, u0, u1):
+            a, c, d, b = real(m, ga, gb, u0, u1)
             return a + 1, c, d, b
 
         monkeypatch.setattr(knapgap.group, "_axis", perturbed)

@@ -264,20 +264,17 @@ class TestThreeCoefficients:
         for order in itertools.permutations(a):
             assert frobenius(KnapsackInstance(order)) == expected
 
-    def test_one_walk_of_logarithmic_length(self, monkeypatch):
+    def test_one_walk_of_logarithmic_length(self, monkeypatch, counted_int):
         # (m, m + 1, 2m - 1) puts the answer in a run of about m quotients 2,
-        # which the walk bisects
+        # which the walk bisects; each test of the form multiplies u0 once
         inst = KnapsackInstance((30000000, 30000001, 59999999))
-        walks, calls = [], []
+        Counted, calls = counted_int
+        walks = []
         real = knapgap.group._axis
 
-        def counting(m, ga, gb, ahead):
-            def counted(k, t):
-                calls.append(k)
-                return ahead(k, t)
-
+        def counting(m, ga, gb, u0, u1):
             walks.append(m)
-            return real(m, ga, gb, counted)
+            return real(m, ga, gb, Counted(u0), u1)
 
         monkeypatch.setattr(knapgap.group, "_axis", counting)
         assert frobenius(inst) == 599999960000000
