@@ -6,13 +6,13 @@ Irrational constants enter through directed rational rounding at
 knapgap.rounding's DEFAULT_BITS, always in the direction that keeps the
 stated inequality true, so comparing these values with exact gaps is sound.
 
-Costs become integers over a common denominator before any bound is
-formed: the norms of c over the lcm of its denominators (_norms), and the
-reduced costs as basis_reduction's integer weights over its scale.  Each
-bound formula is written once, as a pair of integers (numerator,
-denominator > 0), and the covering bound's root is an integer root of its
-radicand scaled by 2**(d * DEFAULT_BITS).  check_bounds coerces c, takes
-its norms and runs basis_reduction once, reads every bound through the
+Costs become integers in one place, core.basis_reduction, before any
+bound is formed: the reduction keeps c over the lcm of its denominators,
+from which _norms reads the norms of c, and the reduced costs as integer
+weights over its scale.  Each bound formula is written once, as a pair of
+integers (numerator, denominator > 0), and the covering bound's root is
+an integer root of its radicand scaled by 2**(d * DEFAULT_BITS).
+check_bounds runs basis_reduction once, reads every bound through the
 helpers their public functions call, and compares them with the gap by
 cross-multiplying: the only Fractions it builds are the report's fields.
 """
@@ -31,7 +31,6 @@ from .core import (
     RationalLike,
     as_fraction,
     basis_reduction,
-    cost_vector,
 )
 from .errors import ValidationError
 from .group import frobenius
@@ -48,10 +47,11 @@ def schur_bound(inst: KnapsackInstance) -> int:
     return lo * hi - lo - hi
 
 
-def _norms(costs: Sequence[Fraction]) -> tuple[int, int, int]:
-    """(D, D * ||c||_1, D * ||c||_inf) as ints, D the lcm of c's denominators."""
-    scale = math.lcm(*(ci.denominator for ci in costs))
-    sizes = [abs(ci.numerator) * (scale // ci.denominator) for ci in costs]
+def _norms(red: BasisReduction) -> tuple[int, int, int]:
+    """(D, D * ||c||_1, D * ||c||_inf) as ints, D the lcm of c's
+    denominators, read off the reduction's integer costs."""
+    scale, ints = red._costs
+    sizes = [abs(v) for v in ints]
     return scale, sum(sizes), max(sizes)
 
 
@@ -78,7 +78,7 @@ def cook_gap_bound(
     inst: KnapsackInstance, c: Sequence[RationalLike]
 ) -> Fraction:
     """Proximity-type bound n * max(a) * ||c||_1, valid for every b."""
-    scale, l1, _ = _norms(cost_vector(c, inst.n))
+    scale, l1, _ = _norms(basis_reduction(inst, c))
     return Fraction(*_cook(inst, scale, l1))
 
 
@@ -88,19 +88,19 @@ def gap_bound_l1(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     Attained with equality on the family (k, ..., k, 1) with cost e_n, so
     the constant cannot be improved.
     """
-    scale, l1, _ = _norms(cost_vector(c, inst.n))
+    scale, l1, _ = _norms(basis_reduction(inst, c))
     return Fraction(*_upper_l1(inst, scale, l1))
 
 
 def gap_bound_linf(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     """Gap_c(a) <= 2 * (max(a) - 1) * ||c||_inf."""
-    scale, _, linf = _norms(cost_vector(c, inst.n))
+    scale, _, linf = _norms(basis_reduction(inst, c))
     return Fraction(*_upper_linf(inst, scale, linf))
 
 
 def gap_bound_frobenius(inst: KnapsackInstance, c: Sequence[RationalLike]) -> Fraction:
     """Gap_c(a) <= (g(a) + max(a)) * ||c||_1 / min(a)."""
-    scale, l1, _ = _norms(cost_vector(c, inst.n))
+    scale, l1, _ = _norms(basis_reduction(inst, c))
     return Fraction(*_upper_frobenius(inst, scale, l1, frobenius(inst)))
 
 
@@ -181,8 +181,8 @@ def check_bounds(
     """Evaluate all bounds against a supplied exact gap value."""
     value = as_fraction(exact_gap, "exact_gap")
     gap = value.numerator, value.denominator
-    costs = cost_vector(c, inst.n)
-    scale, l1, linf = _norms(costs)
+    red = basis_reduction(inst, c)
+    scale, l1, linf = _norms(red)
     g = frobenius(inst)
     schur = schur_bound(inst)
     uppers = (
@@ -191,7 +191,7 @@ def check_bounds(
         _upper_linf(inst, scale, linf),
         _upper_frobenius(inst, scale, l1, g),
     )
-    lower = _covering(inst, basis_reduction(inst, costs))
+    lower = _covering(inst, red)
     ok = (
         g <= schur
         and all(_at_most(gap, upper) for upper in uppers)

@@ -124,9 +124,12 @@ class BasisReduction:
     scale is the lcm D of the denominators of l and weights lists the
     integers D * l_j, the form in which the gap and the bounds use them.
 
-    The reduction holds integers only.  slope and l are Fractions derived
-    on first read: slope from _slope = (C_tau, D_c a_tau) in
-    basis_reduction's terms, and l as weights over scale.
+    The reduction holds integers only, and it is where the package turns a
+    cost row into integers: _costs = (D_c, (C_1, ..., C_n)) keeps the lcm
+    D_c of c's denominators and C_i = D_c c_i, from which the bounds take
+    the norms of c.  slope and l are Fractions derived on first read: slope
+    from _slope = (C_tau, D_c a_tau) in basis_reduction's terms, and l as
+    weights over scale.
     """
 
     tau: int
@@ -135,6 +138,7 @@ class BasisReduction:
     scale: int
     weights: tuple[int, ...]
     _slope: tuple[int, int] = field(repr=False)
+    _costs: tuple[int, tuple[int, ...]] = field(repr=False)
 
     @cached_property
     def slope(self) -> Fraction:
@@ -163,7 +167,7 @@ def basis_reduction(
     """
     costs = cost_vector(c, inst.n)
     denom = math.lcm(*(ci.denominator for ci in costs))
-    ints = [ci.numerator * (denom // ci.denominator) for ci in costs]
+    ints = tuple(ci.numerator * (denom // ci.denominator) for ci in costs)
     tau = 0
     for i in range(1, inst.n):
         if ints[i] * inst.a[tau] < ints[tau] * inst.a[i]:
@@ -180,6 +184,7 @@ def basis_reduction(
         scale=whole // shared,
         weights=weights,
         _slope=(ints[tau], whole),
+        _costs=(denom, ints),
     )
 
 

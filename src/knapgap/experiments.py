@@ -90,11 +90,23 @@ from .rounding import pow_bounds  # noqa: F401
 MIN_TAIL_SAMPLES = 100
 
 
-def tail_exponent(epsilon: RationalLike, n: int) -> Fraction:
-    """Exact tail exponent (n - 2) / ((1 - epsilon) * n), for n >= 3."""
+def _epsilon(epsilon: RationalLike) -> Fraction:
+    """epsilon as a Fraction, refused unless it lies in (0, 1)."""
     eps = as_fraction(epsilon, "epsilon")
     if not 0 < eps < 1:
         raise BadEpsilon(f"epsilon = {eps} must lie strictly between 0 and 1")
+    return eps
+
+
+def _check_bits(bits: int) -> None:
+    """Refuse a rounding precision below 8 bits."""
+    if bits < 8:
+        raise ValidationError(f"bits = {bits} too small for sound rounding")
+
+
+def tail_exponent(epsilon: RationalLike, n: int) -> Fraction:
+    """Exact tail exponent (n - 2) / ((1 - epsilon) * n), for n >= 3."""
+    eps = _epsilon(epsilon)
     if n < 3:
         raise DimensionTooSmall(f"n = {n} < 3, the tail exponent degenerates")
     return Fraction(n - 2) / ((1 - eps) * n)
@@ -110,11 +122,7 @@ class ExperimentConfig(SamplerConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        object.__setattr__(self, "epsilon", as_fraction(self.epsilon, "epsilon"))
-        if not 0 < self.epsilon < 1:
-            raise BadEpsilon(
-                f"epsilon = {self.epsilon} must lie strictly between 0 and 1"
-            )
+        object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
         object.__setattr__(
             self,
             "thresholds",
@@ -123,8 +131,7 @@ class ExperimentConfig(SamplerConfig):
         for t in self.thresholds:
             if t <= 0:
                 raise ValidationError(f"threshold t = {t} must be positive")
-        if self.bits < 8:
-            raise ValidationError(f"bits = {self.bits} too small for sound rounding")
+        _check_bits(self.bits)
         # Every exact value printed is an int <= count (n + 1) T 2**bits
         # (Schur's bound on g gives ratio_upper <= (n + 1) T), which must fit
         # the digit limit on int strings: 2**(limit * 3321928 // 10**6) <= 10**limit.
@@ -187,23 +194,24 @@ def _bracket_numerators(
 
 def bracket_ratios(
     inst: KnapsackInstance,
-    epsilon: Fraction,
+    epsilon: RationalLike,
     bits: int = DEFAULT_BITS,
     *,
     g: int | None = None,
 ) -> tuple[Fraction, Fraction]:
     """Certified (ratio_lower, ratio_upper) bracket for one instance.
 
-    The returned values are dyadic rationals with denominator 2**bits; the
+    epsilon and bits are checked as ExperimentConfig checks them.  The
+    returned values are dyadic rationals with denominator 2**bits; the
     lower one never exceeds the true lower bracket and the upper one never
     undercuts the true upper bracket, so downstream exact comparisons keep
     their direction.
     """
+    eps = _epsilon(epsilon)
+    _check_bits(bits)
     if g is None:
         g = frobenius(inst)
-    lower, upper = _bracket_numerators(
-        inst.a, epsilon.numerator, epsilon.denominator, bits, g
-    )
+    lower, upper = _bracket_numerators(inst.a, eps.numerator, eps.denominator, bits, g)
     return Fraction(lower, 1 << bits), Fraction(upper, 1 << bits)
 
 
@@ -223,7 +231,7 @@ def _sampled(config: ExperimentConfig, start: int, stop: int):
     for index, (a, _) in zip(range(start, stop), draws):
         m = min(a)
         if m > cap:
-            check_cells(m, f"residue table modulo {m}", cap)
+            check_cells(m, f"residue table modulo {m}")
         g = _frobenius(a, m)
         lower, upper = _bracket_numerators(a, p, q, bits, g)
         yield index, a, g, lower, upper

@@ -26,7 +26,9 @@ order of linear keys: (w.v, v_1 + v_2, v_2) for the reduced-cost table,
 (g.v, w.v, v_2) for the packed one (ties there share the label).  So
 each is the L-shaped staircase that group._corners reads off one walk of
 a continued fraction (group.py's module docstring), and B*, tail_gap and
-gap are maxima of nonnegative linear forms over its outer corners.
+gap are maxima of nonnegative linear forms over its outer corners.  Both
+routes find every value as an integer over basis_reduction's scale D and
+return through _report, the one place a GapReport is built.
 
 ip_value, integrality_gap and gap_bruteforce read one direct dynamic
 program over right hand sides (_value_table), off the residue table, so
@@ -122,6 +124,23 @@ class GapReport:
     generic: bool
 
 
+def _report(
+    red: BasisReduction, gap: int, first: int, bstar: int, tail: int, scan: int
+) -> GapReport:
+    """The GapReport of both routes, from integer values: gap, tail and
+    scan are D * Gap, D * tail_gap and D * scan_gap over the reduction's
+    scale D, first the witness b and bstar the threshold."""
+    return GapReport(
+        gap=Fraction(gap, red.scale),
+        witness_b=first,
+        threshold=bstar,
+        tail_gap=Fraction(tail, red.scale),
+        scan_gap=Fraction(scan, red.scale),
+        tau=red.tau,
+        generic=red.generic,
+    )
+
+
 def _gap_from_tables(inst: KnapsackInstance, red: BasisReduction) -> GapReport:
     """gap_exact from two residue tables of a_tau cells.
 
@@ -164,15 +183,7 @@ def _gap_from_tables(inst: KnapsackInstance, red: BasisReduction) -> GapReport:
     k = m * max((w for _, w in live), default=0) + 1
     labels = _round_robin(m, [(g % m, g * k + w) for g, w in live])
     gap, first, scan = _packed_maxima(labels, k, bstar * k)
-    return GapReport(
-        gap=Fraction(gap, red.scale),
-        witness_b=first // k,
-        threshold=bstar,
-        tail_gap=Fraction(tail, red.scale),
-        scan_gap=Fraction(scan, red.scale),
-        tau=red.tau,
-        generic=red.generic,
-    )
+    return _report(red, gap, first // k, bstar, tail, scan)
 
 
 def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
@@ -229,15 +240,7 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
             if value > scan:
                 scan = value
             room -= gi
-    return GapReport(
-        gap=Fraction(gap, red.scale),
-        witness_b=first,
-        threshold=bstar,
-        tail_gap=Fraction(max(_dot(w, x) for x in lex), red.scale),
-        scan_gap=Fraction(scan, red.scale),
-        tau=red.tau,
-        generic=red.generic,
-    )
+    return _report(red, gap, first, bstar, max(_dot(w, x) for x in lex), scan)
 
 
 def gap_bruteforce(

@@ -3,11 +3,12 @@
 Residue tables, representability sieves and exhaustive enumerations all
 allocate one cell per lattice point or residue.  Every such allocation is
 checked against a cap, by default 10**8 cells, overridable globally
-through the KNAPGAP_GUARDRAIL_CELLS environment variable.  check_cells
-also takes an explicit cap, which wins over both: the sampler
-(knapgap.experiments) reads the cap once per range, compares each record's
-table with it, and calls check_cells with that cap only to refuse one,
-since reading the environment costs more than checking one record's table.
+through the KNAPGAP_GUARDRAIL_CELLS environment variable, which cell_cap
+reads on every call.  check_cells is the one place that refuses: the
+sampler (knapgap.experiments) reads cell_cap once per range and compares
+each record's table with it, since reading the environment costs more
+than checking one record's table, and calls check_cells only for a table
+past the cap, so its refusal has the same text as any other.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ DEFAULT_MAX_CELLS = 10**8
 ENV_VAR = "KNAPGAP_GUARDRAIL_CELLS"
 
 
-def cell_cap(explicit: int | None = None) -> int:
-    """Resolve the active cell budget.
-
-    An explicit argument wins, then the environment variable, then the
-    default.
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("cell cap must be a positive integer")
-        return explicit
+def cell_cap() -> int:
+    """The active cell budget: the environment variable, else the default."""
     raw = os.environ.get(ENV_VAR)
     if raw:
         try:
@@ -43,9 +36,9 @@ def cell_cap(explicit: int | None = None) -> int:
     return DEFAULT_MAX_CELLS
 
 
-def check_cells(needed: int, what: str, explicit: int | None = None) -> None:
+def check_cells(needed: int, what: str) -> None:
     """Raise BoundTooLarge if `needed` cells exceed the active budget."""
-    cap = cell_cap(explicit)
+    cap = cell_cap()
     if needed > cap:
         raise BoundTooLarge(
             f"{what} needs {needed} cells, cap is {cap} (override with {ENV_VAR})"

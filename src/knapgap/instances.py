@@ -29,21 +29,20 @@ in from the next lane.  The round keys are replicated into every lane the
 same way.  Packing and unpacking go through array("Q") buffers of 8-byte
 little-endian words.
 
-Waves.  draw_range computes block 1 for every index of the range, runs the
-mask rejection and the gcd filter on each index's four words exactly as a
-one-index draw reads them, and computes block 2 only for the indices that
-still lack a coprime tuple, and so on until none is left.  Every index
+Waves.  _draw_tuples computes block 1 for every index of the range, runs
+the mask rejection and the gcd filter on each index's four words exactly
+as a one-index draw reads them, and computes block 2 only for the indices
+that still lack a coprime tuple, and so on until none is left.  Every index
 still reads its own blocks in order and every word is kept or rejected by
 the same test, so the stream and each drawn tuple are those of a
 one-index draw; only the order in which the indices' blocks are computed
 changes.
 
-Tuples.  The lanes yield each index's coefficients as a plain tuple, which
-the draw has made positive, at most T and coprime.  draw_range wraps each
-in a KnapsackInstance, the one constructor, which validates it once; the
-sampler (knapgap.experiments) reads the tuples themselves through
-_draw_tuples, which checks the range as draw_range does and builds no
-instance.
+Tuples.  _draw_tuples is the one range drawer.  It yields each index's
+coefficients as a plain tuple, which the draw has made positive, at most T
+and coprime, and builds no instance: the sampler (knapgap.experiments)
+reads the tuples themselves.  draw_instance and sample_instances wrap each
+tuple in a KnapsackInstance, the one constructor, which validates it once.
 """
 
 from __future__ import annotations
@@ -196,28 +195,18 @@ class SamplerConfig:
             raise ValidationError("seed must fit in 64 bits")
 
 
-def draw_range(
-    seed: int, start: int, stop: int, n: int, T: int
-) -> Iterator[tuple[KnapsackInstance, int]]:
-    """(instance, attempts) for every index of [start, stop), in index
-    order; attempts counts the tuples tried before one passed the gcd
-    filter.
-
-    Each item equals draw_instance(seed, index, n, T).  The seed and the
-    indices must lie in [0, 2**128); the range may cross 2**64.  Indices
-    are drawn _LANES at a time, each batch in waves of lanes (module
-    docstring).
-    """
-    drawn = _draw_tuples(seed, start, stop, n, T)
-    return ((KnapsackInstance(a), attempts) for a, attempts in drawn)
-
-
 def _draw_tuples(
     seed: int, start: int, stop: int, n: int, T: int
 ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """draw_range with each instance as its coefficient tuple, for callers
-    that read only the coefficients; the arguments are checked at the
-    call."""
+    """(coefficients, attempts) for every index of [start, stop), in index
+    order; attempts counts the tuples tried before one passed the gcd
+    filter.
+
+    Each item's coefficients are draw_instance(seed, index, n, T)'s.  The
+    seed and the indices must lie in [0, 2**128); the range may cross
+    2**64.  The arguments are checked at the call.  Indices are drawn
+    _LANES at a time, each batch in waves of lanes (module docstring).
+    """
     _check_stream(seed, start, stop)
     if n < 2:
         raise DimensionTooSmall(f"n = {n} < 2")
@@ -269,21 +258,21 @@ def draw_instance(
     """Draw the instance owned by (seed, index); also report the number of
     tuples tried before one passed the gcd filter.
 
-    The one-index case of draw_range: each coordinate is the first of the
-    index's raw words, in stream order, that falls below T once masked to
-    the bit length of T - 1.  A lone lane pays the whole cost of each
-    round, so callers that draw many indices should draw them with one
-    draw_range call.
+    The one-index range of _draw_tuples: each coordinate is the first of
+    the index's raw words, in stream order, that falls below T once masked
+    to the bit length of T - 1.  A lone lane pays the whole cost of each
+    round, so callers that draw many indices should draw them as one range,
+    as sample_instances does.
     """
-    (drawn,) = draw_range(seed, index, index + 1, n, T)
-    return drawn
+    ((a, attempts),) = _draw_tuples(seed, index, index + 1, n, T)
+    return KnapsackInstance(a), attempts
 
 
 def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:
     """config.count i.i.d. uniform valid instances, drawn as they are read;
     the range is checked at the call."""
-    drawn = draw_range(config.seed, 0, config.count, config.n, config.T)
-    return (inst for inst, _ in drawn)
+    drawn = _draw_tuples(config.seed, 0, config.count, config.n, config.T)
+    return (KnapsackInstance(a) for a, _ in drawn)
 
 
 # mu(d) + 1 as a byte, and the map that negates mu(d) on such bytes.

@@ -1,11 +1,21 @@
 import hypothesis
 import pytest
 
+# "ci" replays one fixed example set, so tier-1 is reproducible; "explore"
+# draws fresh examples on every run and is chosen with
+# --hypothesis-profile=explore, which overrides the load below.
 hypothesis.settings.register_profile(
     "ci",
     derandomize=True,
     deadline=None,
     max_examples=60,
+)
+hypothesis.settings.register_profile(
+    "explore",
+    derandomize=False,
+    database=None,
+    deadline=None,
+    max_examples=300,
 )
 hypothesis.settings.load_profile("ci")
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knapgap.bounds
+import knapgap.core
 from knapgap import (
     KnapsackInstance,
     ValidationError,
@@ -137,6 +138,29 @@ class TestCoveringLowerBound:
         assert gap_lower_bound_covering(inst, c) == gap_exact(inst, c).gap
 
 
+def _rows_and_costs(n):
+    row = st.lists(st.integers(min_value=1, max_value=18), min_size=n, max_size=n)
+    entry = st.builds(Fraction, st.integers(min_value=-9, max_value=9), st.integers(1, 8))
+    return st.tuples(
+        row.filter(lambda a: math.gcd(*a) == 1),
+        st.lists(entry, min_size=n, max_size=n),
+    )
+
+
+class TestNorms:
+    @given(pair=st.integers(min_value=2, max_value=4).flatmap(_rows_and_costs))
+    @example(pair=((2, 3), [Fraction(1, 4), Fraction(3, 8)]))  # tied ratios
+    @example(pair=((6, 9, 20), [Fraction(0), Fraction(-7, 8), Fraction(5, 6)]))
+    @settings(max_examples=60)
+    def test_read_off_the_reduction(self, pair):
+        # (D, D ||c||_1, D ||c||_inf) from the Fractions themselves, on
+        # negative, zero, tied and rational entries with denominators up to 8
+        a, c = pair
+        d = math.lcm(*(ci.denominator for ci in c))
+        expected = d, int(d * sum(map(abs, c))), int(d * max(map(abs, c)))
+        assert knapgap.bounds._norms(basis_reduction(KnapsackInstance(a), c)) == expected
+
+
 class TestCheckBounds:
     def test_worked_example(self):
         inst = KnapsackInstance((3, 5))
@@ -157,16 +181,24 @@ class TestCheckBounds:
         ],
     )
     def test_shares_its_work(self, a, c, gap, monkeypatch):
-        # one coercion of c, one set of norms and one reduction per call,
-        # and the same values as the public bound functions
+        # one coercion of c (inside basis_reduction), one set of norms and
+        # one reduction per call, and the same values as the public bound
+        # functions; cost_vector is counted in core and, should bounds
+        # import it again, there too
         calls = []
-        for name in ("cost_vector", "_norms", "basis_reduction"):
 
-            def counting(*args, _real=getattr(knapgap.bounds, name), _name=name):
-                calls.append(_name)
+        def count(module, name):
+            def counting(*args, _real=getattr(module, name)):
+                calls.append(name)
                 return _real(*args)
 
-            monkeypatch.setattr(knapgap.bounds, name, counting)
+            monkeypatch.setattr(module, name, counting)
+
+        for module in (knapgap.core, knapgap.bounds):
+            if hasattr(module, "cost_vector"):
+                count(module, "cost_vector")
+        count(knapgap.bounds, "_norms")
+        count(knapgap.bounds, "basis_reduction")
         inst = KnapsackInstance(a)
         report = check_bounds(inst, c, gap)
         assert sorted(calls) == ["_norms", "basis_reduction", "cost_vector"]

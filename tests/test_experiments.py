@@ -94,6 +94,30 @@ class TestBracketRatios:
         assert abs(float(up) - 1.183366731966952) < 1e-12
         assert lo < up
 
+    @pytest.mark.parametrize(
+        "epsilon, bits, refused",
+        [
+            (Fraction(-1, 2), DEFAULT_BITS, BadEpsilon),
+            (0, DEFAULT_BITS, BadEpsilon),
+            (1, DEFAULT_BITS, BadEpsilon),
+            (Fraction(3, 2), DEFAULT_BITS, BadEpsilon),
+            (0.8, DEFAULT_BITS, ValidationError),
+            ("4/5", DEFAULT_BITS, None),
+            (Fraction(4, 5), 7, ValidationError),
+        ],
+    )
+    def test_checks_epsilon_and_bits_as_the_config_does(self, epsilon, bits, refused):
+        inst = KnapsackInstance((6, 9, 20))
+        if refused is None:
+            expected = bracket_ratios(inst, Fraction(4, 5), bits)
+            assert bracket_ratios(inst, epsilon, bits) == expected
+            return
+        with pytest.raises(refused) as got:
+            bracket_ratios(inst, epsilon, bits)
+        with pytest.raises(refused) as config:
+            ExperimentConfig(n=3, T=20, count=1, seed=0, epsilon=epsilon, bits=bits)
+        assert str(got.value) == str(config.value)
+
     def test_brackets_tie_to_exact_gaps(self):
         # the lower bracket is the ratio of an actually achieved gap
         inst = KnapsackInstance((6, 9, 20))

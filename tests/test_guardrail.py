@@ -1,4 +1,4 @@
-"""The cell cap: explicit argument, environment variable, default."""
+"""The cell cap: environment variable, else default."""
 
 import pytest
 
@@ -12,13 +12,6 @@ class TestCellCap:
         assert cell_cap() == DEFAULT_MAX_CELLS
         monkeypatch.setenv(ENV_VAR, "")
         assert cell_cap() == DEFAULT_MAX_CELLS
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "5")
-        assert cell_cap(7) == 7
-        check_cells(7, "seven cells", 7)
-        with pytest.raises(ValueError, match="positive integer"):
-            cell_cap(0)
 
     def test_changed_variable_is_seen(self, monkeypatch):
         # the variable is read on every call, so every change of it, back

@@ -27,7 +27,7 @@ from knapgap import (
     tightness_family,
 )
 from knapgap.guardrail import DEFAULT_MAX_CELLS, ENV_VAR
-from knapgap.instances import _lane_keys, _philox_lanes, draw_range
+from knapgap.instances import _draw_tuples, _lane_keys, _philox_lanes
 
 _MASK64 = (1 << 64) - 1
 
@@ -143,7 +143,7 @@ class TestSampler:
     )
     def test_stream_rejects_out_of_range(self, seed, index):
         with pytest.raises(ValueError, match="must lie in"):
-            draw_range(seed, index, index + 1, 3, 10)
+            _draw_tuples(seed, index, index + 1, 3, 10)
         # numpy refuses the same keys and counters
         with pytest.raises(ValueError):
             Philox(key=seed, counter=index << 128)
@@ -197,7 +197,8 @@ class TestSampler:
 
 
 class TestDrawRange:
-    """The range drawer against numpy's Philox read one word at a time."""
+    """The one range drawer, _draw_tuples, against numpy's Philox read one
+    word at a time and against draw_instance."""
 
     @given(
         seed=st.one_of(
@@ -224,9 +225,9 @@ class TestDrawRange:
     @settings(max_examples=60, deadline=None)
     def test_matches_word_by_word_reference(self, seed, n, T, span):
         start, length = span
-        got = list(draw_range(seed, start, start + length, n, T))
+        got = list(_draw_tuples(seed, start, start + length, n, T))
         assert got == [
-            _reference_draw(seed, index, n, T) for index in range(start, start + length)
+            _reference_tuple(seed, index, n, T) for index in range(start, start + length)
         ]
 
     def test_waves_reach_many_blocks(self):
@@ -234,19 +235,20 @@ class TestDrawRange:
         # indices read three blocks and some far more; the later waves run
         # on few lanes, and the range crosses 2**64
         start = 2**64 - 600
-        got = list(draw_range(2**64 - 1, start, start + 1000, 5, 33))
+        got = list(_draw_tuples(2**64 - 1, start, start + 1000, 5, 33))
         blocks = []
         for index, drawn in zip(range(start, start + 1000), got):
             inst, attempts, words = _reference_stream(2**64 - 1, index, 5, 33)
-            assert drawn == (inst, attempts)
+            assert drawn == (inst.a, attempts)
             blocks.append(-(-words // 4))
         assert Counter(b >= 3 for b in blocks)[True] > 500
         assert max(blocks) >= 6
 
     def test_is_draw_instance_at_each_index(self):
-        got = list(draw_range(9, 40, 60, 4, 10))
-        assert got == [draw_instance(9, index, 4, 10) for index in range(40, 60)]
-        assert list(draw_range(9, 60, 40, 4, 10)) == []
+        got = list(_draw_tuples(9, 40, 60, 4, 10))
+        expected = [draw_instance(9, index, 4, 10) for index in range(40, 60)]
+        assert got == [(inst.a, attempts) for inst, attempts in expected]
+        assert list(_draw_tuples(9, 60, 40, 4, 10)) == []
 
     @pytest.mark.parametrize(
         "seed, start, stop, message",
@@ -261,7 +263,7 @@ class TestDrawRange:
     )
     def test_out_of_range_raises_at_call(self, seed, start, stop, message):
         with pytest.raises(ValueError) as info:
-            draw_range(seed, start, stop, 3, 10)  # not iterated
+            _draw_tuples(seed, start, stop, 3, 10)  # not iterated
         assert str(info.value) == message
         # a one-index draw refuses the same index
         bad = start if seed in (-1, 2**128) or start < 0 else 2**128
@@ -270,28 +272,28 @@ class TestDrawRange:
         assert str(single.value) == message
 
     def test_empty_range_checks_no_index(self):
-        assert list(draw_range(0, 2**128, 2**128, 3, 10)) == []
-        assert list(draw_range(0, -5, -5, 3, 10)) == []
+        assert list(_draw_tuples(0, 2**128, 2**128, 3, 10)) == []
+        assert list(_draw_tuples(0, -5, -5, 3, 10)) == []
 
     def test_rejects_degenerate_boxes(self):
         # T < 1 would reject every word forever
         with pytest.raises(ValidationError, match="T = 0 < 1"):
-            draw_range(0, 0, 1, 3, 0)
+            _draw_tuples(0, 0, 1, 3, 0)
 
     def test_box_of_full_words(self):
         # every 64-bit word passes the test word < 2**64, so T = 2**64 is
         # uniform on {1..2**64}; one more would need a second word
         T = 2**64
-        got = list(draw_range(5, 0, 20, 3, T))
-        assert got == [_reference_draw(5, index, 3, T) for index in range(20)]
-        assert max(max(inst.a) for inst, _ in got) > 2**63
+        got = list(_draw_tuples(5, 0, 20, 3, T))
+        assert got == [_reference_tuple(5, index, 3, T) for index in range(20)]
+        assert max(max(a) for a, _ in got) > 2**63
         with pytest.raises(ValidationError, match=r"T = 18446744073709551617 > 2\*\*64"):
-            draw_range(5, 0, 20, 3, T + 1)
+            _draw_tuples(5, 0, 20, 3, T + 1)
         assert SamplerConfig(n=3, T=T, count=1, seed=5).T == T
         with pytest.raises(ValidationError, match=r"> 2\*\*64"):
             SamplerConfig(n=3, T=T + 1, count=1, seed=5)
         with pytest.raises(DimensionTooSmall, match="n = 1 < 2"):
-            draw_range(0, 0, 1, 1, 5)
+            _draw_tuples(0, 0, 1, 1, 5)
 
 
 def _reference_stream(seed, index, n, T):
@@ -315,6 +317,11 @@ def _reference_stream(seed, index, n, T):
 
 def _reference_draw(seed, index, n, T):
     return _reference_stream(seed, index, n, T)[:2]
+
+
+def _reference_tuple(seed, index, n, T):
+    inst, attempts, _ = _reference_stream(seed, index, n, T)
+    return inst.a, attempts
 
 
 class TestCountInstances:
