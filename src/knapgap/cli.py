@@ -287,7 +287,7 @@ def _cmd_lovasz(args: argparse.Namespace) -> int:
     example = lovasz_example(args.n, args.delta, args.beta)
     doc = {
         "config": {"n": example.n, "delta": example.delta, "beta": str(example.beta)},
-        "matrix": map(list, example.matrix),
+        "matrix": example._rows(),
         "rhs": [str(v) for v in example.rhs],
         "cost": list(example.cost),
         "lp_solution": [str(v) for v in example.lp_solution],

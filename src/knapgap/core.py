@@ -188,10 +188,15 @@ def basis_reduction(
     )
 
 
+def check_int(value: int, what: str) -> None:
+    """Refuse a value that is not an int; bools are refused too."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def check_rhs(b: int) -> None:
     """Refuse a right hand side that is not an integer b >= 0."""
-    if not isinstance(b, int) or isinstance(b, bool):
-        raise ValidationError(f"b must be an integer, got {b!r}")
+    check_int(b, "b")
     if b < 0:
         raise NegativeRhs(f"b = {b} < 0, right hand side must be nonnegative")
 

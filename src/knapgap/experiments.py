@@ -69,7 +69,7 @@ from functools import lru_cache
 from operator import add
 from typing import IO, Iterable, Sequence
 
-from .core import KnapsackInstance, RationalLike, as_fraction
+from .core import KnapsackInstance, RationalLike, as_fraction, check_int
 from .errors import (
     BadEpsilon,
     DimensionTooSmall,
@@ -100,6 +100,7 @@ def _epsilon(epsilon: RationalLike) -> Fraction:
 
 def _check_bits(bits: int) -> None:
     """Refuse a rounding precision below 8 bits."""
+    check_int(bits, "bits")
     if bits < 8:
         raise ValidationError(f"bits = {bits} too small for sound rounding")
 
@@ -278,6 +279,7 @@ def _ranges(
     A config splits into up to jobs ranges when it has at least 2 * jobs
     records, and no range spans more than _CHUNK indices.
     """
+    check_int(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs = {jobs} must be >= 1")
     ranges = []
@@ -424,8 +426,11 @@ def summarize(
 ) -> ExperimentSummary:
     """Aggregate records into survival fractions, a tail fit and exact means.
 
-    Every record must carry config.bits.
+    There must be at least one record, and every record must carry
+    config.bits.
     """
+    if not records:
+        raise ValidationError("nothing to summarize")
     if any(r.bits != config.bits for r in records):
         raise ValidationError(f"records must all carry bits = {config.bits}")
     tally = _Tally(config)

@@ -243,6 +243,7 @@ class GroupTable:
     _labels: object = field(repr=False)
     _load_radix: int = field(repr=False)
     _unit: int = field(repr=False)  # label // _unit: the minimum, scaled
+    _scale: int = field(repr=False)  # lcm of the weight denominators
 
     def _costs(self, labels) -> list[Weight]:
         """The minima that labels (a list or int64 array) carry."""
@@ -251,9 +252,9 @@ class GroupTable:
             values = [v // unit for v in labels]
         else:
             values = (labels // unit).tolist()
-        if isinstance(self.weights[0], Fraction):
-            scale = math.lcm(*(w.denominator for w in self.weights))
-            return [Fraction(v, scale) for v in values]
+        # the weights are ints exactly when their scale is 1
+        if self._scale > 1:
+            return [Fraction(v, self._scale) for v in values]
         return values
 
     @property
@@ -502,6 +503,7 @@ def group_minima(
         _labels=labels,
         _load_radix=radix,
         _unit=m**k * (radix or 1),
+        _scale=scale,
     )
 
 

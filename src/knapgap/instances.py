@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import KnapsackInstance, RationalLike, as_fraction
+from .core import KnapsackInstance, RationalLike, as_fraction, check_int
 from .errors import BetaOutOfRange, DimensionTooSmall, ValidationError
 from .guardrail import check_cells
 
@@ -157,8 +157,13 @@ def _philox_lanes(
 _MAX_T = 1 << 64
 
 
-def check_box(T: int) -> None:
-    """Refuse a coefficient cap T outside [1, 2**64]."""
+def check_box(n: int, T: int) -> None:
+    """Refuse a box {1..T}**n unless n >= 2 and T lies in [1, 2**64], both
+    integers."""
+    check_int(n, "n")
+    if n < 2:
+        raise DimensionTooSmall(f"n = {n} < 2")
+    check_int(T, "T")
     if T < 1:
         raise ValidationError(f"T = {T} < 1")
     if T > _MAX_T:
@@ -186,11 +191,11 @@ class SamplerConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DimensionTooSmall(f"n = {self.n} < 2")
-        check_box(self.T)
+        check_box(self.n, self.T)
+        check_int(self.count, "count")
         if self.count < 1:
             raise ValidationError(f"count = {self.count} < 1")
+        check_int(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
 
@@ -208,9 +213,7 @@ def _draw_tuples(
     _LANES at a time, each batch in waves of lanes (module docstring).
     """
     _check_stream(seed, start, stop)
-    if n < 2:
-        raise DimensionTooSmall(f"n = {n} < 2")
-    check_box(T)
+    check_box(n, T)
     return _draw_lanes(seed, start, stop, n, T)
 
 
@@ -264,6 +267,8 @@ def draw_instance(
     round, so callers that draw many indices should draw them as one range,
     as sample_instances does.
     """
+    check_int(seed, "seed")
+    check_int(index, "index")
     ((a, attempts),) = _draw_tuples(seed, index, index + 1, n, T)
     return KnapsackInstance(a), attempts
 
@@ -291,10 +296,7 @@ def count_instances(n: int, T: int) -> int:
     quotient floor(T/d) form a run, so the sum takes about 2 sqrt(T) terms,
     each run's sum of mu read off by counting bytes.
     """
-    if n < 2:
-        raise ValidationError(f"n = {n} < 2")
-    if T < 1:
-        raise ValidationError(f"T = {T} < 1")
+    check_box(n, T)
     check_cells(T, f"Moebius sieve up to {T}")
     mu = bytearray(b"\x02") * (T + 1)
     composite = bytearray(T + 1)
@@ -347,18 +349,27 @@ class LovaszExample:
     integer optimum is the origin, at distance (delta (n-1) + 1) beta in the
     max norm, while every subdeterminant of A is at most delta in absolute
     value.  One small matrix therefore pushes LP and IP optima arbitrarily
-    far apart as delta grows.
+    far apart as delta grows.  A is held as (n, delta) alone; `matrix` builds it.
     """
 
     n: int
     delta: int
     beta: Fraction
-    matrix: tuple[tuple[int, ...], ...]
     rhs: tuple[Fraction, ...]
     cost: tuple[int, ...]
     lp_solution: tuple[Fraction, ...]
     ip_solution: tuple[int, ...]
     distance: Fraction
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self._rows())
+
+    def _rows(self) -> Iterator[tuple[int, ...]]:
+        yield (1,) + (0,) * (self.n - 1)
+        for i in range(1, self.n):
+            below = -self.delta if i == self.n - 1 else -1
+            yield (0,) * (i - 1) + (below, 1) + (0,) * (self.n - 1 - i)
 
 
 def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
@@ -380,14 +391,6 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
         raise BetaOutOfRange(f"beta = {beta} must lie strictly between 0 and 1")
     check_cells(n * n, f"bidiagonal {n} x {n} matrix")
 
-    rows = []
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        if i > 0:
-            row[i - 1] = -delta if i == n - 1 else -1
-        rows.append(tuple(row))
-    matrix = tuple(rows)
     rhs = (beta,) * n
     cost = (-1,) * n
 
@@ -395,11 +398,10 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     lp.append((delta * (n - 1) + 1) * beta)
     lp_solution = tuple(lp)
 
-    for i, row in enumerate(matrix):
-        lhs = row[i] * lp_solution[i]
-        if i > 0:
-            lhs += row[i - 1] * lp_solution[i - 1]
-        if lhs != beta:
+    # Row i reads x_i - s x_{i-1}, s = delta in the last row and 1 above it.
+    for i, x in enumerate(lp_solution):
+        below = (delta if i == n - 1 else 1) * lp_solution[i - 1] if i else 0
+        if x - below != beta:
             raise AssertionError("constructed LP point misses a row")
 
     # Integer feasibility forces x <= 0 coordinatewise because beta < 1 and
@@ -411,7 +413,6 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
         n=n,
         delta=delta,
         beta=beta,
-        matrix=matrix,
         rhs=rhs,
         cost=cost,
         lp_solution=lp_solution,

@@ -394,8 +394,9 @@ class TestTextOutput:
         assert "distance = 13/2" in out
 
     def test_lovasz_text_builds_no_row_lists(self):
-        # text prints no matrix, so the document never lists its rows:
-        # the peak is about 8 MiB at n = 1000, against 16 MiB with the lists
+        # text prints no matrix, so the document never lists its rows: the
+        # peak is about 0.5 MiB at n = 1000, against 8 MiB when the example
+        # held the n x n tuple and 16 MiB with the lists as well
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             tracemalloc.start()
             try:
@@ -405,6 +406,19 @@ class TestTextOutput:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 12 << 20
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_lovasz_text_peak_is_linear_in_n(self):
+        # the system is held as its two diagonals, so text output holds O(n)
+        # values: about 18 MiB at n = 3000, against 86 MiB with the n x n rows
+        code, out, peak_kb = _fresh_run(
+            "lovasz", "--n", "3000", "--delta", "2", "--beta", "1/2", probe=_PEAK_PROBE
+        )
+        assert code == 0
+        assert "distance = 5999/2" in out.splitlines()
+        assert peak_kb <= 32 << 10
 
 
 class TestJsonOutput:
@@ -624,12 +638,25 @@ print(json.dumps([code, buf.getvalue(), loaded_at_import, "numpy" in sys.modules
 """
 
 
-def _fresh_run(*argv):
+# the peak resident set of a fresh interpreter's run, in kB
+_PEAK_PROBE = """
+import contextlib, io, json, sys
+import knapgap.cli
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    code = knapgap.cli.run(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, buf.getvalue(), peak]))
+"""
+
+
+def _fresh_run(*argv, probe=_STARTUP_PROBE):
     src = str(Path(knapgap.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, *argv],
+        [sys.executable, "-c", probe, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout)

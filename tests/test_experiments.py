@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -27,6 +28,7 @@ from knapgap import (
     SamplerConfig,
     ValidationError,
     bracket_ratios,
+    count_instances,
     frobenius,
     gap_exact,
     frobenius_cost,
@@ -186,6 +188,9 @@ class TestBracketRatios:
         assert all(type(v) is Fraction for v in got)
 
 
+_FIELDS = dict(n=3, T=20, count=5, seed=1, epsilon="4/5", thresholds=("1/4",))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(BadEpsilon):
@@ -219,6 +224,35 @@ class TestConfig:
             ExperimentConfig(**fields, bits=2109)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
         assert ExperimentConfig(**fields, bits=10**6).bits == 10**6
+
+    @pytest.mark.parametrize(
+        "call,what,value",
+        [
+            pytest.param(
+                partial(ExperimentConfig, **{**_FIELDS, what: value}), what, value,
+                id=f"ExperimentConfig-{what}={value!r}",
+            )
+            for what, value in [
+                ("bits", 20.5), ("T", 20.5), ("count", 5.5), ("seed", 1.5),
+                ("seed", True), ("n", 3.0),
+            ]
+        ]
+        + [
+            pytest.param(call, what, value, id=f"{call.func.__name__}-{what}={value!r}")
+            for call, what, value in [
+                (partial(SamplerConfig, n=3, T=20.5, count=2, seed=1), "T", 20.5),
+                (partial(SamplerConfig, n=3, T=20, count=2.5, seed=1), "count", 2.5),
+                (partial(draw_instance, 1, 0.5, 3, 20), "index", 0.5),
+                (partial(draw_instance, 1.5, 0, 3, 20), "seed", 1.5),
+                (partial(count_instances, 3, 10.5), "T", 10.5),
+                (partial(tail_experiment, ExperimentConfig(**_FIELDS), jobs=1.5), "jobs", 1.5),
+            ]
+        ],
+    )
+    def test_non_integer_arguments_are_refused(self, call, what, value):
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert str(info.value) == f"{what} must be an integer, got {value!r}"
 
     def test_threshold_coercion(self):
         config = ExperimentConfig(
@@ -585,6 +619,11 @@ class TestIntegerCuts:
         records = _fake_records([2]) + _fake_records([2], bits=8)
         with pytest.raises(ValidationError, match="bits"):
             summarize(config, records)
+
+    def test_summarize_refuses_no_records(self):
+        config = ExperimentConfig(n=3, T=10, count=2, seed=0, epsilon="4/5")
+        with pytest.raises(ValidationError, match="nothing to summarize"):
+            summarize(config, [])
 
     def test_csv_decimals_match_float_of_fraction(self):
         config = ExperimentConfig(n=4, T=3000, count=40, seed=9, epsilon="2/3", bits=80)
