@@ -7,7 +7,9 @@ bounds, lovasz, sample, tail, mean.  Exit codes: 0 success, 1 I/O failure,
 
 Output: each subcommand builds one JSON-ready document, its resolved
 configuration (seed included, where one exists) under "config" first and
-rationals as p/q strings, and _emit writes it.  json prints the document.
+rationals as p/q strings, and _emit writes it.  json writes the document
+chunk by chunk as it is read, so an iterator entry (lovasz's matrix rows,
+sample's instances) streams.
 Text is the config echo plus a `key = value` line per other entry (lists
 comma joined, booleans lower case, None as n/a), unless the subcommand
 gives its own lines.  csv puts the echo on stderr, so the stream itself
@@ -28,7 +30,7 @@ import tempfile
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from . import experiments as xp
@@ -91,41 +93,70 @@ def _json_scalar(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_text(value, pad: str = "\n") -> str:
-    """json.dumps(value, indent=2), byte for byte.
+def _leaves(items: Sequence, pad: str) -> str | None:
+    """Items all int or all str, joined as json.dumps lays them out inside
+    brackets closed by pad, brackets left off; None for any other items.
+
+    The encoder is mapped over them without a Python call per item."""
+    types = set(map(type, items))
+    if types == {int}:
+        return f",{pad}  ".join(map(int.__repr__, items))
+    if types == {str}:
+        return f",{pad}  ".join(map(_encode_str, items))
+    return None
+
+
+def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
+    """json.dumps(value, indent=2), byte for byte, as a run of str chunks.
 
     With an indent the json module runs its pure-Python encoder; this writes
     the same layout directly and encodes each leaf on the C path.  pad is
     the newline plus indentation that closes the value.  An iterator is
-    written as the list it yields, so bulk columns are built only here.
+    written as the list it yields, read _JSON_BATCH items at a time, so a
+    bulk column (the rows of a large matrix) is never held whole.  A list,
+    and each such batch, of ints or of strs is one join; so is each row of
+    them inside one.
     """
     if isinstance(value, dict):
         if not value:
-            return "{}"
+            yield "{}"
+            return
         inner = pad + "  "
-        items = (
-            f"{_encode_str(k if isinstance(k, str) else _json_scalar(k))}: "
-            f"{_json_text(v, inner)}"
-            for k, v in value.items()
-        )
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        # Long lists of one leaf type (residue minima, loads, witness rows)
-        # map the encoder over the list without a Python call per item.
-        types = set(map(type, value))
-        if types == {int}:
-            items = map(int.__repr__, value)
-        elif types == {str}:
-            items = map(_encode_str, value)
-        else:
-            items = (_json_text(v, inner) for v in value)
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
+        head = "{" + inner
+        for k, v in value.items():
+            yield f"{head}{_encode_str(k if isinstance(k, str) else _json_scalar(k))}: "
+            yield from _json_chunks(v, inner)
+            head = "," + inner
+        yield pad + "}"
+        return
+    if not isinstance(value, (list, tuple, Iterator)):
+        yield _json_scalar(value)
+        return
+    inner = pad + "  "
+    head = "[" + inner
     if isinstance(value, Iterator):
-        return _json_text(list(value), pad)
-    return _json_scalar(value)
+        batches = iter(lambda: list(islice(value, _JSON_BATCH)), [])
+    else:
+        batches = (value,) if value else ()
+    for batch in batches:
+        text = _leaves(batch, pad)
+        if text is not None:
+            yield head + text
+            head = "," + inner
+            continue
+        for item in batch:
+            # a row of leaves (a witness row, a matrix row) is one chunk
+            row = _leaves(item, inner) if isinstance(item, (list, tuple)) else None
+            if row is not None:
+                yield f"{head}[{inner}  {row}{inner}]"
+            else:
+                yield head
+                yield from _json_chunks(item, inner)
+            head = "," + inner
+    yield "[]" if head[0] == "[" else pad + "]"
+
+
+_JSON_BATCH = 256  # items of an iterator that _json_chunks holds at once
 
 
 def _text(value) -> str:
@@ -146,7 +177,8 @@ def _pairs(doc: dict, keys: Iterable[str]) -> list[str]:
 def _emit(args: argparse.Namespace, doc: dict, *, echo=None, lines=None) -> int:
     """Write doc in args.format (module docstring); returns the exit code."""
     if args.format == "json":
-        print(_json_text(doc))
+        sys.stdout.writelines(_json_chunks(doc))
+        sys.stdout.write("\n")
         return 0
     config = doc["config"] if echo is None else echo
     stream = sys.stdout if args.format == "text" else sys.stderr

@@ -41,9 +41,11 @@ formatter once per run, so every CSV row has one format.  Only
 sample_records wraps each tuple in a KnapsackInstance, for its records.
 
 tail_experiment and mean_experiment stream.  Each config's index range is
-cut into ranges of at most _CHUNK indices, which run in index order, in
-this process at jobs 1 and through one pool otherwise.  A range's worker
-sends back plain data: its lower and upper numerators as two int tuples
+cut into ranges of at most _CHUNK indices, which come back in index order.
+--jobs N means N computing processes, this one included: at jobs 1 the
+ranges run here, and otherwise N - 1 forked children take every N-th range
+while this process runs its own share (_ordered).  A range's worker
+returns plain data: its lower and upper numerators as two int tuples
 and, when a CSV is wanted, its rows as one string.  Each config keeps only
 running counts (the count, both numerator sums and the number of values
 above each threshold's cut), and the rows go to the output handle as each
@@ -60,14 +62,15 @@ bounded away from zero.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from bisect import bisect_right
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NoReturn, Sequence
 
 from .core import KnapsackInstance, RationalLike, as_fraction, check_int
 from .errors import (
@@ -252,8 +255,8 @@ def _stream_chunk(
 ) -> tuple[tuple[int, ...], tuple[int, ...], str | None]:
     """A range's lower and upper numerators, in index order, and its CSV
     rows as one string when wanted, which _csv_rows formats from the
-    range's columns.  Plain ints and one str are far cheaper to send back
-    from a pool worker than a record object per index."""
+    range's columns.  Plain ints and one str are far cheaper for a forked
+    child to pickle back than a record object per index."""
     config, start, stop, want_csv = task
     # _ranges never makes an empty range, so every column unpacks
     index, a, g, lowers, uppers = zip(*_sampled(config, start, stop))
@@ -265,9 +268,11 @@ def _stream_chunk(
 
 
 # Most indices one range covers.  It bounds what a range holds in flight:
-# about 0.2 MB at 1000 indices (its CSV text and its columns).
-# Wall and CPU time did not move beyond noise for caps from 250 to 5000 on
-# the mean ladder at jobs 2 and the tail run at jobs 1 (CHANGES.md).
+# about 0.2 MB at 1000 indices (its CSV text and its columns).  With equal
+# ranges shared by forked children, caps from 250 to 2000 streamed the mean
+# ladder at jobs 2 and the tail run at jobs 1 within 5% of each other, and
+# 5000 cost the tail run 8% (in process, median of 15, 2-vCPU host,
+# CPython 3.11).
 _CHUNK = 1000
 
 
@@ -276,37 +281,115 @@ def _ranges(
 ) -> list[tuple[int, int, int]]:
     """(config position, start, stop) of every range, in order.
 
-    A config splits into up to jobs ranges when it has at least 2 * jobs
-    records, and no range spans more than _CHUNK indices.
+    A config with at least 2 * jobs records is cut into a multiple of jobs
+    ranges, the fewest that keep each within _CHUNK indices, and a smaller
+    config into the fewest ranges within _CHUNK.  A config's ranges differ
+    in length by at most one index, so _ordered's round robin hands every
+    process the same share of each config that splits.
     """
     check_int(jobs, "jobs")
     if jobs < 1:
-        raise ValueError(f"jobs = {jobs} must be >= 1")
+        raise ValidationError(f"jobs = {jobs} must be >= 1")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ValidationError(f"jobs = {jobs} needs os.fork, which this platform lacks")
     ranges = []
     for k, config in enumerate(configs):
         parts = jobs if config.count >= 2 * jobs else 1
-        step = min(-(-config.count // parts), _CHUNK)
-        for start in range(0, config.count, step):
-            ranges.append((k, start, min(start + step, config.count)))
+        pieces = parts * -(-config.count // (parts * _CHUNK))
+        cuts = [config.count * i // pieces for i in range(pieces + 1)]
+        ranges += [(k, start, stop) for start, stop in zip(cuts, cuts[1:])]
     return ranges
 
 
 def _ordered(worker, tasks: list, jobs: int):
     """worker(task) for every task, yielded in task order.
 
-    At jobs 1, or for a single task, the tasks run lazily in this process;
-    otherwise one pool of jobs workers runs them.  imap hands the results
-    back in task order, so a failing task raises the same error as at
-    jobs 1.  Close the generator to stop the pool early.
+    At jobs 1, or for a single task, the tasks run lazily in this process.
+    Otherwise J = min(jobs, len(tasks)) processes share them, this one
+    included: child j, one of J - 1 forked children, runs tasks j, j + J,
+    j + 2J, ... and pickles each result, or the exception it raised, into
+    its own pipe, while this process runs tasks 0, J, 2J, ... itself and
+    reads the children's results in task order.  So a failing task raises
+    the error of jobs 1 at its position, after the results before it.  A
+    child blocks while its pipe is full, so what waits unread is at most a
+    pipe's buffer and one result per child.  A child that ends without
+    sending a result raises RuntimeError.  Closing the generator, an error
+    and KeyboardInterrupt all kill and reap every child and close every
+    pipe.  A child is a copy of the calling thread alone, so a caller that
+    runs other threads (which may hold locks) should keep jobs 1; the CLI
+    runs none.
     """
     if jobs == 1 or len(tasks) < 2:
         yield from map(worker, tasks)
         return
-    import multiprocessing  # about 10 ms, paid only when a pool is made
+    import pickle  # only a run that forks needs these two
+    import signal
 
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    with multiprocessing.get_context(method).Pool(jobs) as pool:
-        yield from pool.imap(worker, tasks)
+    share = min(jobs, len(tasks))
+    children: list[tuple[int, IO[bytes]]] = []
+    try:
+        for j in range(1, share):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
+            if pid == 0:
+                os.close(read_end)
+                _child(worker, tasks[j::share], write_end, children)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        for k, task in enumerate(tasks):
+            if k % share == 0:
+                yield worker(task)
+                continue
+            pid, pipe = children[k % share - 1]
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:
+                raise RuntimeError(
+                    f"worker process {pid} ended without sending the result of task {k}"
+                ) from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with suppress(ProcessLookupError, ChildProcessError):  # reaped elsewhere
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _child(worker, tasks: list, fd: int, children: list) -> NoReturn:
+    """A forked child of _ordered: run tasks, pickling each result into fd.
+
+    The child leaves only through os._exit, so it never flushes a buffer
+    it shares with its parent (stdout, an output file) and runs no atexit
+    hook.  It closes the read ends it inherited, so a pipe's only reader
+    is the parent.  After an exception it sends that and stops.
+    """
+    import pickle
+
+    code = 1
+    try:
+        for _, pipe in children:
+            pipe.close()
+        with open(fd, "wb") as out:
+            for task in tasks:
+                try:
+                    message = True, worker(task)
+                except Exception as exc:
+                    message = False, exc
+                out.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                out.flush()
+                if not message[0]:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)
@@ -500,12 +583,12 @@ def mean_experiment(
 
     Intended for a fixed (n, epsilon, count, seed) with increasing T; each
     config is summarized independently.  All configs are sampled together,
-    through one worker pool when jobs > 1 (the pool's start-up would
-    otherwise be paid once per T), and the output is the same for every
-    jobs.  With out, one CSV of every config's records is written there as
-    they are computed.  Configs with epsilon <= 2/n are processed but
-    flagged, since only larger epsilon guarantees a bounded mean in the
-    limit.
+    as one list of ranges shared by the jobs processes (so the children
+    are forked once per run, not once per T), and the output is the same
+    for every jobs.  With out, one CSV of every config's records is
+    written there as they are computed.  Configs with epsilon <= 2/n are
+    processed but flagged, since only larger epsilon guarantees a bounded
+    mean in the limit.
     """
     if not configs:
         raise ValidationError("mean experiment needs at least one config")

@@ -171,9 +171,10 @@ Weight = Fraction | int
 # the scalar loop from about this many residues on: per table at n = 3 and
 # 5 the two break even between m = 128 and 192, the scalar loop is up to
 # 1.9x faster at m = 16 and numpy 2.5x faster at m = 2000.  numpy is
-# imported on the first such table, about 0.1 s once per process (and once
-# per pool worker), so the cutoff sits at the top of the break-even range
-# and sampling runs with small coefficients never load it.
+# imported on the first such table, about 0.1 s once per process (a forked
+# child that needs it first pays it too), so the cutoff sits at the top of
+# the break-even range and sampling runs with small coefficients never load
+# it.
 _NUMPY_MIN_MODULUS = 192
 
 # Bound on m * (max w + 1) and on m * m for the int64 execution (module

@@ -175,10 +175,10 @@ def check_box(n: int, T: int) -> None:
 def _check_stream(seed: int, start: int, stop: int) -> None:
     """Refuse a seed, or an index of [start, stop), outside [0, 2**128)."""
     if not 0 <= seed < 1 << 128:
-        raise ValueError(f"seed = {seed} must lie in [0, 2**128)")
+        raise ValidationError(f"seed = {seed} must lie in [0, 2**128)")
     if start < stop and not (0 <= start and stop <= 1 << 128):
         index = start if start < 0 else max(start, 1 << 128)
-        raise ValueError(f"index = {index} must lie in [0, 2**128)")
+        raise ValidationError(f"index = {index} must lie in [0, 2**128)")
 
 
 @dataclass(frozen=True)

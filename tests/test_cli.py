@@ -21,7 +21,7 @@ import knapgap.experiments
 import knapgap.gap
 import knapgap.group
 from knapgap import KnapsackInstance, draw_instance, frobenius_sieve_oracle, gap_exact
-from knapgap.cli import _json_text, run
+from knapgap.cli import _json_chunks, run
 
 
 def _run(capsys, *argv):
@@ -160,7 +160,7 @@ class TestExitCodes:
     def test_sampling_guardrail_is_3_at_every_jobs(
         self, capsys, monkeypatch, tmp_path, argv
     ):
-        # the cap is read once per range of records, in the pool workers too
+        # the cap is read once per range of records, in the forked children too
         monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "4")
         target = tmp_path / "records.csv"
         target.write_bytes(b"kept\n")
@@ -172,9 +172,40 @@ class TestExitCodes:
             assert "residue table modulo" in err
             # rows of the ranges before the refusal never reach --out
             assert target.read_bytes() == b"kept\n"
+            # and no child outlives the refusal, running or unreaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
             errs.append(err)
         # ranges come back in index order, so the first failing record wins
         assert errs[0] == errs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_that_dies_is_70(self, capsys, monkeypatch, tmp_path):
+        # the child sends its first range, then ends without a word
+        parent, real = os.getpid(), knapgap.experiments._stream_chunk
+        sent = []
+
+        def dying(task):
+            if os.getpid() != parent and sent:
+                os._exit(1)
+            sent.append(task)
+            return real(task)
+
+        monkeypatch.setattr(knapgap.experiments, "_stream_chunk", dying)
+        target = tmp_path / "records.csv"
+        target.write_bytes(b"kept\n")
+        code, out, err = _run(
+            capsys, "mean", "--n", "3", "--t", "10,20", "--count", "40", "--seed", "8",
+            "--epsilon", "4/5", "--jobs", "2", "--out", str(target),
+        )
+        assert code == 70
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: internal error: RuntimeError: worker process ")
+        assert err.endswith(" ended without sending the result of task 3\n")
+        assert target.read_bytes() == b"kept\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_sample_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -420,6 +451,21 @@ class TestTextOutput:
         assert "distance = 5999/2" in out.splitlines()
         assert peak_kb <= 32 << 10
 
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_lovasz_json_streams_its_rows(self):
+        # json writes the n x n rows as it reads them: about 29 MiB at
+        # n = 3000, against 249 MiB when the rows and their text were held
+        code, size, peak_kb = _fresh_run(
+            "lovasz", "--n", "3000", "--delta", "2", "--beta", "1/2", "--format", "json",
+            probe=_SINK_PEAK_PROBE,
+        )
+        assert code == 0
+        # 3000 rows of 3000 entries, each entry on its own line
+        assert size > 9 * 10**6 * 7
+        assert peak_kb <= 64 << 10
+
 
 class TestJsonOutput:
     def test_gap_json_round_trip(self, capsys):
@@ -482,16 +528,34 @@ _JSON_DOCS = st.recursive(
 )
 
 
+def _as_iterators(doc):
+    """doc with every list turned into an iterator over its items."""
+    if isinstance(doc, dict):
+        return {k: _as_iterators(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return iter([_as_iterators(v) for v in doc])
+    return doc
+
+
 class TestJsonWriter:
     @given(doc=_JSON_DOCS)
     @settings(max_examples=150)
     def test_matches_json_dumps_indent_2(self, doc):
-        assert _json_text(doc) == json.dumps(doc, indent=2)
+        assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2)
+        # an iterator prints as the list it yields
+        assert "".join(_json_chunks(_as_iterators(doc))) == json.dumps(doc, indent=2)
+
+    def test_long_iterators_cross_batches(self):
+        size = 2 * knapgap.cli._JSON_BATCH + 3
+        rows = [[i, -i] for i in range(size)]
+        doc = {"ints": list(range(size)), "rows": rows,
+               "mixed": [[], "s", 1, {"k": [2]}, [3, "t"]] * size}
+        assert "".join(_json_chunks(_as_iterators(doc))) == json.dumps(doc, indent=2)
 
     def test_escapes_and_empty_containers(self):
         doc = {"q\"\\\n\t\x00é☃𝄞": ["", "\u2028", {}, [], [[]], 1.5, -0.0],
                "n": [float("nan"), float("inf"), -float("inf")], "": None}
-        assert _json_text(doc) == json.dumps(doc, indent=2)
+        assert "".join(_json_chunks(doc)) == json.dumps(doc, indent=2)
 
 
 class TestStreamDiscipline:
@@ -581,7 +645,7 @@ class TestExperimentCommands:
         ],
     )
     def test_box_beyond_full_words_is_2(self, capsys, monkeypatch, tmp_path, argv):
-        # refused while the configs are built: no range runs, no pool starts
+        # refused while the configs are built: no range runs, no child forks
         def no_ranges(*args):
             raise AssertionError("sampling started")
 
@@ -648,6 +712,29 @@ with contextlib.redirect_stdout(buf):
 with open("/proc/self/status") as status:
     peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 print(json.dumps([code, buf.getvalue(), peak]))
+"""
+
+
+# the exit code, the size of stdout and the peak resident set in kB of a
+# fresh interpreter's run whose stdout is counted and dropped
+_SINK_PEAK_PROBE = """
+import contextlib, json, sys
+import knapgap.cli
+class Sink:
+    size = 0
+    def write(self, text):
+        self.size += len(text)
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+    def flush(self):
+        pass
+sink = Sink()
+with contextlib.redirect_stdout(sink):
+    code = knapgap.cli.run(sys.argv[1:])
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(json.dumps([code, sink.size, peak]))
 """
 
 

@@ -4,8 +4,11 @@ import csv
 import io
 import math
 import os
+import signal
 import sys
+import time
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -23,6 +26,7 @@ from knapgap import (
     DimensionTooSmall,
     ExperimentConfig,
     InsufficientSamples,
+    KnapgapError,
     KnapsackInstance,
     SampleRecord,
     SamplerConfig,
@@ -44,6 +48,7 @@ from knapgap.experiments import (
     MIN_TAIL_SAMPLES,
     _CHUNK,
     _csv_rows,
+    _ordered,
     _sampled,
     _stream_chunk,
     csv_header,
@@ -532,7 +537,7 @@ class TestDrivers:
             assert streamed.getvalue() == expected.getvalue()
 
     def test_streaming_crosses_range_boundaries(self):
-        # more records than one range holds, at jobs 1 and across a pool
+        # more records than one range holds, at jobs 1 and across a child
         config = ExperimentConfig(
             n=3, T=60, count=2 * _CHUNK + 7, seed=4, epsilon="4/5",
             thresholds=("1/4", "1/2", "1"),
@@ -562,6 +567,139 @@ class TestDrivers:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 1 << 20
+
+
+def _square_where(task):
+    """task squared, and the process that computed it."""
+    return task * task, os.getpid()
+
+
+def _refuse_at(bad):
+    """A worker that refuses task bad and squares every other task."""
+
+    def worker(task):
+        if task == bad:
+            raise ValidationError(f"task {task} refused")
+        return task * task
+
+    return worker
+
+
+def _no_children_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestOrderedMap:
+    """_ordered at jobs > 1: forked children on pipes, this process included."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a wait that never ends fails the test instead of hanging the run;
+        # forked children do not inherit the alarm
+        def expire(signum, frame):
+            raise TimeoutError("still waiting after 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    def test_equals_map(self, jobs):
+        for count in sorted({1, max(jobs - 1, 1), jobs, 3 * jobs + 2}):
+            tasks = list(range(count))
+            with closing(_ordered(_square_where, tasks, jobs)) as results:
+                got = list(results)
+            assert [square for square, _ in got] == [t * t for t in tasks]
+            # task k runs in process k mod J, this one taking k = 0 mod J
+            share = min(jobs, count)
+            pids = [pid for _, pid in got]
+            assert [pid == os.getpid() for pid in pids] == [k % share == 0 for k in tasks]
+            for k in tasks:
+                assert pids[k] == pids[k % share]
+            assert len(set(pids)) == share
+        assert _no_children_left()
+
+    @pytest.mark.parametrize("bad", [2, 3], ids=["parent", "child"])
+    def test_error_surfaces_at_its_position(self, bad):
+        # at jobs 2 this process runs the even tasks and the child the odd
+        outcomes = []
+        for jobs in (1, 2):
+            results = []
+            with pytest.raises(ValidationError) as info:
+                with closing(_ordered(_refuse_at(bad), list(range(8)), jobs)) as chunks:
+                    for value in chunks:
+                        results.append(value)
+            outcomes.append((results, type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1] == ([0, 1, 4, 9][:bad], ValidationError,
+                                              f"task {bad} refused")
+        assert _no_children_left()
+
+    def test_early_close_reaps_every_child(self):
+        chunks = _ordered(_square_where, list(range(40)), 4)
+        assert next(chunks) == (0, os.getpid())
+        square, pid = next(chunks)
+        assert square == 1 and pid != os.getpid()
+        chunks.close()
+        assert _no_children_left()
+
+    def test_a_full_pipe_blocks_its_child(self, tmp_path):
+        # each result is 1 MiB, more than a pipe holds, so after the
+        # child's first result is read it can start one more task only
+        log = tmp_path / "started"
+
+        def worker(task):
+            with open(log, "a") as handle:
+                handle.write(f"{task}\n")
+            return bytes(1 << 20)
+
+        chunks = _ordered(worker, list(range(12)), 2)
+        try:
+            next(chunks)
+            assert len(next(chunks)) == 1 << 20
+            time.sleep(0.5)
+            started = [int(line) for line in log.read_text().split()]
+            assert {0, 1} <= set(started)
+            assert len([k for k in started if k % 2]) <= 2
+        finally:
+            chunks.close()
+        assert _no_children_left()
+
+    def test_jobs_above_1_needs_fork(self, monkeypatch):
+        config = ExperimentConfig(
+            n=3, T=40, count=200, seed=8, epsilon="4/5", thresholds=("1/4", "1/2")
+        )
+        expected = tail_experiment(config, jobs=1)
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(ValidationError, match="jobs = 2 needs os.fork"):
+            tail_experiment(config, jobs=2)
+        assert tail_experiment(config, jobs=1) == expected
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(draw_instance, -1, 0, 3, 20), "seed = -1 must lie in [0, 2**128)"),
+        (partial(draw_instance, 0, -1, 3, 20), "index = -1 must lie in [0, 2**128)"),
+        (partial(tail_experiment, ExperimentConfig(**_FIELDS), jobs=0),
+         "jobs = 0 must be >= 1"),
+    ],
+)
+def test_out_of_range_arguments_are_knapgap_errors(call, message):
+    # a caller's `except KnapgapError` catches them, as it does a non-integer
+    with pytest.raises(KnapgapError) as info:
+        call()
+    assert isinstance(info.value, ValidationError)
+    assert str(info.value) == message
 
 
 def _reference_survival(values, thresholds):

@@ -142,7 +142,7 @@ class TestSampler:
         "seed, index", [(-1, 0), (1 << 128, 0), (0, -1), (0, 1 << 128)]
     )
     def test_stream_rejects_out_of_range(self, seed, index):
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(ValidationError, match="must lie in"):
             _draw_tuples(seed, index, index + 1, 3, 10)
         # numpy refuses the same keys and counters
         with pytest.raises(ValueError):
@@ -262,12 +262,12 @@ class TestDrawRange:
         ],
     )
     def test_out_of_range_raises_at_call(self, seed, start, stop, message):
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(ValidationError) as info:
             _draw_tuples(seed, start, stop, 3, 10)  # not iterated
         assert str(info.value) == message
         # a one-index draw refuses the same index
         bad = start if seed in (-1, 2**128) or start < 0 else 2**128
-        with pytest.raises(ValueError) as single:
+        with pytest.raises(ValidationError) as single:
             draw_instance(seed, bad, 3, 10)
         assert str(single.value) == message
 
