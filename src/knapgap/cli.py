@@ -225,25 +225,29 @@ def _cmd_group(args: argparse.Namespace) -> int:
         w_text = args.w.split(",")
     table = group_minima(inst, tau, weights)
     limit = 50
-    # text prints the first limit rows, so only their minima, witnesses and
-    # loads are decoded; the guardrail still counts the whole witness table
-    shown = min(table.modulus, limit)
-    witness, load, minima = table._rows(table.modulus if args.format == "json" else shown)
+    # json writes every row, text the first limit rows; a column decodes
+    # only the rows it is read for, block by block as they are written
+    rows = table.modulus if args.format == "json" else min(table.modulus, limit)
+    minima, witness, load = (
+        table._column(table._costs, rows),
+        table._column(table._witnesses, rows),
+        table._column(table._loads, rows),
+    )
     doc = {
         "config": {"a": list(inst.a), "tau": tau + 1, "w": w_text},
         "modulus": table.modulus,
         "lattice_gap": str(table.largest_minimum),
         "threshold": tightness_threshold(table),
-        # json renders the whole columns, text only the rows it prints
         "minima": map(str, minima),
         "witness": map(list, witness),
         "load": load,
     }
+    if args.format == "json":
+        return _emit(args, doc)
     lines = _pairs(doc, ("modulus", "lattice_gap", "threshold"))
     lines.append("r minima witness load")
-    for r in range(shown):
-        x = ",".join(map(str, witness[r]))
-        lines.append(f"{r} {minima[r]} ({x}) {load[r]}")
+    for r, (value, x, w) in enumerate(zip(minima, witness, load)):
+        lines.append(f"{r} {value} ({','.join(map(str, x))}) {w}")
     if table.modulus > limit:
         more = table.modulus - limit
         lines.append(f"... {more} more rows, use --format json for all")

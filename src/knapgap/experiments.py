@@ -276,6 +276,15 @@ def _stream_chunk(
 _CHUNK = 1000
 
 
+def _max_jobs() -> int:
+    """The most processes _ranges admits: four per CPU this process may run
+    on, so a typo such as --jobs 100000 forks nothing, while jobs 1 to 4
+    run on any host."""
+    if hasattr(os, "sched_getaffinity"):
+        return 4 * len(os.sched_getaffinity(0))
+    return 4 * (os.cpu_count() or 1)
+
+
 def _ranges(
     configs: Sequence[ExperimentConfig], jobs: int
 ) -> list[tuple[int, int, int]]:
@@ -290,6 +299,11 @@ def _ranges(
     check_int(jobs, "jobs")
     if jobs < 1:
         raise ValidationError(f"jobs = {jobs} must be >= 1")
+    ceiling = _max_jobs()
+    if jobs > ceiling:
+        raise ValidationError(
+            f"jobs = {jobs} exceeds {ceiling}, four per CPU this process may use"
+        )
     if jobs > 1 and not hasattr(os, "fork"):
         raise ValidationError(f"jobs = {jobs} needs os.fork, which this platform lacks")
     ranges = []

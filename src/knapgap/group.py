@@ -83,6 +83,9 @@ and k - 1 floor divisions q_i = rest // m^(k-i), which hold the first i
 digits, so c_i = q_i - m q_{i-1}; the loads are summed as
 sum_i c_i (gen_i - gen_{i-1}) while the digits come, and every partial sum
 lies in [0, m max gen).  The witnesses stack the k digit arrays instead.
+Each column has one decoder, which takes any slice of the labels, and
+the witness table is read column by column, a block of labels at a time,
+so no caller holds more of it than it writes.
 The numpy execution runs only when the packed keys themselves pass the
 int64 guard: a table whose keys break it takes the Python execution even
 where its weights alone would fit.
@@ -156,11 +159,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .core import KnapsackInstance, RationalLike, as_fraction
+from .core import KnapsackInstance, RationalLike, as_fraction, check_int
 from .errors import NegativeWeight, NoPointInBox, ValidationError
 from .guardrail import check_cells
 
@@ -180,6 +183,13 @@ _NUMPY_MIN_MODULUS = 192
 # Bound on m * (max w + 1) and on m * m for the int64 execution (module
 # docstring).
 _INT64_HEADROOM = 1 << 62
+
+# Labels GroupTable._column decodes at once.  From 64 to 16384 labels a
+# block, `knapgap group --format json` wrote a 100003-row numpy table and a
+# 200003-row Python one in equal time within noise and at equal peak
+# (best of 9 and of 5 runs, 2-vCPU host, CPython 3.11); 65536 raised the
+# numpy table's peak by 3 MiB.
+_BLOCK = 4096
 
 
 def _normalize_weights(
@@ -233,7 +243,13 @@ class GroupTable:
     digits, and on the Python execution `_load_radix` is the radix of the
     load, their lowest component (0 on the numpy execution).  Minima, loads
     and witnesses are decoded from them on every access, by this class
-    alone.
+    alone, each column by its own decoder on any slice of `_labels`:
+    `_costs`, `_loads` and `_witnesses`.  `_column` is the block reader: it
+    checks the m * k cells of the witness table against the guardrail when
+    called, then yields one decoder's values for residues 0..rows-1,
+    decoding _BLOCK labels at a time.  `witness` and `knapgap group` read
+    through it; `load` and `tightness_threshold` decode every load at once,
+    which on the numpy execution stays one int64 array.
     """
 
     modulus: int
@@ -247,7 +263,7 @@ class GroupTable:
     _scale: int = field(repr=False)  # lcm of the weight denominators
 
     def _costs(self, labels) -> list[Weight]:
-        """The minima that labels (a list or int64 array) carry."""
+        """The minima that labels (a slice of _labels) carry."""
         unit = self._unit
         if isinstance(labels, list):
             values = [v // unit for v in labels]
@@ -268,10 +284,10 @@ class GroupTable:
         """max(minima), read off the largest label, which carries it."""
         return self._costs([_largest(self._labels)])[0]
 
-    def _loads(self, rows: int):
-        """Loads of residues 0..rows-1, as a list or, on the numpy
-        execution, an int64 array (object when the guard below fails)."""
-        labels = self._labels[:rows]
+    def _loads(self, labels):
+        """The loads that labels (a slice of _labels) carry, as a list or, on
+        the numpy execution, an int64 array (object when the guard below
+        fails)."""
         if self._load_radix:
             return [v % self._load_radix for v in labels]
         m, gens = self.modulus, self.generators
@@ -290,31 +306,16 @@ class GroupTable:
             above = q
         return loads
 
-    @property
-    def load(self) -> list[int]:
-        loads = self._loads(self.modulus)
-        return loads if isinstance(loads, list) else loads.tolist()
-
-    @property
-    def witness(self) -> list[tuple[int, ...]]:
-        """One optimal solution per residue."""
-        return self._rows(self.modulus)[0]
-
-    def _rows(self, rows: int) -> tuple:
-        """(witness[:rows], load[:rows], minima[:rows]); the guardrail counts
-        the whole witness table all the same."""
+    def _witnesses(self, labels) -> list[tuple[int, ...]]:
+        """The witnesses that labels (a slice of _labels) carry."""
         m, k = self.modulus, len(self.generators)
-        check_cells(m * k, f"witness table of {m} rows")
-        loads = self._loads(rows)
-        labels = self._labels[:rows]
-        minima = self._costs(labels)
         if not self._load_radix:
             import numpy as np
 
             counts = np.array([labels // m**p % m for p in reversed(range(k))])
             x = counts.copy()
             x[:-1] -= counts[1:]  # x_i = c_i - c_{i+1}
-            return list(map(tuple, x.T.tolist())), loads.tolist(), minima
+            return list(map(tuple, x.T.tolist()))
         out = []
         for label in labels:
             rest, above, x = label // self._load_radix, 0, []
@@ -323,7 +324,34 @@ class GroupTable:
                 x.append(c - above)
                 above = c
             out.append(tuple(reversed(x)))
-        return out, loads, minima
+        return out
+
+    @property
+    def load(self) -> list[int]:
+        return _tolist(self._loads(self._labels))
+
+    @property
+    def witness(self) -> list[tuple[int, ...]]:
+        """One optimal solution per residue."""
+        return list(self._column(self._witnesses, self.modulus))
+
+    def _column(self, decode, rows: int) -> Iterator:
+        """The values of decode (_costs, _loads or _witnesses) for residues
+        0..rows-1 as Python values, decoded _BLOCK labels at a time as they
+        are read.  The guardrail counts the whole witness table, m * k
+        cells, here at the call, before any row is decoded."""
+        m = self.modulus
+        check_cells(m * len(self.generators), f"witness table of {m} rows")
+        blocks = (
+            self._labels[start : min(start + _BLOCK, rows)]
+            for start in range(0, rows, _BLOCK)
+        )
+        return chain.from_iterable(_tolist(decode(block)) for block in blocks)
+
+
+def _tolist(values) -> list:
+    """A decoded column as a list of Python values."""
+    return values if isinstance(values, list) else values.tolist()
 
 
 def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:
@@ -470,6 +498,7 @@ def group_minima(
     allocation.  One kernel run on lexicographic keys gives the minima and
     the witness counts together (module docstring).
     """
+    check_int(tau, "tau")
     if not 0 <= tau < inst.n:
         raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
     positions = tuple(j for j in range(inst.n) if j != tau)
@@ -517,7 +546,7 @@ def tightness_threshold(table: GroupTable) -> int:
     threshold is valid but not always the smallest one: other optimal
     solutions may have smaller loads than the fewest-generator witnesses.
     """
-    return _largest(table._loads(table.modulus))
+    return _largest(table._loads(table._labels))
 
 
 def _axis(m: int, ga: int, gb: int, u0: int, u1: int) -> tuple[int, int, int, int]:
@@ -661,11 +690,14 @@ def group_min_bruteforce(
     weighted sum over points congruent to r.  Raises NoPointInBox when the
     box misses the class entirely (radius too small).
     """
+    check_int(tau, "tau")
     if not 0 <= tau < inst.n:
         raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
+    check_int(radius, "radius")
     if radius < 0:
         raise ValidationError(f"radius = {radius} must be nonnegative")
     m = inst.a[tau]
+    check_int(r, "r")
     if not 0 <= r < m:
         raise ValidationError(f"residue r = {r} out of range modulo {m}")
     positions = tuple(j for j in range(inst.n) if j != tau)

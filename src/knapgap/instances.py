@@ -323,8 +323,10 @@ def tightness_family(
     Its exact gap is k - 1, which meets the (max(a) - 1) * ||c||_1 upper
     bound with equality, so that bound's constant is best possible.
     """
+    check_int(k, "k")
     if k < 1:
         raise ValidationError(f"k = {k} < 1")
+    check_int(n, "n")
     if n < 2:
         raise ValidationError(f"n = {n} < 2")
     inst = KnapsackInstance((k,) * (n - 1) + (1,))
@@ -382,8 +384,10 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     point to have nonpositive coordinates, so the origin is the unique
     integer optimum for the all-minus-one cost.
     """
+    check_int(n, "n")
     if n < 2:
         raise ValidationError(f"n = {n} < 2")
+    check_int(delta, "delta")
     if delta < 1:
         raise ValidationError(f"delta = {delta} < 1")
     beta = as_fraction(beta, "beta")
@@ -430,7 +434,11 @@ def delta_max(matrix: Sequence[Sequence[int]]) -> int:
     count is checked against the cell guardrail first.
     """
     m = len(matrix)
+    if not m:
+        raise ValidationError("matrix has no rows")
     cols = len(matrix[0])
+    if any(len(row) != cols for row in matrix):
+        raise ValidationError(f"matrix rows differ in length, row 1 has {cols} entries")
     count = math.comb(m + cols, m) - 1
     check_cells(count, f"enumeration of {count} square submatrices")
     best = 0

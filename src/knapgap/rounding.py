@@ -25,15 +25,23 @@ def iroot(m: int, r: int) -> int:
     """Integer floor root: the largest x >= 0 with x**r <= m.
 
     Requires m >= 0 and r >= 1.  Newton iteration on integers, seeded above
-    the root, with a final clamp so the result is exact for all inputs.
-    The seed is a float estimate 2**e of the root, e = log2(m) / r, with
-    about 53 significant bits.  Raising e by a relative 2**-40 clears the
-    float's rounding error (about e * 2**-51) and stepping up until the
+    the root.  The seed is a float estimate 2**e of the root, e = log2(m) / r,
+    with about 53 significant bits.  Raising e by a relative 2**-40 clears
+    the float's rounding error (about e * 2**-51) and stepping up until the
     seed's r-th power exceeds m guarantees a start above the root, so
     Newton starts a relative e * 2**-41 or so above it and needs a few
     steps.  A seed up to twice the root would cost about r steps, since
     each then shrinks the error only by a factor (r - 1) / r.  The float
     only picks where Newton starts; the result is exact either way.
+
+    The iteration stops at s = floor(m**(1/r)) itself, so no correction
+    follows it.  The seed loop leaves x**r > m, that is x > s.  The step
+    y = ((r - 1) x + m // x**(r - 1)) // r is the floor of the real Newton
+    step ((r - 1) x + m / x**(r - 1)) / r, as (r - 1) x is an integer, and
+    by AM-GM over r - 1 copies of x and one of m / x**(r - 1) that real
+    step is at least m**(1/r), so y >= s.  And y < x exactly when
+    m / x**(r - 1) < x, that is when x**r > m.  So x falls strictly while
+    it exceeds s, never below s, and the loop stops at x = s.
     """
     if m < 0:
         raise ValueError("iroot of a negative number")
@@ -55,10 +63,6 @@ def iroot(m: int, r: int) -> int:
         if y >= x:
             break
         x = y
-    while x**r > m:
-        x -= 1
-    while (x + 1) ** r <= m:
-        x += 1
     return x
 
 

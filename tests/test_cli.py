@@ -207,6 +207,20 @@ class TestExitCodes:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_jobs_above_four_per_cpu_is_2(self, capsys, monkeypatch):
+        # refused before anything is drawn or forked
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, out, err = _run(
+            capsys, "tail", "--n", "3", "--t", "2000", "--count", "200000",
+            "--seed", "1", "--epsilon", "4/5", "--jobs", "100000",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: jobs = 100000 exceeds 8, four per CPU this process may use\n"
+
     def test_sample_has_no_jobs_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["sample", "--n", "2", "--t", "3", "--count", "2", "--seed", "1",
@@ -349,15 +363,17 @@ class TestTextOutput:
         assert "lattice_gap = 10" in out
 
     def test_group_builds_witnesses_once(self, capsys, monkeypatch):
-        # text decodes the 50 rows it prints, json every row, each once
-        builds = []
-        real = knapgap.group.GroupTable._rows
+        # text decodes the 50 rows it prints, json every row, each once; the
+        # loads of B* are the one other decode
+        builds = {"_witnesses": [], "_loads": []}
+        for name, calls in builds.items():
+            real = getattr(knapgap.group.GroupTable, name)
 
-        def counting(table, rows):
-            builds.append(rows)
-            return real(table, rows)
+            def counting(table, labels, real=real, calls=calls):
+                calls.append(len(labels))
+                return real(table, labels)
 
-        monkeypatch.setattr(knapgap.group.GroupTable, "_rows", counting)
+            monkeypatch.setattr(knapgap.group.GroupTable, name, counting)
         # the loads come from the same rows, never from the full load list
         monkeypatch.delattr(knapgap.group.GroupTable, "load")
         code, out, _ = _run(capsys, "group", "--a", "61,97,131")
@@ -365,11 +381,16 @@ class TestTextOutput:
         lines = out.splitlines()
         assert lines[lines.index("r minima witness load") + 1] == "0 0 (0,0) 0"
         assert lines[-1] == "... 11 more rows, use --format json for all"
-        assert builds == [50]
+        assert builds == {"_witnesses": [50], "_loads": [61, 50]}
         code, out, _ = _run(capsys, "group", "--a", "61,97,131", "--format", "json")
         assert code == 0
         assert len(json.loads(out)["witness"]) == 61
-        assert builds == [50, 61]
+        assert builds == {"_witnesses": [50, 61], "_loads": [61, 50, 61, 61]}
+        # a column is decoded block by block as json writes it
+        monkeypatch.setattr(knapgap.group, "_BLOCK", 16)
+        code, blocked, _ = _run(capsys, "group", "--a", "61,97,131", "--format", "json")
+        assert (code, blocked) == (0, out)
+        assert builds["_witnesses"][2:] == [16, 16, 16, 13]
 
     def test_group_decodes_each_row_once(self, capsys, monkeypatch):
         # text decodes the minima of the 50 rows it prints and lattice_gap
@@ -465,6 +486,19 @@ class TestTextOutput:
         # 3000 rows of 3000 entries, each entry on its own line
         assert size > 9 * 10**6 * 7
         assert peak_kb <= 64 << 10
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_group_json_streams_its_rows(self):
+        # json decodes each column block by block as it writes it: about
+        # 36 MiB at 200003 rows, against 81 MiB when every row was held
+        code, size, peak_kb = _fresh_run(
+            "group", "--a", "200003,250007,300007,350017", "--format", "json",
+            probe=_SINK_PEAK_PROBE,
+        )
+        assert (code, size) == (0, 14851363)
+        assert peak_kb <= 56 << 10
 
 
 class TestJsonOutput:

@@ -18,7 +18,12 @@ from knapgap import (
     as_fraction,
     basis_reduction,
     cost_vector,
+    delta_max,
+    group_min_bruteforce,
+    group_minima,
+    lovasz_example,
     lp_value,
+    tightness_family,
 )
 
 coefficients = st.lists(st.integers(min_value=1, max_value=80), min_size=2, max_size=5)
@@ -272,3 +277,31 @@ class TestLpValue:
             lp_value(KnapsackInstance((2, 3)), ("0.5", 1), -1)
         with pytest.raises(ValidationError, match="c\\[1\\]"):
             lp_value(KnapsackInstance((2, 3)), ("0.5", 1), 1)
+
+
+_TRIPLE = KnapsackInstance((3, 5, 7))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lovasz_example(3, 1.5, "1/2"), "delta must be an integer, got 1.5"),
+        (lambda: lovasz_example(2.5, 2, "1/2"), "n must be an integer, got 2.5"),
+        (lambda: tightness_family(3, 2.5), "n must be an integer, got 2.5"),
+        (lambda: tightness_family(2.0, 3), "k must be an integer, got 2.0"),
+        (lambda: group_minima(_TRIPLE, 1.0, (5, 7)), "tau must be an integer, got 1.0"),
+        (lambda: group_min_bruteforce(_TRIPLE, 0, (5, 7), 1, 1.5),
+         "radius must be an integer, got 1.5"),
+        (lambda: group_min_bruteforce(_TRIPLE, 0.0, (5, 7), 1, 2),
+         "tau must be an integer, got 0.0"),
+        (lambda: group_min_bruteforce(_TRIPLE, 0, (5, 7), 1.0, 2),
+         "r must be an integer, got 1.0"),
+        (lambda: delta_max([]), "matrix has no rows"),
+        (lambda: delta_max([[1, 2], [3]]), "matrix rows differ in length, row 1 has 2 entries"),
+    ],
+)
+def test_malformed_sizes_and_positions_are_validation_errors(call, message):
+    # each one used to return a float result or raise TypeError or IndexError
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == message

@@ -49,6 +49,7 @@ from knapgap.experiments import (
     _CHUNK,
     _csv_rows,
     _ordered,
+    _ranges,
     _sampled,
     _stream_chunk,
     csv_header,
@@ -683,6 +684,31 @@ class TestOrderedMap:
         with pytest.raises(ValidationError, match="jobs = 2 needs os.fork"):
             tail_experiment(config, jobs=2)
         assert tail_experiment(config, jobs=1) == expected
+
+    @pytest.mark.parametrize(
+        "cpus", [{"sched_getaffinity": lambda pid: {0}}, {"cpu_count": lambda: 1},
+                 {"cpu_count": lambda: None}],
+    )
+    def test_jobs_above_four_per_cpu_are_refused(self, monkeypatch, cpus):
+        # one usable CPU admits jobs 1 to 4; the refusal comes before a
+        # range is cut, so no child is ever forked
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork, raising=False)
+        if "sched_getaffinity" not in cpus:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for name, value in cpus.items():
+            monkeypatch.setattr(os, name, value, raising=False)
+        config = ExperimentConfig(
+            n=3, T=40, count=200000, seed=8, epsilon="4/5", thresholds=("1/4",)
+        )
+        assert len(_ranges([config], 4)) == 200
+        for jobs in (5, 100000):
+            message = f"jobs = {jobs} exceeds 4, four per CPU this process may use"
+            for call in (partial(_ranges, [config]), partial(tail_experiment, config)):
+                with pytest.raises(ValidationError, match=message):
+                    call(jobs)
 
 
 @pytest.mark.parametrize(

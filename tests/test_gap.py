@@ -465,9 +465,9 @@ class TestWork:
         decodes = []
         real = knapgap.group.GroupTable._loads
 
-        def counting(table, rows):
-            decodes.append(rows)
-            return real(table, rows)
+        def counting(table, labels):
+            decodes.append(len(labels))
+            return real(table, labels)
 
         monkeypatch.setattr(knapgap.group.GroupTable, "_loads", counting)
         inst = KnapsackInstance(a)
@@ -540,6 +540,31 @@ class TestWork:
         monkeypatch.setattr(knapgap.gap, "range", counting, raising=False)
         assert gap_exact(inst, c) == expected
         assert lengths and max(lengths) <= math.isqrt(inst.a[expected.tau]) + 1
+
+    @pytest.mark.parametrize(
+        "a, c",
+        [
+            # one corner, (3, 14), at cost 0: zero costs everywhere
+            ((60, 15, 7), (0, 0, 0)),
+            # one corner, (34, 0), at cost 0: it takes only the generator
+            # of reduced cost 0, and its box reaches B* = 578
+            ((35, 17, 51), (0, 0, 4)),
+        ],
+    )
+    def test_scan_skips_a_box_that_only_ties(self, a, c, monkeypatch):
+        # a corner no costlier than scan_gap so far, which starts at 0,
+        # cannot raise it, so its box is never walked
+        inst = KnapsackInstance(a)
+        expected = _table_route(inst, c)
+        walked = []
+
+        def counting(*args):
+            walked.append(args)
+            return range(*args)
+
+        monkeypatch.setattr(knapgap.gap, "range", counting, raising=False)
+        assert gap_exact(inst, c) == expected
+        assert walked == []
 
 # n = 3 cases for the staircase route: the pivot m from 1 to 40, generators
 # that may share a factor with m or be a multiple of it (a self-loop), and

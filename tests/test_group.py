@@ -781,7 +781,7 @@ class TestNumpyReadouts:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(knapgap.group, "_INT64_HEADROOM", 1)
                 if not table._load_radix:
-                    assert table._loads(table.modulus).dtype == object
+                    assert table._loads(table._labels).dtype == object
                 return _readout(table)
 
         fast, scalar = _both_executions(*case, read=read)

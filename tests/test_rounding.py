@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knapgap.rounding import (
@@ -37,7 +37,45 @@ positive_fractions = st.builds(
 )
 
 
+def _bisected_root(m: int, r: int) -> int:
+    """floor(m**(1/r)) by bisection, an independent reference for iroot."""
+    lo, hi = 0, 1 << (m.bit_length() // r + 1)  # lo**r <= m < hi**r
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**r <= m:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@st.composite
+def root_cases(draw):
+    """(m, r) with m < 2**4096 and 3 <= r <= 64: any m, or one next to an
+    exact r-th power, where the Newton loop's stop matters most."""
+    r = draw(st.integers(min_value=3, max_value=64))
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=0, max_value=2**4096 - 1)), r
+    k = draw(st.integers(min_value=1, max_value=2 ** (4096 // r) - 1))
+    return max(k**r + draw(st.sampled_from([-1, 0, 1])), 0), r
+
+
+def _next_to_powers(test):
+    """@example at k**r - 1, k**r and k**r + 1 for a few k and r."""
+    for k, r in [(2, 3), (12345, 7), (10**400, 3), (3**85, 17), (2**63 + 1, 64)]:
+        for d in (-1, 0, 1):
+            test = example(case=(k**r + d, r))(test)
+    return test
+
+
 class TestIroot:
+    @given(case=root_cases())
+    @_next_to_powers
+    def test_matches_bisection(self, case):
+        # the Newton loop alone lands on the floor root (iroot's docstring)
+        m, r = case
+        assert iroot(m, r) == _bisected_root(m, r)
+
     @given(m=st.integers(min_value=0, max_value=10**30), r=st.integers(min_value=1, max_value=9))
     def test_floor_root(self, m, r):
         x = iroot(m, r)
