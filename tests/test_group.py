@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -716,6 +717,20 @@ class TestWitnessDecode:
         assert _decoded(table) == _searched(table)
         assert tightness_threshold(table) > 1 << 64
 
+    def test_threshold_holds_no_loads(self):
+        # the Python execution's threshold reads each load as it decodes it:
+        # the list of all 200003 loads peaked at 7.65 MiB
+        a = (200003, 250007, 300007, 350017)
+        table = group_minima(KnapsackInstance(a), 0, a[1:])
+        assert table._load_radix
+        tracemalloc.start()
+        try:
+            threshold = tightness_threshold(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert threshold == max(table.load)
+        assert peak <= 1 << 20
 
     def test_self_loop_weight_does_not_choose_the_execution(self):
         # generator 400 is a self-loop modulo 200 whose weight breaks the

@@ -3,11 +3,12 @@
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
@@ -345,15 +346,39 @@ class TestCountInstances:
         assert count_instances(n, T) == expected
 
     def test_large_box_answers(self):
-        # 20000**2 tuples, past the cell cap as an enumeration; the sieve
-        # counts T cells.  Coprime pairs tend to 6/pi**2 of all pairs.
+        # 20000**2 tuples, past the cell cap as an enumeration; the Mertens
+        # recursion reads about 2 sqrt(T) quotients.  Coprime pairs tend to
+        # 6/pi**2 of all pairs.
         count = count_instances(2, 20_000)
         assert abs(count / 20_000**2 - 6 / math.pi**2) < 1e-3
 
+    @given(n=st.integers(2, 6), T=st.integers(1, 20_000))
+    @example(n=2, T=1)
+    @example(n=3, T=2)
+    @example(n=2, T=19_997)  # a prime
+    @example(n=4, T=141**2)  # a perfect square
+    @example(n=3, T=141**2 - 1)  # the two sides of a run boundary
+    @example(n=5, T=141**2 + 141)
+    @example(n=6, T=20_000)  # the top of the range
+    @settings(max_examples=40)
+    def test_against_sieve(self, n, T):
+        assert count_instances(n, T) == _sieve_count(n, T)
+
+    def test_memory_does_not_grow_with_T(self):
+        # about 2 sqrt(T) cached Mertens values: 0.6 MiB at T = 10**7,
+        # where a Moebius sieve of T bytes peaked at 28.6 MiB
+        tracemalloc.start()
+        try:
+            count_instances(3, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
     def test_guardrail(self, monkeypatch):
-        # the sieve's T cells count against the cap
+        # T counts as cells against the cap
         monkeypatch.delenv(ENV_VAR, raising=False)
-        with pytest.raises(BoundTooLarge, match="Moebius sieve up to 100000001"):
+        with pytest.raises(BoundTooLarge, match=r"count over side T = 100000001 \("):
             count_instances(2, DEFAULT_MAX_CELLS + 1)
         monkeypatch.setenv(ENV_VAR, "1000")
         assert count_instances(3, 1000) > 0
@@ -363,6 +388,25 @@ class TestCountInstances:
 
 def _totient(k: int) -> int:
     return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
+# mu(d) + 1 as a byte, and the map that negates mu(d) on such bytes.
+_NEGATE_MU = bytes.maketrans(b"\x00\x01\x02", b"\x02\x01\x00")
+
+
+def _sieve_count(n: int, T: int) -> int:
+    """The count of gcd-1 tuples in {1..T}**n as the sum over d of
+    mu(d) floor(T/d)**n, mu sieved over 1..T: each prime p negates mu at its
+    multiples and zeroes it at the multiples of p**2, all by slices."""
+    mu = bytearray(b"\x02") * (T + 1)
+    composite = bytearray(T + 1)
+    p = 2
+    while 0 < p <= T:
+        composite[p::p] = b"\x01" * len(range(p, T + 1, p))
+        mu[p::p] = mu[p::p].translate(_NEGATE_MU)
+        mu[p * p :: p * p] = b"\x01" * len(range(p * p, T + 1, p * p))
+        p = composite.find(0, p + 1)
+    return sum((mu[d] - 1) * (T // d) ** n for d in range(1, T + 1))
 
 
 class TestLovaszExample:
