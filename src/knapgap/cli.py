@@ -76,23 +76,6 @@ def _instance(args: argparse.Namespace) -> KnapsackInstance:
 _encode_str = json.encoder.encode_basestring_ascii  # the C encoder when built
 
 
-def _json_scalar(value) -> str:
-    """A leaf exactly as json.dumps writes it."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return json.dumps(value)  # NaN and the infinities have their own names
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def _leaves(items: Sequence, pad: str) -> str | None:
     """Items all int or all str, joined as json.dumps lays them out inside
     brackets closed by pad, brackets left off; None for any other items.
@@ -124,13 +107,13 @@ def _json_chunks(value, pad: str = "\n") -> Iterator[str]:
         inner = pad + "  "
         head = "{" + inner
         for k, v in value.items():
-            yield f"{head}{_encode_str(k if isinstance(k, str) else _json_scalar(k))}: "
+            yield f"{head}{_encode_str(k if isinstance(k, str) else json.dumps(k))}: "
             yield from _json_chunks(v, inner)
             head = "," + inner
         yield pad + "}"
         return
     if not isinstance(value, (list, tuple, Iterator)):
-        yield _json_scalar(value)
+        yield json.dumps(value)
         return
     inner = pad + "  "
     head = "[" + inner

@@ -76,10 +76,7 @@ class KnapsackInstance:
     def __post_init__(self) -> None:
         entries = tuple(self.a)
         object.__setattr__(self, "a", entries)
-        if len(entries) < 2:
-            raise DimensionTooSmall(
-                f"n = {len(entries)} < 2, at least two coefficients required"
-            )
+        _check_dimension(len(entries))
         for i, value in enumerate(entries):
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise NonPositiveEntry(
@@ -192,6 +189,20 @@ def check_int(value: int, what: str) -> None:
     """Refuse a value that is not an int; bools are refused too."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse a dimension n that is not an integer n >= 2."""
+    check_int(n, "n")
+    if n < 2:
+        raise DimensionTooSmall(f"n = {n} < 2, at least two coefficients required")
+
+
+def _check_size(value: int, what: str) -> None:
+    """Refuse a size that is not an integer >= 1."""
+    check_int(value, what)
+    if value < 1:
+        raise ValidationError(f"{what} = {value} < 1")
 
 
 def check_rhs(b: int) -> None:

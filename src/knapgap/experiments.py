@@ -79,9 +79,9 @@ from .errors import (
     InsufficientSamples,
     ValidationError,
 )
-from .group import _frobenius, frobenius
-from .guardrail import cell_cap, check_cells
-from .instances import SamplerConfig, _draw_tuples
+from .group import _check_table, _frobenius, frobenius
+from .guardrail import cell_cap
+from .instances import SamplerConfig, _draw_lanes
 from .rounding import DEFAULT_BITS, pow_numerators
 
 # Not called here: _norm_power works on ints and _sampled draws whole
@@ -108,11 +108,16 @@ def _check_bits(bits: int) -> None:
         raise ValidationError(f"bits = {bits} too small for sound rounding")
 
 
+def _check_law_dimension(n: int) -> None:
+    """Refuse n < 3, where the sampling laws degenerate."""
+    if n < 3:
+        raise DimensionTooSmall(f"n = {n} < 3, the tail exponent degenerates")
+
+
 def tail_exponent(epsilon: RationalLike, n: int) -> Fraction:
     """Exact tail exponent (n - 2) / ((1 - epsilon) * n), for n >= 3."""
     eps = _epsilon(epsilon)
-    if n < 3:
-        raise DimensionTooSmall(f"n = {n} < 3, the tail exponent degenerates")
+    _check_law_dimension(n)
     return Fraction(n - 2) / ((1 - eps) * n)
 
 
@@ -127,14 +132,15 @@ class ExperimentConfig(SamplerConfig):
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "epsilon", _epsilon(self.epsilon))
-        object.__setattr__(
-            self,
-            "thresholds",
-            tuple(as_fraction(t, "threshold") for t in self.thresholds),
-        )
-        for t in self.thresholds:
+        thresholds = tuple(as_fraction(t, "threshold") for t in self.thresholds)
+        object.__setattr__(self, "thresholds", thresholds)
+        seen = set()
+        for t in thresholds:
             if t <= 0:
                 raise ValidationError(f"threshold t = {t} must be positive")
+            if t in seen:
+                raise ValidationError(f"threshold t = {t} repeated, thresholds must differ")
+            seen.add(t)
         _check_bits(self.bits)
         # Every exact value printed is an int <= count (n + 1) T 2**bits
         # (Schur's bound on g gives ratio_upper <= (n + 1) T), which must fit
@@ -223,19 +229,20 @@ def _sampled(config: ExperimentConfig, start: int, stop: int):
     """(index, a, g, lower, upper) for each index in [start, stop), with a
     the drawn coefficient tuple: the one pass every record takes.
 
-    The range's tuples come from one _draw_tuples call, and the drawer
-    guarantees positive coprime coefficients, so no record builds a
-    KnapsackInstance or goes through frobenius.  The guardrail cap is read
-    once per range, and each record compares its table's m = min(a) cells
-    with it; a refusal raises the text frobenius raises.
+    The range's tuples come from one _draw_lanes call on the box the
+    config checked, and the drawer guarantees positive coprime coefficients,
+    so no record builds a KnapsackInstance or goes through frobenius.  The
+    guardrail cap is read once per range, and each record compares its
+    table's m = min(a) cells with it; a refusal raises the text frobenius
+    raises.
     """
     cap = cell_cap()
     p, q, bits = config.epsilon.numerator, config.epsilon.denominator, config.bits
-    draws = _draw_tuples(config.seed, start, stop, config.n, config.T)
+    draws = _draw_lanes(config.seed, start, stop, config.n, config.T)
     for index, (a, _) in zip(range(start, stop), draws):
         m = min(a)
         if m > cap:
-            check_cells(m, f"residue table modulo {m}")
+            _check_table(m)
         g = _frobenius(a, m)
         lower, upper = _bracket_numerators(a, p, q, bits, g)
         yield index, a, g, lower, upper
@@ -518,6 +525,12 @@ class _Tally:
         )
 
 
+def _check_records(config: ExperimentConfig, records: Sequence[SampleRecord]) -> None:
+    """Refuse records that do not carry config.bits."""
+    if any(r.bits != config.bits for r in records):
+        raise ValidationError(f"records must all carry bits = {config.bits}")
+
+
 def summarize(
     config: ExperimentConfig, records: Sequence[SampleRecord]
 ) -> ExperimentSummary:
@@ -528,8 +541,7 @@ def summarize(
     """
     if not records:
         raise ValidationError("nothing to summarize")
-    if any(r.bits != config.bits for r in records):
-        raise ValidationError(f"records must all carry bits = {config.bits}")
+    _check_records(config, records)
     tally = _Tally(config)
     tally.add([r.lower for r in records], [r.upper for r in records])
     return tally.summary()
@@ -567,8 +579,7 @@ def tail_experiment(
     record CSV is written there as the records are computed, so a run that
     raises may leave part of it behind.
     """
-    if config.n < 3:
-        raise DimensionTooSmall(f"n = {config.n} < 3, tail law needs n >= 3")
+    _check_law_dimension(config.n)
     if not config.thresholds:
         raise ValidationError("tail experiment needs at least one threshold")
     (tally,) = _stream([config], jobs, out)
@@ -607,8 +618,7 @@ def mean_experiment(
     if not configs:
         raise ValidationError("mean experiment needs at least one config")
     for config in configs:
-        if config.n < 3:
-            raise DimensionTooSmall(f"n = {config.n} < 3, mean law needs n >= 3")
+        _check_law_dimension(config.n)
     return [tally.summary() for tally in _stream(configs, jobs, out)]
 
 
@@ -700,8 +710,7 @@ def write_records_csv(
     if not runs:
         raise ValidationError("nothing to export")
     for config, records in runs:
-        if any(r.bits != config.bits for r in records):
-            raise ValidationError(f"records must all carry bits = {config.bits}")
+        _check_records(config, records)
     _write_header(handle, [config for config, _ in runs])
     for config, records in runs:
         if records:

@@ -51,7 +51,7 @@ from .core import (
     cost_vector,
     lp_value,
 )
-from .group import _corners, _dot, _packed_maxima, _round_robin
+from .group import _check_table, _corners, _dot, _packed_maxima, _round_robin
 from .group import group_minima, tightness_threshold
 from .guardrail import check_cells
 
@@ -211,7 +211,7 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
     if inst.n != 3:
         return _gap_from_tables(inst, red)
     m = inst.a[red.tau]
-    check_cells(m, f"residue table modulo {m}")
+    _check_table(m)
     g = [inst.a[j] for j in red.positions]
     w = red.weights
     lex = _corners(m, g, (w, (1, 1), (0, 1)))

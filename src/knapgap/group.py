@@ -490,6 +490,21 @@ def _digit_keys(m: int, k: int) -> list[int]:
     return [sum(m ** (k - 1 - i) for i in range(j + 1)) for j in range(k)]
 
 
+def _pivot(inst: KnapsackInstance, tau: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The positions other than tau and their coefficients, once tau is
+    checked to be a 0-based position of inst."""
+    check_int(tau, "tau")
+    if not 0 <= tau < inst.n:
+        raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
+    positions = tuple(j for j in range(inst.n) if j != tau)
+    return positions, tuple(inst.a[j] for j in positions)
+
+
+def _check_table(m: int) -> None:
+    """Count a residue table's m cells against the guardrail."""
+    check_cells(m, f"residue table modulo {m}")
+
+
 def group_minima(
     inst: KnapsackInstance, tau: int, weights: Sequence[RationalLike]
 ) -> GroupTable:
@@ -502,14 +517,10 @@ def group_minima(
     allocation.  One kernel run on lexicographic keys gives the minima and
     the witness counts together (module docstring).
     """
-    check_int(tau, "tau")
-    if not 0 <= tau < inst.n:
-        raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
-    positions = tuple(j for j in range(inst.n) if j != tau)
-    generators = tuple(inst.a[j] for j in positions)
+    positions, generators = _pivot(inst, tau)
     w = _normalize_weights(weights, inst.n - 1)
     m = inst.a[tau]
-    check_cells(m, f"residue table modulo {m}")
+    _check_table(m)
 
     # Scale rational weights to integers; minima divides by scale again.
     scale = math.lcm(*(x.denominator for x in w))
@@ -625,9 +636,9 @@ def _dot(u: Sequence[int], x: Sequence[int]) -> int:
 
 def _frobenius(a: tuple[int, ...], m: int) -> int:
     """g(a) for validated coefficients a with m = min(a), once the caller
-    has checked the m cells of the residue table modulo m against the
-    guardrail: one _axis walk for three coefficients, otherwise the kernel
-    on the arcs (a_j mod m, a_j) (module docstring)."""
+    has counted the table's m cells (_check_table): one _axis walk for
+    three coefficients, otherwise the kernel on the arcs (a_j mod m, a_j)
+    (module docstring)."""
     if len(a) == 3:
         a0, a1, a2 = a
         g1, g2 = (a1, a2) if a0 == m else (a0, a2) if a1 == m else (a0, a1)
@@ -640,8 +651,8 @@ def frobenius(inst: KnapsackInstance) -> int:
     """Frobenius number: the largest integer not representable as a.x.
 
     Returns -1 when some coefficient equals 1 and every b >= 0 is
-    representable.  Both routes first check the m = min(a) cells of the
-    residue table modulo m against the guardrail.  Three coefficients then
+    representable.  Both routes first count the m = min(a) cells of the
+    table modulo m against the guardrail.  Three coefficients then
     read g off the L-shaped staircase of the smallest loads, which one
     _axis walk finds in O(log m) steps.  Any other n runs _round_robin on
     the arcs (a_j mod m, a_j), the coefficients being their own weights;
@@ -649,7 +660,7 @@ def frobenius(inst: KnapsackInstance) -> int:
     smaller ones already represent (module docstring).
     """
     m = inst.min_entry
-    check_cells(m, f"residue table modulo {m}")
+    _check_table(m)
     return _frobenius(inst.a, m)
 
 
@@ -694,9 +705,7 @@ def group_min_bruteforce(
     weighted sum over points congruent to r.  Raises NoPointInBox when the
     box misses the class entirely (radius too small).
     """
-    check_int(tau, "tau")
-    if not 0 <= tau < inst.n:
-        raise ValidationError(f"tau = {tau} out of range for n = {inst.n}")
+    _, generators = _pivot(inst, tau)
     check_int(radius, "radius")
     if radius < 0:
         raise ValidationError(f"radius = {radius} must be nonnegative")
@@ -704,8 +713,6 @@ def group_min_bruteforce(
     check_int(r, "r")
     if not 0 <= r < m:
         raise ValidationError(f"residue r = {r} out of range modulo {m}")
-    positions = tuple(j for j in range(inst.n) if j != tau)
-    generators = tuple(inst.a[j] for j in positions)
     w = _normalize_weights(weights, inst.n - 1)
     check_cells((radius + 1) ** len(generators), "brute-force enumeration box")
     best: Weight | None = None

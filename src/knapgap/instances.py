@@ -29,7 +29,7 @@ in from the next lane.  The round keys are replicated into every lane the
 same way.  Packing and unpacking go through array("Q") buffers of 8-byte
 little-endian words.
 
-Waves.  _draw_tuples computes block 1 for every index of the range, runs
+Waves.  _draw_lanes computes block 1 for every index of the range, runs
 the mask rejection and the gcd filter on each index's four words exactly
 as a one-index draw reads them, and computes block 2 only for the indices
 that still lack a coprime tuple, and so on until none is left.  Every index
@@ -38,11 +38,12 @@ the same test, so the stream and each drawn tuple are those of a
 one-index draw; only the order in which the indices' blocks are computed
 changes.
 
-Tuples.  _draw_tuples is the one range drawer.  It yields each index's
+Tuples.  _draw_lanes is the one range drawer.  It yields each index's
 coefficients as a plain tuple, which the draw has made positive, at most T
 and coprime, and builds no instance: the sampler (knapgap.experiments)
-reads the tuples themselves.  draw_instance and sample_instances wrap each
-tuple in a KnapsackInstance, the one constructor, which validates it once.
+reads the tuples of its checked config, and _draw_tuples checks its own
+arguments.  draw_instance and sample_instances wrap each tuple in a
+KnapsackInstance, the one constructor, which validates it once.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .core import KnapsackInstance, RationalLike, as_fraction, check_int
-from .errors import BetaOutOfRange, DimensionTooSmall, ValidationError
+from .core import KnapsackInstance, RationalLike, _check_dimension, _check_size
+from .core import as_fraction, check_int
+from .errors import BetaOutOfRange, ValidationError
 from .guardrail import check_cells
 
 _MASK64 = (1 << 64) - 1
@@ -159,17 +161,14 @@ _MAX_T = 1 << 64
 
 def check_box(n: int, T: int) -> None:
     """Refuse a box {1..T}**n unless n >= 2 and T lies in [1, 2**64], both
-    integers."""
-    check_int(n, "n")
-    if n < 2:
-        raise DimensionTooSmall(f"n = {n} < 2")
-    check_int(T, "T")
-    if T < 1:
-        raise ValidationError(f"T = {T} < 1")
+    integers; then count a draw's n coefficients against the guardrail."""
+    _check_dimension(n)
+    _check_size(T, "T")
     if T > _MAX_T:
         raise ValidationError(
             f"T = {T} > 2**64, draws read one 64-bit word per coordinate"
         )
+    check_cells(n, f"draw of {n} coefficients")
 
 
 def _check_stream(seed: int, start: int, stop: int) -> None:
@@ -192,9 +191,7 @@ class SamplerConfig:
 
     def __post_init__(self) -> None:
         check_box(self.n, self.T)
-        check_int(self.count, "count")
-        if self.count < 1:
-            raise ValidationError(f"count = {self.count} < 1")
+        _check_size(self.count, "count")
         check_int(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
@@ -322,12 +319,8 @@ def tightness_family(
     Its exact gap is k - 1, which meets the (max(a) - 1) * ||c||_1 upper
     bound with equality, so that bound's constant is best possible.
     """
-    check_int(k, "k")
-    if k < 1:
-        raise ValidationError(f"k = {k} < 1")
-    check_int(n, "n")
-    if n < 2:
-        raise ValidationError(f"n = {n} < 2")
+    _check_size(k, "k")
+    _check_dimension(n)
     inst = KnapsackInstance((k,) * (n - 1) + (1,))
     cost = (Fraction(0),) * (n - 1) + (Fraction(1),)
     return inst, cost
@@ -383,12 +376,8 @@ def lovasz_example(n: int, delta: int, beta: RationalLike) -> LovaszExample:
     point to have nonpositive coordinates, so the origin is the unique
     integer optimum for the all-minus-one cost.
     """
-    check_int(n, "n")
-    if n < 2:
-        raise ValidationError(f"n = {n} < 2")
-    check_int(delta, "delta")
-    if delta < 1:
-        raise ValidationError(f"delta = {delta} < 1")
+    _check_dimension(n)
+    _check_size(delta, "delta")
     beta = as_fraction(beta, "beta")
     if not 0 < beta < 1:
         raise BetaOutOfRange(f"beta = {beta} must lie strictly between 0 and 1")

@@ -57,6 +57,43 @@ class TestExitCodes:
         assert code == 3
         assert "KNAPGAP_GUARDRAIL_CELLS" in err
 
+    @pytest.mark.parametrize("command", ["sample", "tail", "mean"])
+    def test_draw_past_the_cap_is_3(self, capsys, monkeypatch, command):
+        # a draw's n coefficients count as cells
+        monkeypatch.setenv("KNAPGAP_GUARDRAIL_CELLS", "10")
+        argv = [command, "--t", "2", "--count", "1", "--seed", "1"]
+        if command != "sample":
+            argv += ["--epsilon", "1/2"]
+        code, out, err = _run(capsys, *argv, "--n", "11")
+        assert (code, out) == (3, "")
+        assert err == (
+            "guardrail: draw of 11 coefficients needs 11 cells, cap is 10 "
+            "(override with KNAPGAP_GUARDRAIL_CELLS)\n"
+        )
+        code, _, _ = _run(capsys, "sample", *argv[1:7], "--n", "10")
+        assert code == 0
+
+    @pytest.mark.parametrize("thresholds", ["1/4,1/4", "1/4,1/2,1,1", "1/2,2/4"])
+    def test_repeated_thresholds_are_2(self, capsys, thresholds):
+        code, out, err = _run(
+            capsys, "tail", "--n", "3", "--t", "50", "--count", "300", "--seed", "9",
+            "--epsilon", "4/5", "--thresholds", thresholds,
+        )
+        assert (code, out) == (2, "")
+        assert "repeated, thresholds must differ" in err
+
+    @pytest.mark.parametrize("target", ["missing/records.csv", "."])
+    def test_unwritable_out_is_1(self, capsys, tmp_path, target):
+        # a missing directory, or a directory itself, fails only at the
+        # final copy, after the run succeeded
+        code, out, err = _run(
+            capsys, "tail", "--n", "3", "--t", "50", "--count", "300", "--seed", "9",
+            "--epsilon", "4/5", "--thresholds", "1/4,1/2,1",
+            "--out", str(tmp_path / target),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("io error: ") and err.count("\n") == 1
+
     def test_unknown_subcommand_is_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["does-not-exist"])
@@ -98,7 +135,7 @@ class TestExitCodes:
         def refuse(*args):
             raise AssertionError("sampled")
 
-        monkeypatch.setattr(knapgap.experiments, "_draw_tuples", refuse)
+        monkeypatch.setattr(knapgap.experiments, "_draw_lanes", refuse)
         argv = ("--n", "3", "--t", "2000", "--count", "200", "--seed", "1",
                 "--epsilon", "4/5", "--bits", "20000")
         for command in ("mean", "tail"):

@@ -48,6 +48,7 @@ from knapgap.experiments import (
     MIN_TAIL_SAMPLES,
     _CHUNK,
     _csv_rows,
+    _fit_slope,
     _ordered,
     _ranges,
     _sampled,
@@ -267,6 +268,20 @@ class TestConfig:
         assert config.thresholds == (Fraction(1), Fraction(3, 2))
         assert config.epsilon == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "thresholds, repeated",
+        [(("1/4", "1/4"), "1/4"), (("1/4", "1/2", "1", "1"), "1"), (("1/2", "2/4"), "1/2")],
+    )
+    def test_repeated_thresholds_are_refused(self, thresholds, repeated):
+        # a repeated threshold would repeat its survival point in the fit
+        with pytest.raises(ValidationError) as info:
+            ExperimentConfig(
+                n=3, T=50, count=300, seed=9, epsilon="4/5", thresholds=thresholds
+            )
+        assert str(info.value) == (
+            f"threshold t = {repeated} repeated, thresholds must differ"
+        )
+
     def test_is_a_sampler_config(self):
         config = ExperimentConfig(n=3, T=40, count=10, seed=77, epsilon="4/5")
         assert isinstance(config, SamplerConfig)
@@ -388,6 +403,9 @@ class TestRecordLoop:
         env = SimpleNamespace(environ=Environment(os.environ))
         monkeypatch.setattr(knapgap.guardrail, "os", env)
         config = ExperimentConfig(n=4, T=300, count=200, seed=3, epsilon="1/2")
+        # building the config counts its n coefficients once
+        assert reads == [ENV_VAR]
+        reads.clear()
         lowers, _, _ = _stream_chunk((config, 0, 200, True))
         assert len(lowers) == 200
         assert built == []
@@ -446,6 +464,15 @@ class TestSummaries:
         )
         summary = summarize(config, _fake_records(values))
         assert summary.fitted_slope is None  # one qualifying threshold is not a line
+
+    def test_fit_needs_distinct_logs(self):
+        # distinct thresholds whose float logs tie give no line
+        t = Fraction(1) + Fraction(1, 2**60)
+        assert math.log(float(t)) == math.log(1.0)
+        survival = [(Fraction(1), Fraction(1, 2)), (t, Fraction(1, 4))]
+        assert _fit_slope(survival, 10**4) is None
+        apart = [(Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(1, 4))]
+        assert _fit_slope(apart, 10**4) == pytest.approx(-1.0)
 
     def test_strictly_above_semantics(self):
         values = [1] * 10

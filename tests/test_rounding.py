@@ -1,12 +1,16 @@
 """Directed rounding primitives: every result must bracket the true value."""
 
+import math
+import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import knapgap.rounding
 from knapgap.rounding import (
     DEFAULT_BITS,
     iroot,
@@ -80,6 +84,23 @@ class TestIroot:
     def test_floor_root(self, m, r):
         x = iroot(m, r)
         assert x**r <= m < (x + 1) ** r
+
+    def test_low_seed_is_stepped_above_the_root(self, monkeypatch):
+        # the float seed never comes out low on this platform; a log2 that
+        # reads a relative 2**-30 low makes it so, and the seed loop must
+        # then step x above the root before Newton runs
+        low = SimpleNamespace(
+            log2=lambda m: math.log2(m) * (1 - 2**-30), isqrt=math.isqrt
+        )
+        monkeypatch.setattr(knapgap.rounding, "math", low)
+        rng = random.Random(3000)
+        for r in (3, 5, 7, 64):
+            for _ in range(75):
+                m = rng.getrandbits(rng.randint(r + 1, 3000))
+                if rng.random() < 0.5:
+                    k = _bisected_root(m, r)
+                    m = max(k**r + rng.choice([-1, 0, 1]), 0)
+                assert iroot(m, r) == _bisected_root(m, r)
 
     def test_perfect_powers(self):
         assert iroot(27, 3) == 3
