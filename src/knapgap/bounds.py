@@ -29,10 +29,10 @@ from .core import (
     BasisReduction,
     KnapsackInstance,
     RationalLike,
+    _check_size,
     as_fraction,
     basis_reduction,
 )
-from .errors import ValidationError
 from .group import frobenius
 from .rounding import DEFAULT_BITS, iroot, root_lower
 
@@ -113,8 +113,7 @@ def rho_lower(d: int) -> Fraction:
     (sqrt 3, rounded down here); for d >= 3 the estimate is (d!)^(1/d)
     rounded down.  It depends on d alone, so each d is computed once.
     """
-    if d < 1:
-        raise ValidationError(f"dimension d = {d} must be >= 1")
+    _check_size(d, "d")
     if d == 1:
         return Fraction(1)
     return root_lower(Fraction(3 if d == 2 else math.factorial(d)), d)

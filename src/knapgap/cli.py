@@ -40,6 +40,7 @@ from .errors import GuardrailExceeded, ValidationError
 from .gap import gap_exact, ip_value
 from .group import group_minima, tightness_threshold
 from .instances import SamplerConfig, lovasz_example, sample_instances
+from .rounding import DEFAULT_BITS
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70  # EX_SOFTWARE: an exception the package does not expect
@@ -342,9 +343,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     lines: Iterable[str]
     if args.format == "csv":
         head = f"{cfg.n},{cfg.T},{cfg.seed}"
-        header = ["n", "T", "seed", "index"] + [f"a_{i}" for i in range(1, cfg.n + 1)]
         lines = chain(
-            [",".join(header)],
+            [",".join(xp.csv_header(cfg.n)[: cfg.n + 4])],
             (f"{head},{i},{','.join(map(str, inst.a))}" for i, inst in enumerate(rows)),
         )
     else:
@@ -496,7 +496,7 @@ def build_parser() -> _Parser:
             default=DEFAULT_THRESHOLDS,
             help=f"survival thresholds (default {DEFAULT_THRESHOLDS})",
         )
-        p.add_argument("--bits", type=int, default=60)
+        p.add_argument("--bits", type=int, default=DEFAULT_BITS)
         p.add_argument("--out", help="write the per-sample records CSV here")
 
     p = sub.add_parser("tail", help="survival tail of the upper bracket")

@@ -31,26 +31,28 @@ A range's records are taken as columns.  Each record takes one pass from
 the drawn coefficient tuple to g and the bracket numerators.  The pass
 builds no KnapsackInstance (the drawer has already made the tuple positive
 and coprime) and calls no frobenius wrapper: it reads the guardrail cap
-once per range, compares each record's m = min(a) with it, and hands the
-tuple to group._frobenius, the body frobenius runs after its own check.
-The range's (index, a, g, lower, upper) records are then transposed into
+once per range and hands each tuple with that cap to group._frobenius,
+the body frobenius runs, which refuses a residue table past the cap.  The
+range's (index, a, g, lower, upper) records are then transposed into
 five columns.  When a CSV is wanted, _csv_rows formats each column once
 (the coefficients through one template, the decimals, the exact values)
 and joins each row with one f-string; write_records_csv calls the same
 formatter once per run, so every CSV row has one format.  Only
 sample_records wraps each tuple in a KnapsackInstance, for its records.
 
-tail_experiment and mean_experiment stream.  Each config's index range is
-cut into ranges of at most _CHUNK indices, which come back in index order.
---jobs N means N computing processes, this one included: at jobs 1 the
-ranges run here, and otherwise N - 1 forked children take every N-th range
-while this process runs its own share (_ordered).  A range's worker
-returns plain data: its lower and upper numerators as two int tuples
-and, when a CSV is wanted, its rows as one string.  Each config keeps only
-running counts (the count, both numerator sums and the number of values
-above each threshold's cut), and the rows go to the output handle as each
-range arrives, so memory stays flat in the sample count.  summarize builds
-a summary from a record list through the same counts.
+tail_experiment and mean_experiment stream.  Each config's index range,
+which the config checked when it was built, is cut into ranges of at most
+_CHUNK indices, each cut only when it is read, and their results come back
+in index order.  --jobs N means N computing processes, this one included:
+at jobs 1 the ranges run here, and otherwise N - 1 forked children take
+every N-th range while this process runs its own share (_ordered).  A
+range's worker returns plain data: its lower and upper numerators as two
+int tuples and, when a CSV is wanted, its rows as one string.  Each config
+keeps only running counts (the count, both numerator sums and the number
+of values above each threshold's cut), and the rows go to the output
+handle as each range arrives, so memory stays flat in the sample count: a
+run holds O(jobs) ranges, not one per _CHUNK records.  summarize builds a
+summary from a record list through the same counts.
 
 The theoretical backdrop: for n >= 3 the sampled fraction of instances with
 ratio above t decays at least like t^(-alpha) with
@@ -70,16 +72,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import IO, Iterable, NoReturn, Sequence
+from itertools import chain, islice
+from typing import IO, Iterable, Iterator, NoReturn, Sequence
 
-from .core import KnapsackInstance, RationalLike, as_fraction, check_int
+from .core import KnapsackInstance, RationalLike, _check_size, as_fraction, check_int
 from .errors import (
     BadEpsilon,
     DimensionTooSmall,
     InsufficientSamples,
     ValidationError,
 )
-from .group import _check_table, _frobenius, frobenius
+from .group import _frobenius, frobenius
 from .guardrail import cell_cap
 from .instances import SamplerConfig, _draw_lanes
 from .rounding import DEFAULT_BITS, pow_numerators
@@ -229,21 +232,18 @@ def _sampled(config: ExperimentConfig, start: int, stop: int):
     """(index, a, g, lower, upper) for each index in [start, stop), with a
     the drawn coefficient tuple: the one pass every record takes.
 
-    The range's tuples come from one _draw_lanes call on the box the
-    config checked, and the drawer guarantees positive coprime coefficients,
-    so no record builds a KnapsackInstance or goes through frobenius.  The
-    guardrail cap is read once per range, and each record compares its
-    table's m = min(a) cells with it; a refusal raises the text frobenius
-    raises.
+    The range's tuples come from one _draw_lanes call on the box and index
+    range the config checked, and the drawer guarantees positive coprime
+    coefficients, so no record builds a KnapsackInstance or goes through
+    frobenius.  The guardrail cap is read once per range and handed to
+    group._frobenius with each record, which refuses a table past it with
+    the text frobenius raises.
     """
     cap = cell_cap()
     p, q, bits = config.epsilon.numerator, config.epsilon.denominator, config.bits
     draws = _draw_lanes(config.seed, start, stop, config.n, config.T)
     for index, (a, _) in zip(range(start, stop), draws):
-        m = min(a)
-        if m > cap:
-            _check_table(m)
-        g = _frobenius(a, m)
+        g = _frobenius(a, cap)
         lower, upper = _bracket_numerators(a, p, q, bits, g)
         yield index, a, g, lower, upper
 
@@ -294,8 +294,9 @@ def _max_jobs() -> int:
 
 def _ranges(
     configs: Sequence[ExperimentConfig], jobs: int
-) -> list[tuple[int, int, int]]:
-    """(config position, start, stop) of every range, in order.
+) -> Iterator[tuple[int, int, int]]:
+    """(config position, start, stop) of every range, in order, each cut
+    only when it is read; jobs is checked at the call.
 
     A config with at least 2 * jobs records is cut into a multiple of jobs
     ranges, the fewest that keep each within _CHUNK indices, and a smaller
@@ -303,9 +304,7 @@ def _ranges(
     in length by at most one index, so _ordered's round robin hands every
     process the same share of each config that splits.
     """
-    check_int(jobs, "jobs")
-    if jobs < 1:
-        raise ValidationError(f"jobs = {jobs} must be >= 1")
+    _check_size(jobs, "jobs")
     ceiling = _max_jobs()
     if jobs > ceiling:
         raise ValidationError(
@@ -313,40 +312,48 @@ def _ranges(
         )
     if jobs > 1 and not hasattr(os, "fork"):
         raise ValidationError(f"jobs = {jobs} needs os.fork, which this platform lacks")
-    ranges = []
-    for k, config in enumerate(configs):
-        parts = jobs if config.count >= 2 * jobs else 1
-        pieces = parts * -(-config.count // (parts * _CHUNK))
-        cuts = [config.count * i // pieces for i in range(pieces + 1)]
-        ranges += [(k, start, stop) for start, stop in zip(cuts, cuts[1:])]
-    return ranges
+
+    def cut() -> Iterator[tuple[int, int, int]]:
+        for k, config in enumerate(configs):
+            parts = jobs if config.count >= 2 * jobs else 1
+            pieces = parts * -(-config.count // (parts * _CHUNK))
+            for i in range(pieces):
+                yield k, config.count * i // pieces, config.count * (i + 1) // pieces
+
+    return cut()
 
 
-def _ordered(worker, tasks: list, jobs: int):
+def _ordered(worker, tasks: Iterable, jobs: int):
     """worker(task) for every task, yielded in task order.
 
-    At jobs 1, or for a single task, the tasks run lazily in this process.
-    Otherwise J = min(jobs, len(tasks)) processes share them, this one
-    included: child j, one of J - 1 forked children, runs tasks j, j + J,
-    j + 2J, ... and pickles each result, or the exception it raised, into
-    its own pipe, while this process runs tasks 0, J, 2J, ... itself and
-    reads the children's results in task order.  So a failing task raises
-    the error of jobs 1 at its position, after the results before it.  A
-    child blocks while its pipe is full, so what waits unread is at most a
-    pipe's buffer and one result per child.  A child that ends without
+    tasks may be any iterable, read as it is run: at most jobs tasks are
+    read ahead to size the share, so no task list is held.  At jobs 1, or
+    for a single task, the tasks run in this process.  Otherwise
+    J = min(jobs, number of tasks) processes share them, this one included:
+    child j, one of J - 1 forked children, walks its own copy of the tasks,
+    runs tasks j, j + J, j + 2J, ... and pickles each result, or the
+    exception it raised, into its own pipe, while this process runs tasks
+    0, J, 2J, ... itself and reads the children's results in task order.
+    So a failing task raises the error of jobs 1 at its position, after the
+    results before it.  A child blocks while its pipe is full, so what
+    waits unread is at most a pipe's buffer and one result per child.  A
+    child that ends without
     sending a result raises RuntimeError.  Closing the generator, an error
     and KeyboardInterrupt all kill and reap every child and close every
     pipe.  A child is a copy of the calling thread alone, so a caller that
     runs other threads (which may hold locks) should keep jobs 1; the CLI
     runs none.
     """
-    if jobs == 1 or len(tasks) < 2:
+    tasks = iter(tasks)
+    head = list(islice(tasks, jobs))
+    tasks = chain(head, tasks)
+    share = len(head)
+    if share < 2:
         yield from map(worker, tasks)
         return
     import pickle  # only a run that forks needs these two
     import signal
 
-    share = min(jobs, len(tasks))
     children: list[tuple[int, IO[bytes]]] = []
     try:
         for j in range(1, share):
@@ -359,7 +366,7 @@ def _ordered(worker, tasks: list, jobs: int):
                 raise
             if pid == 0:
                 os.close(read_end)
-                _child(worker, tasks[j::share], write_end, children)
+                _child(worker, islice(tasks, j, None, share), write_end, children)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
         for k, task in enumerate(tasks):
@@ -384,7 +391,7 @@ def _ordered(worker, tasks: list, jobs: int):
                 os.waitpid(pid, 0)
 
 
-def _child(worker, tasks: list, fd: int, children: list) -> NoReturn:
+def _child(worker, tasks: Iterable, fd: int, children: list) -> NoReturn:
     """A forked child of _ordered: run tasks, pickling each result into fd.
 
     The child leaves only through os._exit, so it never flushes a buffer
@@ -553,17 +560,21 @@ def _stream(
     """Sample every config range by range into running tallies.
 
     With out, the CSV header and then each range's rows are written in
-    index order, the configs one after the other.
+    index order, the configs one after the other.  The ranges are cut as
+    they are read, twice over: once into the tasks _ordered runs and once
+    to tell whose tally each result joins, so no list of them is held.
     """
-    if out is not None:
+    want_csv = out is not None
+    if want_csv:
         _write_header(out, configs)
-    ranges = _ranges(configs, jobs)
-    tasks = [(configs[k], start, stop, out is not None) for k, start, stop in ranges]
+    tasks = (
+        (configs[k], start, stop, want_csv) for k, start, stop in _ranges(configs, jobs)
+    )
     tallies = [_Tally(config) for config in configs]
     with closing(_ordered(_stream_chunk, tasks, jobs)) as chunks:
-        for (k, _, _), (lowers, uppers, rows) in zip(ranges, chunks):
+        for (k, _, _), (lowers, uppers, rows) in zip(_ranges(configs, jobs), chunks):
             tallies[k].add(lowers, uppers)
-            if out is not None:
+            if want_csv:
                 out.write(rows)
     return tallies
 

@@ -102,9 +102,9 @@ with the convention g = -1 when some coefficient equals 1 (every b >= 0 is
 then representable, and the formula above lands on -1 by itself).  The
 coefficients are validated integers already, so frobenius hands the arcs
 (gen_j mod m, gen_j) to the kernel directly and builds no GroupTable.
-Its body after the guardrail check is _frobenius, which takes the plain
-coefficient tuple; the sampler calls it on drawn tuples, having compared
-m with the cap it reads once per range.
+Its body is _frobenius, which takes the plain coefficient tuple and a
+cell cap read by its caller, and refuses the table past that cap; the
+sampler calls it on drawn tuples with the cap it reads once per range.
 
 For three coefficients frobenius builds no table.  Write g = (g_1, g_2)
 for two generators and L = {v in Z^2 : g.v = 0 mod m}, of index m, and
@@ -165,7 +165,7 @@ from typing import Iterator, Sequence
 
 from .core import KnapsackInstance, RationalLike, as_fraction, check_int
 from .errors import NegativeWeight, NoPointInBox, ValidationError
-from .guardrail import check_cells
+from .guardrail import cell_cap, check_cells
 
 Weight = Fraction | int
 
@@ -634,11 +634,15 @@ def _dot(u: Sequence[int], x: Sequence[int]) -> int:
     return u[0] * x[0] + u[1] * x[1]
 
 
-def _frobenius(a: tuple[int, ...], m: int) -> int:
-    """g(a) for validated coefficients a with m = min(a), once the caller
-    has counted the table's m cells (_check_table): one _axis walk for
-    three coefficients, otherwise the kernel on the arcs (a_j mod m, a_j)
-    (module docstring)."""
+def _frobenius(a: tuple[int, ...], cap: int) -> int:
+    """g(a) for validated coefficients a, given a cell cap the caller read
+    (cell_cap): the table modulo m = min(a) is refused through _check_table
+    when m exceeds it.  Then one _axis walk for three coefficients,
+    otherwise the kernel on the arcs (a_j mod m, a_j) (module docstring).
+    The sampler reads the cap once per range and calls this per record."""
+    m = min(a)
+    if m > cap:
+        _check_table(m)
     if len(a) == 3:
         a0, a1, a2 = a
         g1, g2 = (a1, a2) if a0 == m else (a0, a2) if a1 == m else (a0, a1)
@@ -652,16 +656,15 @@ def frobenius(inst: KnapsackInstance) -> int:
 
     Returns -1 when some coefficient equals 1 and every b >= 0 is
     representable.  Both routes first count the m = min(a) cells of the
-    table modulo m against the guardrail.  Three coefficients then
-    read g off the L-shaped staircase of the smallest loads, which one
-    _axis walk finds in O(log m) steps.  Any other n runs _round_robin on
-    the arcs (a_j mod m, a_j), the coefficients being their own weights;
-    its passes go in ascending coefficient and skip every coefficient that
-    smaller ones already represent (module docstring).
+    table modulo m against the guardrail: this reads the cap and
+    _frobenius compares m with it.  Three coefficients then read g off
+    the L-shaped staircase of the smallest loads, which one _axis walk
+    finds in O(log m) steps.  Any other n runs _round_robin on the arcs
+    (a_j mod m, a_j), the coefficients being their own weights; its passes
+    go in ascending coefficient and skip every coefficient that smaller
+    ones already represent (module docstring).
     """
-    m = inst.min_entry
-    _check_table(m)
-    return _frobenius(inst.a, m)
+    return _frobenius(inst.a, cell_cap())
 
 
 def frobenius_sieve_oracle(inst: KnapsackInstance) -> int:

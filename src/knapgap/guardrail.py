@@ -4,18 +4,20 @@ Residue tables, representability sieves and exhaustive enumerations all
 allocate one cell per lattice point or residue.  Every such allocation is
 checked against a cap, by default 10**8 cells, overridable globally
 through the KNAPGAP_GUARDRAIL_CELLS environment variable, which cell_cap
-reads on every call.  check_cells is the one place that refuses: the
-sampler (knapgap.experiments) reads cell_cap once per range and compares
-each record's table with it, since reading the environment costs more
-than checking one record's table, and calls check_cells only for a table
-past the cap, so its refusal has the same text as any other.
+reads on every call; a value that is not a positive integer is a
+ValidationError.  check_cells is the one place that refuses.  Frobenius
+tables take a cap their caller read: group._frobenius compares min(a)
+with it and calls check_cells only for a table past it, so the sampler
+(knapgap.experiments) reads cell_cap once per range rather than once per
+record, since reading the environment costs more than checking one
+record's table, and its refusal has the same text as any other.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import BoundTooLarge
+from .errors import BoundTooLarge, ValidationError
 
 DEFAULT_MAX_CELLS = 10**8
 
@@ -29,9 +31,9 @@ def cell_cap() -> int:
         try:
             value = int(raw)
         except ValueError as exc:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
+            raise ValidationError(f"{ENV_VAR} must be an integer, got {raw!r}") from exc
         if value < 1:
-            raise ValueError(f"{ENV_VAR} must be positive, got {value}")
+            raise ValidationError(f"{ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_MAX_CELLS
 

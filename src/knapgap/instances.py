@@ -40,10 +40,12 @@ changes.
 
 Tuples.  _draw_lanes is the one range drawer.  It yields each index's
 coefficients as a plain tuple, which the draw has made positive, at most T
-and coprime, and builds no instance: the sampler (knapgap.experiments)
-reads the tuples of its checked config, and _draw_tuples checks its own
-arguments.  draw_instance and sample_instances wrap each tuple in a
-KnapsackInstance, the one constructor, which validates it once.
+and coprime, and builds no instance.  SamplerConfig checks a run's box,
+seed and index range [0, count) once, when it is built, so the sampler
+(knapgap.experiments) and sample_instances draw a config's tuples without
+checking again; _draw_tuples checks its own arguments, for draw_instance.
+draw_instance and sample_instances wrap each tuple in a KnapsackInstance,
+the one constructor, which validates it once.
 """
 
 from __future__ import annotations
@@ -182,7 +184,11 @@ def _check_stream(seed: int, start: int, stop: int) -> None:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """How many instances to draw, from where, and with which seed."""
+    """How many instances to draw, from where, and with which seed.
+
+    Building one checks the box (check_box), the count, the 64-bit seed
+    and the run's index range [0, count) against the 128-bit stream, so
+    every range of it can be drawn with no further check."""
 
     n: int
     T: int
@@ -195,6 +201,7 @@ class SamplerConfig:
         check_int(self.seed, "seed")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must fit in 64 bits")
+        _check_stream(self.seed, 0, self.count)
 
 
 def _draw_tuples(
@@ -271,9 +278,9 @@ def draw_instance(
 
 
 def sample_instances(config: SamplerConfig) -> Iterator[KnapsackInstance]:
-    """config.count i.i.d. uniform valid instances, drawn as they are read;
-    the range is checked at the call."""
-    drawn = _draw_tuples(config.seed, 0, config.count, config.n, config.T)
+    """config.count i.i.d. uniform valid instances, drawn as they are read
+    from the box and index range the config checked when it was built."""
+    drawn = _draw_lanes(config.seed, 0, config.count, config.n, config.T)
     return (KnapsackInstance(a) for a, _ in drawn)
 
 

@@ -11,12 +11,16 @@ The package calls iroot, root_lower and pow_numerators.  pow_bounds, the
 Fraction form of pow_numerators for an int base, has no caller here; it
 stays as the name the benchmark's traced runs wrap (knapgap.experiments
 re-exports it) and as the tests' reference for the sampled brackets.
+An argument outside a function's domain raises ValidationError, except
+pow_bounds' non-int base, a TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import ValidationError
 
 DEFAULT_BITS = 60
 
@@ -44,9 +48,9 @@ def iroot(m: int, r: int) -> int:
     it exceeds s, never below s, and the loop stops at x = s.
     """
     if m < 0:
-        raise ValueError("iroot of a negative number")
+        raise ValidationError("iroot of a negative number")
     if r < 1:
-        raise ValueError("root index must be >= 1")
+        raise ValidationError("root index must be >= 1")
     if r == 1 or m in (0, 1):
         return m
     if r == 2:
@@ -69,7 +73,7 @@ def iroot(m: int, r: int) -> int:
 def root_lower(q: Fraction, r: int, bits: int = DEFAULT_BITS) -> Fraction:
     """Dyadic rational lower approximation of q**(1/r), q >= 0."""
     if q.numerator < 0:
-        raise ValueError("root of a negative rational")
+        raise ValidationError("root of a negative rational")
     if r == 1:
         return q
     scaled = (q.numerator << (r * bits)) // q.denominator
@@ -100,8 +104,8 @@ def pow_bounds(
         raise TypeError(f"base must be an int, got {type(base).__name__}")
     exponent = Fraction(exponent)
     if base < 0:
-        raise ValueError("power of a negative base")
+        raise ValidationError("power of a negative base")
     if exponent < 0:
-        raise ValueError("negative exponents are not supported")
+        raise ValidationError("negative exponents are not supported")
     lo, hi = pow_numerators(base, exponent.numerator, exponent.denominator, bits)
     return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)

@@ -30,7 +30,8 @@ from knapgap import (
     tightness_family,
     write_records_csv,
 )
-from knapgap.experiments import _sampled
+from knapgap.bounds import rho_lower
+from knapgap.experiments import _ranges, _sampled
 from knapgap.guardrail import ENV_VAR
 from knapgap.instances import check_box
 
@@ -69,6 +70,8 @@ class TestOneTextPerRule:
             (lambda: SamplerConfig(n=3, T=10, count=0, seed=0), "count"),
             (lambda: tightness_family(0, 3), "k"),
             (lambda: lovasz_example(3, 0, "1/2"), "delta"),
+            (lambda: _ranges([], 0), "jobs"),
+            (lambda: rho_lower(0), "d"),
         ],
     )
     def test_size_at_least_one(self, call, what):

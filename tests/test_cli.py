@@ -20,7 +20,18 @@ import knapgap.cli
 import knapgap.experiments
 import knapgap.gap
 import knapgap.group
-from knapgap import KnapsackInstance, draw_instance, frobenius_sieve_oracle, gap_exact
+from knapgap import (
+    ExperimentConfig,
+    KnapsackInstance,
+    SamplerConfig,
+    ValidationError,
+    draw_instance,
+    frobenius_sieve_oracle,
+    gap_exact,
+    mean_experiment,
+    sample_instances,
+    tail_experiment,
+)
 from knapgap.cli import _json_chunks, run
 
 
@@ -732,6 +743,33 @@ class TestExperimentCommands:
             "draws read one 64-bit word per coordinate\n"
         )
         assert target.read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("command", ["sample", "tail", "mean"])
+    def test_count_past_the_stream_is_2(self, capsys, monkeypatch, command):
+        # every config checks its index range [0, count) when it is built,
+        # so sample, tail and mean refuse the same counts with one text
+        def no_ranges(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(knapgap.experiments, "_ranges", no_ranges)
+        count = 2**128 + 1
+        message = f"index = {2**128} must lie in [0, 2**128)"
+        fields = dict(n=3, T=50, count=count, seed=9)
+        library = {
+            "sample": lambda: sample_instances(SamplerConfig(**fields)),
+            "tail": lambda: tail_experiment(
+                ExperimentConfig(**fields, epsilon="4/5", thresholds=("1/4",))
+            ),
+            "mean": lambda: mean_experiment([ExperimentConfig(**fields, epsilon="4/5")]),
+        }
+        with pytest.raises(ValidationError) as info:
+            library[command]()
+        assert str(info.value) == message
+        argv = ["--n", "3", "--t", "50", "--count", str(count), "--seed", "9"]
+        if command != "sample":
+            argv += ["--epsilon", "4/5"]
+        code, out, err = _run(capsys, command, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_box_of_full_words_samples(self, capsys):
         code, out, _ = _run(

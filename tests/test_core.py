@@ -72,6 +72,9 @@ class TestValidation:
         with pytest.raises(ValidationError):
             KnapsackInstance((True, 2))
 
+    def test_str(self):
+        assert str(KnapsackInstance((6, 9, 20))) == "(6, 9, 20)"
+
     def test_frozen(self):
         inst = KnapsackInstance((3, 5))
         with pytest.raises(AttributeError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from knapgap import BoundTooLarge
+from knapgap import BoundTooLarge, ValidationError
 from knapgap.guardrail import DEFAULT_MAX_CELLS, ENV_VAR, cell_cap, check_cells
 
 
@@ -39,6 +39,6 @@ class TestCellCap:
         assert cell_cap() == 10
         monkeypatch.setenv(ENV_VAR, raw)
         for _ in range(3):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(ValidationError) as info:
                 check_cells(1, "one cell")
             assert str(info.value) == message

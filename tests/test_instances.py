@@ -2,16 +2,19 @@
 
 import itertools
 import math
+import os
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
+import knapgap.guardrail
 from knapgap import (
     BetaOutOfRange,
     BoundTooLarge,
@@ -183,6 +186,24 @@ class TestSampler:
         via_iter = [inst.a for inst in sample_instances(config)]
         via_index = [draw_instance(5, i, 3, 40)[0].a for i in range(25)]
         assert via_iter == via_index
+
+    def test_sample_instances_reads_no_cap(self, monkeypatch):
+        # the config checked its box and index range when it was built, so
+        # calling and iterating sample_instances never reads the cell cap
+        config = SamplerConfig(n=3, T=40, count=25, seed=5)
+        expected = [draw_instance(5, i, 3, 40)[0] for i in range(25)]
+        reads = []
+
+        class Environment(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        env = SimpleNamespace(environ=Environment(os.environ))
+        monkeypatch.setattr(knapgap.guardrail, "os", env)
+        drawn = sample_instances(config)
+        assert list(drawn) == expected
+        assert reads == []
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knapgap.rounding
+from knapgap import KnapgapError, ValidationError
 from knapgap.rounding import (
     DEFAULT_BITS,
     iroot,
@@ -18,6 +19,24 @@ from knapgap.rounding import (
     pow_numerators,
     root_lower,
 )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: iroot(-1, 2), "iroot of a negative number"),
+        (lambda: iroot(8, 0), "root index must be >= 1"),
+        (lambda: root_lower(Fraction(-1, 2), 2), "root of a negative rational"),
+        (lambda: pow_bounds(-2, Fraction(1, 2)), "power of a negative base"),
+        (lambda: pow_bounds(2, Fraction(-1, 2)), "negative exponents are not supported"),
+    ],
+    ids=["iroot-negative", "iroot-index", "root_lower-negative", "pow-base", "pow-exponent"],
+)
+def test_refusals_are_knapgap_errors(call, message):
+    with pytest.raises(KnapgapError) as info:
+        call()
+    assert isinstance(info.value, ValidationError)
+    assert str(info.value) == message
 
 
 def root_upper(q: Fraction, r: int, bits: int = DEFAULT_BITS) -> Fraction:
