@@ -452,11 +452,19 @@ def _cut(t: Fraction, bits: int) -> int:
     return (t.numerator << bits) // t.denominator
 
 
+def _log(t: Fraction) -> float:
+    """log t of a positive t: math.log(float(t)), unless float(t) underflows
+    to 0, when the log is taken of numerator and denominator apart, as
+    math.log takes ints of any size."""
+    x = float(t)
+    return math.log(x) if x else math.log(t.numerator) - math.log(t.denominator)
+
+
 def _fit_slope(
     survival: Sequence[tuple[Fraction, Fraction]], count: int
 ) -> float | None:
     pts = [
-        (math.log(float(t)), math.log(float(frac)))
+        (_log(t), math.log(float(frac)))
         for t, frac in survival
         if frac * count >= MIN_TAIL_SAMPLES and frac > 0
     ]

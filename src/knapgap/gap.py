@@ -19,16 +19,11 @@ Past the tightness threshold B* the class minimum is reached outright:
 
     IG_c(a, b) = minima[b mod a_tau]        for every b >= B*.
 
-For n = 3 gap_exact builds neither table.  Per class of
-{v in Z^2 : g.v = 0 mod a_tau}, g the two generators and w their integer
-reduced costs, each table keeps its smallest point in a lexicographic
-order of linear keys: (w.v, v_1 + v_2, v_2) for the reduced-cost table,
-(g.v, w.v, v_2) for the packed one (ties there share the label).  So
-each is the L-shaped staircase that group._corners reads off one walk of
-a continued fraction (group.py's module docstring), and B*, tail_gap and
-gap are maxima of nonnegative linear forms over its outer corners.  Both
-routes find every value as an integer over basis_reduction's scale D and
-return through _report, the one place a GapReport is built.
+For n = 3 gap_exact builds neither table: each is an L-shaped staircase,
+and staircase.gap reads B*, tail_gap and gap off its outer corners
+(staircase.py's module docstring).  Both routes find every value as an
+integer over basis_reduction's scale D and return through _report, the
+one place a GapReport is built.
 
 ip_value, integrality_gap and gap_bruteforce read one direct dynamic
 program over right hand sides (_value_table), off the residue table, so
@@ -42,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import staircase
 from .core import (
     BasisReduction,
     KnapsackInstance,
@@ -51,7 +47,7 @@ from .core import (
     cost_vector,
     lp_value,
 )
-from .group import _check_table, _corners, _dot, _packed_maxima, _round_robin
+from .group import _check_table, _packed_maxima, _round_robin
 from .group import group_minima, tightness_threshold
 from .guardrail import check_cells
 
@@ -200,12 +196,12 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
     (g.v, w.v, v_2), form an L-shaped staircase (Fiol, Yebra, Alegre and
     Valero, IEEE Trans. Comput. C-36, 1987) whose sides A, B and notch
     c, d come from one walk of a ceiling continued fraction, the one
-    frobenius takes for three coefficients (module docstring).  B*,
-    tail_gap and gap are maxima over its outer corners, witness_b is the
-    smallest load of an attaining corner with its zero-cost coordinates
-    cleared, and scan_gap walks the shorter side of each corner's box, at
-    most sqrt(a_tau) steps.  Either way the guardrail counts the a_tau
-    cells of a table, as frobenius does for n = 3.
+    frobenius takes for three coefficients.  staircase.gap reads every
+    field off them (staircase.py's module docstring): B*, tail_gap and
+    gap are maxima over their outer corners, and scan_gap walks the
+    shorter side of each corner's box, at most sqrt(a_tau) steps.  Either
+    way the guardrail counts the a_tau cells of a table, as frobenius
+    does for n = 3.
     """
     red = basis_reduction(inst, c)
     if inst.n != 3:
@@ -213,34 +209,7 @@ def gap_exact(inst: KnapsackInstance, c: Sequence[RationalLike]) -> GapReport:
     m = inst.a[red.tau]
     _check_table(m)
     g = [inst.a[j] for j in red.positions]
-    w = red.weights
-    lex = _corners(m, g, (w, (1, 1), (0, 1)))
-    packed = _corners(m, g, (g, w, (0, 1)))
-    bstar = max(_dot(g, x) for x in lex)
-    gap = max(_dot(w, x) for x in packed)
-    # zero-cost coordinates of an attaining corner only add load
-    first = min(
-        _dot(g, [xj if wj else 0 for xj, wj in zip(x, w)])
-        for x in packed
-        if _dot(w, x) == gap
-    )
-    scan = 0
-    for x in packed:
-        if _dot(w, x) <= scan:
-            continue
-        if _dot(g, x) < bstar:  # the whole box lies below B*
-            scan = _dot(w, x)
-            continue
-        i = 0 if x[0] <= x[1] else 1  # walk the box's shorter side
-        (gi, go), (wi, wo), cap = (g[i], g[1 - i]), (w[i], w[1 - i]), x[1 - i]
-        room = bstar - 1
-        for v in range(min(x[i], room // gi) + 1):
-            rest = room // go
-            value = wi * v + wo * (rest if rest < cap else cap)
-            if value > scan:
-                scan = value
-            room -= gi
-    return _report(red, gap, first, bstar, max(_dot(w, x) for x in lex), scan)
+    return _report(red, *staircase.gap(m, g, red.weights))
 
 
 def gap_bruteforce(

@@ -106,46 +106,11 @@ Its body is _frobenius, which takes the plain coefficient tuple and a
 cell cap read by its caller, and refuses the table past that cap; the
 sampler calls it on drawn tuples with the cap it reads once per range.
 
-For three coefficients frobenius builds no table.  Write g = (g_1, g_2)
-for two generators and L = {v in Z^2 : g.v = 0 mod m}, of index m, and
-fix a lexicographic order of linear keys on Z^2, total and compatible
-with addition, in which every nonzero v >= 0 is positive.  The smallest
-point of N^2 in each class of Z^2 / L is kept.  The m kept points are
-down-closed (were y <= x not kept, some y - l >= 0 with l in L positive
-would beat y, and x - l would beat x): in two dimensions an L, the
-minimum-distance diagram of a double-loop network (Fiol, Yebra, Alegre
-and Valero, IEEE Trans. Comput. C-36, 1987).  (k, -t) lies in L only for
-k = e j, e = gcd(g_2, m), and t = s j mod M, M = m / e,
-s = g_1 (g_2 / e)^-1 mod M, so the smallest k >= 1 with a positive
-(k, -t) in L sits at a strict record low t_j of s j mod M.  _axis walks
-the record lows, the points of the ceiling continued fraction of M / s,
-along which the order test is monotone (their differences, as (k, -t),
-are nonnegative), and bisects each run of quotient 2, an arithmetic
-progression, in O(log m) steps.  The walk tests one linear form u at a
-point (k, -t), u_0 k > u_1 t, inline.  An order of several keys is packed
-into one form, as the kernel packs its lexicographic keys: with radix
-R = 2 m max(|u_0| + |u_1|) + 1 over the keys, every key at a point the
-walk tests (0 <= k, t <= m) has size at most (R - 1) / 2, so the packed
-form is positive exactly when the first nonzero key is, and a point whose
-keys all vanish is not ahead.  Let (A, c) = (e j, t_j) be the first
-positive one and (d, B) = (e j', t_j') the one before it (j' = 0,
-t_j' = M at the start), which is not.  The walk keeps the determinant
-j t_j' - t_j j' = M, so the positive vectors u = (A, -c) and v = (-d, B)
-have A B - c d = m: consecutive record lows are a basis of L.
-(A, 0) = u + (0, c), (0, B) = v + (d, 0) and (A - d, B - c) = u + v are
-each beaten in their class, so the staircase lies in the m points of
-[0, A) x [0, B) less [A - d, A) x [B - c, B), and is that L; for the
-order of loads this is Roedseth's theorem (J. reine angew. Math. 301,
-1978).  A linear form nonnegative on N^2 peaks on it at an outer corner,
-(A - 1, B - c - 1) or (A - d - 1, B - 1), or (A - 1, B - 1) when c d = 0.
-With m = min(a), the other two coefficients as g and the order
-(g.v, v_2), the staircase holds the smallest load of each class, so
-
-    g(a) = g_1 (A - 1) + g_2 (B - 1) - min(g_2 c, g_1 d) - m,
-
-the largest load at an outer corner less m.  The guardrail checks the m
-cells the table would take all the same, so a cap refuses the same inputs
-for every n.
+For three coefficients frobenius builds no table: the smallest loads of
+the classes modulo m form an L-shaped staircase, and staircase.frobenius
+reads g(a) off its corners in O(log m) steps (staircase.py's module
+docstring).  The guardrail checks the m cells the table would take all
+the same, so a cap refuses the same inputs for every n.
 
 Two identities connect g(a) to lattice covering radii of the simplex
 conv{0, a_1 e_1, ..., a_n e_n} scaled by the corresponding lattice: the
@@ -163,6 +128,7 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Iterator, Sequence
 
+from . import staircase
 from .core import KnapsackInstance, RationalLike, as_fraction, check_int
 from .errors import NegativeWeight, NoPointInBox, ValidationError
 from .guardrail import cell_cap, check_cells
@@ -564,90 +530,17 @@ def tightness_threshold(table: GroupTable) -> int:
     return _largest(table._loads(table._labels))
 
 
-def _axis(m: int, ga: int, gb: int, u0: int, u1: int) -> tuple[int, int, int, int]:
-    """(A, c, d, B) from one walk of the record lows of the lattice
-    {(x, y) : ga x + gb y = 0 mod m} (module docstring).  (A, c) is the
-    first record low (k, t) at which the linear form u0 k - u1 t is
-    positive, that is (A, -c) is positive, and (d, B) the one before it,
-    at which the form is not.  So A is the smallest k >= 1 for which some
-    t >= 0 has ga k = gb t (mod m) and u0 k > u1 t, c the smallest such t,
-    and (A, -c), (-d, B) are a basis of the lattice.
-
-    k runs over the multiples e j of e = gcd(gb, m), each with the smallest
-    solution t_j = s j mod M, M = m / e.  The loop walks the ceiling
-    continued fraction of M / s; a run of quotient 2 is an arithmetic
-    progression, taken whole and bisected, and the predecessor of an
-    answer inside it is the point one step back.  The recurrences are
-    linear, so the walk carries k = e j itself.  Every point it tests has
-    0 <= k <= m and 0 <= t <= m, which _pack relies on.
-    """
-    e = math.gcd(gb, m)
-    big = m // e
-    t = ga * pow(gb // e, -1, big) % big
-    k_prev, t_prev, k = 0, big, e
-    while u0 * k <= u1 * t:
-        q = -(-t_prev // t)
-        if q > 2:
-            k_prev, t_prev, k, t = k, t, q * k - k_prev, q * t - t_prev
-            continue
-        dk, dt = k - k_prev, t_prev - t
-        lo, hi = 0, t // dt
-        if u0 * (k + hi * dk) > u1 * (t - hi * dt):
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if u0 * (k + mid * dk) > u1 * (t - mid * dt):
-                    hi = mid
-                else:
-                    lo = mid
-            return k + hi * dk, t - hi * dt, k + lo * dk, t - lo * dt
-        k_prev, t_prev = k + (hi - 1) * dk, t - (hi - 1) * dt
-        k, t = k + hi * dk, t - hi * dt
-    return k, t, k_prev, t_prev
-
-
-def _pack(m: int, order) -> tuple[int, int]:
-    """The lexicographic order of the linear keys in order as one linear
-    form (u_0, u_1), packed with radix R = 2 m max(|u_0| + |u_1|) + 1 over
-    the keys: exact at every point (k, -t), 0 <= k, t <= m, that _axis
-    tests (module docstring)."""
-    radix = 2 * m * max(abs(u0) + abs(u1) for u0, u1 in order) + 1
-    p0 = p1 = 0
-    for u0, u1 in order:
-        p0, p1 = p0 * radix + u0, p1 * radix + u1
-    return p0, p1
-
-
-def _corners(m: int, g: Sequence[int], order) -> list[tuple[int, int]]:
-    """Outer corners of the staircase of {x : g.x = 0 mod m} in the
-    lexicographic order of the linear keys in order (module docstring),
-    which one _axis walk tests as the packed form _pack(m, order).  The
-    area check catches a wrong predecessor from the walk."""
-    a, c, d, b = _axis(m, g[0], g[1], *_pack(m, order))
-    if a * b - c * d != m:
-        raise AssertionError("staircase area is not a_tau, lattice broken")
-    if c * d:
-        return [(a - 1, b - c - 1), (a - d - 1, b - 1)]
-    return [(a - 1, b - 1)]
-
-
-def _dot(u: Sequence[int], x: Sequence[int]) -> int:
-    return u[0] * x[0] + u[1] * x[1]
-
-
 def _frobenius(a: tuple[int, ...], cap: int) -> int:
     """g(a) for validated coefficients a, given a cell cap the caller read
     (cell_cap): the table modulo m = min(a) is refused through _check_table
-    when m exceeds it.  Then one _axis walk for three coefficients,
+    when m exceeds it.  Then staircase.frobenius for three coefficients,
     otherwise the kernel on the arcs (a_j mod m, a_j) (module docstring).
     The sampler reads the cap once per range and calls this per record."""
     m = min(a)
     if m > cap:
         _check_table(m)
     if len(a) == 3:
-        a0, a1, a2 = a
-        g1, g2 = (a1, a2) if a0 == m else (a0, a2) if a1 == m else (a0, a1)
-        A, c, d, B = _axis(m, g1, g2, g1, g2)
-        return g1 * (A - 1) + g2 * (B - 1) - min(g2 * c, g1 * d) - m
+        return staircase.frobenius(a, m)
     return _largest(_round_robin(m, [(g % m, g) for g in a if g % m])) - m
 
 
@@ -658,11 +551,12 @@ def frobenius(inst: KnapsackInstance) -> int:
     representable.  Both routes first count the m = min(a) cells of the
     table modulo m against the guardrail: this reads the cap and
     _frobenius compares m with it.  Three coefficients then read g off
-    the L-shaped staircase of the smallest loads, which one _axis walk
-    finds in O(log m) steps.  Any other n runs _round_robin on the arcs
-    (a_j mod m, a_j), the coefficients being their own weights; its passes
-    go in ascending coefficient and skip every coefficient that smaller
-    ones already represent (module docstring).
+    the L-shaped staircase of the smallest loads, which
+    staircase.frobenius finds in O(log m) steps.  Any other n runs
+    _round_robin on the arcs (a_j mod m, a_j), the coefficients being
+    their own weights; its passes go in ascending coefficient and skip
+    every coefficient that smaller ones already represent (module
+    docstring).
     """
     return _frobenius(inst.a, cell_cap())
 

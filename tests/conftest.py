@@ -25,7 +25,7 @@ def counted_int():
     """(Counted, products): an int subclass whose products count.
 
     Every __mul__ or __rmul__ of a Counted appends its other factor to
-    products and returns a Counted.  Given to group._axis as its form's
+    products and returns a Counted.  Given to staircase._axis as its form's
     u0, which every test of the walk multiplies exactly once, it counts
     the tests the walk makes.
     """

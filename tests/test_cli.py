@@ -679,6 +679,15 @@ class TestExperimentCommands:
         assert rows[0]["T"] == "50"
         assert "fitted_slope" in out
 
+    def test_tail_fits_a_threshold_below_float_range(self, capsys):
+        # float(1/10**400) underflows to 0, whose log the slope fit took
+        code, out, err = _run(
+            capsys, "tail", "--n", "3", "--t", "50", "--count", "300",
+            "--seed", "9", "--epsilon", "4/5", "--thresholds", f"1/{10**400},1/4",
+        )
+        assert (code, err) == (0, "")
+        assert "fitted_slope = 0.000000\n" in out
+
     def test_tail_insufficient_samples_is_2(self, capsys, tmp_path):
         target = tmp_path / "records.csv"
         target.write_bytes(b"kept\n")

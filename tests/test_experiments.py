@@ -49,6 +49,7 @@ from knapgap.experiments import (
     _CHUNK,
     _csv_rows,
     _fit_slope,
+    _log,
     _ordered,
     _ranges,
     _sampled,
@@ -473,6 +474,17 @@ class TestSummaries:
         assert _fit_slope(survival, 10**4) is None
         apart = [(Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(1, 4))]
         assert _fit_slope(apart, 10**4) == pytest.approx(-1.0)
+
+    def test_fit_takes_a_threshold_below_float_range(self):
+        # float(t) underflows to 0 and has no log; a subnormal float keeps
+        # the float route, so the slopes printed before stay the same
+        tiny, subnormal = Fraction(1, 10**400), Fraction(1, 10**310)
+        assert float(tiny) == 0 < float(subnormal) < sys.float_info.min
+        assert _log(tiny) == pytest.approx(-400 * math.log(10))
+        assert _log(subnormal) == math.log(float(subnormal))
+        survival = [(tiny, Fraction(1)), (Fraction(1, 4), Fraction(1, 2))]
+        expected = math.log(1 / 2) / (math.log(1 / 4) + 400 * math.log(10))
+        assert _fit_slope(survival, 10**4) == pytest.approx(expected)
 
     def test_strictly_above_semantics(self):
         values = [1] * 10

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import knapgap.gap
 import knapgap.group
+import knapgap.staircase
 from knapgap import (
     BoundTooLarge,
     KnapsackInstance,
@@ -28,7 +29,7 @@ from knapgap import (
     tightness_family,
     tightness_threshold,
 )
-from knapgap.group import _pack
+from knapgap.staircase import _pack
 
 # entries of linear keys: small ones tie often, large ones test the radix
 keys = st.integers(min_value=-6, max_value=6) | st.integers(
@@ -537,7 +538,7 @@ class TestWork:
             lengths.append(args[-1])
             return range(*args)
 
-        monkeypatch.setattr(knapgap.gap, "range", counting, raising=False)
+        monkeypatch.setattr(knapgap.staircase, "range", counting, raising=False)
         assert gap_exact(inst, c) == expected
         assert lengths and max(lengths) <= math.isqrt(inst.a[expected.tau]) + 1
 
@@ -562,9 +563,12 @@ class TestWork:
             walked.append(args)
             return range(*args)
 
-        monkeypatch.setattr(knapgap.gap, "range", counting, raising=False)
+        monkeypatch.setattr(knapgap.staircase, "range", counting, raising=False)
         assert gap_exact(inst, c) == expected
         assert walked == []
+        # positive control: the same shim records a box that is walked
+        gap_exact(KnapsackInstance((20011, 30011, 40009)), (3, 5, 7))
+        assert walked
 
 # n = 3 cases for the staircase route: the pivot m from 1 to 40, generators
 # that may share a factor with m or be a multiple of it (a self-loop), and
@@ -686,7 +690,7 @@ class TestStaircase:
         # k > t, sits halfway, and its predecessor one step back in the run
         m = 10**6 + 3
         Counted, calls = counted_int
-        assert knapgap.group._axis(m, m - 1, 1, Counted(1), 1) == (
+        assert knapgap.staircase._axis(m, m - 1, 1, Counted(1), 1) == (
             m // 2 + 1, m // 2, m // 2, m // 2 + 1
         )
         assert 1 <= len(calls) <= 2 * m.bit_length()
@@ -697,7 +701,7 @@ class TestStaircase:
         # the smallest such t; the predecessor (d, B) is the same with the
         # axes swapped, (-d, B) the vector.  A t >= m is never needed: the
         # vector at t - m is in the lattice and larger.  The walk tests the
-        # form _corners packs the order into, so this checks the packing.
+        # form corners packs the order into, so this checks the packing.
         def side(m, f, ts, vector, positive):
             for k in range(1, m + 1):
                 for t in ts.get(f * k % m, ()):
@@ -719,7 +723,7 @@ class TestStaircase:
 
                     a, c = side(m, ga, solutions[gb], lambda k, t: (k, -t), positive)
                     b, d = side(m, gb, solutions[ga], lambda k, t: (-t, k), positive)
-                    walk = knapgap.group._axis(m, ga, gb, *_pack(m, order))
+                    walk = knapgap.staircase._axis(m, ga, gb, *_pack(m, order))
                     assert walk == (a, c, d, b), (m, ga, gb, order)
 
     @given(
@@ -745,27 +749,27 @@ class TestStaircase:
 
     def test_two_walks_per_call(self, monkeypatch):
         walks = []
-        real = knapgap.group._axis
+        real = knapgap.staircase._axis
 
         def counting(m, ga, gb, u0, u1):
             assert type(u0) is int and type(u1) is int
             walks.append(m)
             return real(m, ga, gb, u0, u1)
 
-        monkeypatch.setattr(knapgap.group, "_axis", counting)
+        monkeypatch.setattr(knapgap.staircase, "_axis", counting)
         inst = KnapsackInstance((1234, 1789, 1999))
         c = (Fraction(3, 2), -1, 7)
         assert gap_exact(inst, c) == _table_route(inst, c)
         assert walks == [inst.a[basis_reduction(inst, c).tau]] * 2
 
     def test_broken_area_is_refused(self, monkeypatch):
-        real = knapgap.group._axis
+        real = knapgap.staircase._axis
 
         def perturbed(m, ga, gb, u0, u1):
             a, c, d, b = real(m, ga, gb, u0, u1)
             return a + 1, c, d, b
 
-        monkeypatch.setattr(knapgap.group, "_axis", perturbed)
+        monkeypatch.setattr(knapgap.staircase, "_axis", perturbed)
         with pytest.raises(AssertionError, match="staircase area"):
             gap_exact(KnapsackInstance((6, 9, 20)), (3, 5, 7))
 

@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import knapgap.group
+import knapgap.staircase
 from knapgap import (
     BoundTooLarge,
     KnapsackInstance,
@@ -271,13 +272,13 @@ class TestThreeCoefficients:
         inst = KnapsackInstance((30000000, 30000001, 59999999))
         Counted, calls = counted_int
         walks = []
-        real = knapgap.group._axis
+        real = knapgap.staircase._axis
 
         def counting(m, ga, gb, u0, u1):
             walks.append(m)
             return real(m, ga, gb, Counted(u0), u1)
 
-        monkeypatch.setattr(knapgap.group, "_axis", counting)
+        monkeypatch.setattr(knapgap.staircase, "_axis", counting)
         assert frobenius(inst) == 599999960000000
         assert walks == [inst.min_entry]
         assert 1 <= len(calls) <= 2 * inst.min_entry.bit_length()
